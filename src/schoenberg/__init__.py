@@ -8,7 +8,7 @@ power-mean quantities tied to Sendov's conjecture, including a
 randomized search for extremal configurations.
 """
 
-from .config import DEFAULT_SEED, TOL_CENTER, TOL_DISK, TOL_EQ, TOL_ROOT, Tolerances
+from .config import DEFAULT_SEED, TOL_CENTER, TOL_DISK, TOL_EQ, TOL_ROOT
 from .errors import (
     ConvergenceError,
     InvalidInputError,

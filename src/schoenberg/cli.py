@@ -31,11 +31,12 @@ from .errors import (
     RejectedStartError,
 )
 from .inequalities import (
+    CENTERED_IDS,
+    Column,
     evaluate_ensemble,
     full_report,
     make_report,
     order6_bounds,
-    reports_from_table,
     star_trace_oracle,
     starstar_trace_oracle,
 )
@@ -52,7 +53,7 @@ from .search import (
     sample_seed,
     verify_candidate,
 )
-from .sendov import SendovInstance, check_special_case, probe_m_minus2_batch
+from .sendov import SendovInstance, check_special_case, special_case_batch
 
 TRACE_ORACLE_TOL = 1e-10
 SPECTRUM_TOL = 1e-7
@@ -85,11 +86,37 @@ def _report_dict(rep) -> dict:
     }
 
 
+def _json_floats(values) -> list:
+    """A column as JSON numbers: Python floats, non-finite ones as None."""
+    return [x if math.isfinite(x) else None for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _report_columns(table: dict[str, Column], tol_eq: float) -> list[tuple]:
+    """``(id, lhs, rhs, slack, holds, equality)`` arrays of each inequality of a table."""
+    return [(iid, col.lhs, col.rhs, *col.flags(tol_eq)) for iid, col in table.items()]
+
+
+def _report_dicts(columns: list[tuple], count: int) -> list[list[dict]]:
+    """Each of the ``count`` rows' JSONL report dicts, from report columns."""
+    lists = [
+        (iid, _json_floats(lhs), _json_floats(rhs), _json_floats(slack), holds.tolist(), equality.tolist())
+        for iid, lhs, rhs, slack, holds, equality in columns
+    ]
+    return [
+        [
+            {"id": iid, "lhs": lhs[i], "rhs": rhs[i], "slack": slack[i], "holds": holds[i], "equality": equality[i]}
+            for iid, lhs, rhs, slack, holds, equality in lists
+        ]
+        for i in range(count)
+    ]
+
+
 def _record(kind, seed, zeros, reports, a=None, objective=None, objective_value=None) -> dict:
+    """A JSONL record; ``reports`` are report dicts."""
     rec = {"kind": kind, "seed": int(seed), "n": int(len(zeros)), "zeros": _pairs(zeros)}
     if a is not None:
         rec["a"] = float(a)
-    rec["reports"] = [_report_dict(r) for r in reports]
+    rec["reports"] = reports
     if objective is not None:
         rec["objective"] = objective
         rec["objective_value"] = _num(objective_value)
@@ -110,29 +137,37 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 SUMMARY_COLUMNS = ("inequality_id", "n", "samples", "violations", "min_slack", "equality_count")
 
 
-def _summary_rows(records: list[dict]) -> list[dict]:
-    """Aggregate JSONL records into the CSV summary rows, keyed by (id, n)."""
+def _summary_rows(columns) -> list[dict]:
+    """The CSV summary rows of ``(id, n, slack, holds, equality)`` columns, merged by (id, n).
+
+    A non-finite slack (null in JSONL) counts as +inf towards ``min_slack``.
+    """
     acc: dict[tuple, dict] = {}
-    for rec in records:
-        for rep in rec.get("reports", []):
-            key = (rep["id"], rec["n"])
-            row = acc.setdefault(
-                key,
-                {
-                    "inequality_id": rep["id"],
-                    "n": rec["n"],
-                    "samples": 0,
-                    "violations": 0,
-                    "min_slack": math.inf,
-                    "equality_count": 0,
-                },
-            )
-            row["samples"] += 1
-            slack = rep["slack"] if rep["slack"] is not None else math.inf
-            row["min_slack"] = min(row["min_slack"], slack)
-            row["violations"] += 0 if rep["holds"] else 1
-            row["equality_count"] += 1 if rep["equality"] else 0
+    for iid, n, slack, holds, equality in columns:
+        if len(slack) == 0:
+            continue
+        row = acc.setdefault(
+            (iid, n),
+            {"inequality_id": iid, "n": n, "samples": 0, "violations": 0, "min_slack": math.inf, "equality_count": 0},
+        )
+        row["samples"] += len(slack)
+        row["violations"] += int(np.count_nonzero(~holds))
+        row["min_slack"] = min(row["min_slack"], float(np.where(np.isfinite(slack), slack, math.inf).min()))
+        row["equality_count"] += int(np.count_nonzero(equality))
     return [acc[k] for k in sorted(acc, key=lambda t: (t[1], t[0]))]
+
+
+def _record_columns(records: list[dict]) -> list[tuple]:
+    """The ``(id, n, slack, holds, equality)`` columns of JSONL records' reports (null slack as NaN)."""
+    groups: dict[tuple, list] = {}
+    try:
+        for rec in records:
+            for rep in rec.get("reports", []):
+                groups.setdefault((rep["id"], rec["n"]), []).append((rep["slack"], rep["holds"], rep["equality"]))
+        columns = {key: np.array(rows, dtype=float) for key, rows in groups.items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed record: {exc!r}") from None
+    return [(iid, n, c[:, 0], c[:, 1] != 0, c[:, 2] != 0) for (iid, n), c in columns.items()]
 
 
 def _summary_csv(rows: list[dict]) -> str:
@@ -155,10 +190,11 @@ def _print_summary(rows: list[dict]) -> None:
 
 
 def _out_paths(base: str) -> tuple[Path, Path]:
+    """JSONL and CSV paths of an output basename: a .jsonl/.csv suffix is replaced, any other kept."""
     p = Path(base)
     if p.suffix in {".jsonl", ".csv"}:
         p = p.with_suffix("")
-    return p.with_suffix(".jsonl"), p.with_suffix(".csv")
+    return p.with_name(p.name + ".jsonl"), p.with_name(p.name + ".csv")
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +204,26 @@ def _parse_zeros(text: str) -> np.ndarray:
     out = []
     for token in text.replace(";", " ").split():
         parts = token.split(",")
-        if len(parts) != 2:
-            raise InvalidInputError(f"zero token {token!r} is not 're,im'")
-        out.append(complex(float(parts[0]), float(parts[1])))
+        try:
+            re_part, im_part = (float(part) for part in parts)
+        except ValueError:
+            raise InvalidInputError(f"zero token {token!r} is not 're,im'") from None
+        out.append(complex(re_part, im_part))
     if not out:
         raise InvalidInputError("no zeros given")
     return np.array(out, dtype=complex)
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise InvalidInputError("configuration file must hold a JSON object")
-    return data
+def _load_config_file(path: str) -> tuple[np.ndarray, float | None]:
+    """Zeros and optional Sendov ``a`` of a JSON file ``{"zeros": [[re, im], ...], "a": a?}``."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+        zeros = np.array([complex(float(re), float(im)) for re, im in data["zeros"]], dtype=complex)
+        a = None if data.get("a") is None else float(data["a"])
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidInputError(f"{path}: not a JSON object with 'zeros' [re, im] pairs: {exc!r}") from None
+    return zeros, a
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,11 +294,11 @@ def _verify_reports_output(args, zeros, reports, extra_lines):
             f"{str(rep.holds):>5} {str(rep.equality):>8} {str(rep.applicable):>10}"
         )
     if args.out:
+        record = _record("verify", args.seed, zeros, [_report_dict(r) for r in reports])
         if args.format == "jsonl":
-            _write_jsonl(Path(args.out), [_record("verify", args.seed, zeros, reports)])
+            _write_jsonl(Path(args.out), [record])
         elif args.format == "csv":
-            rows = _summary_rows([_record("verify", args.seed, zeros, reports)])
-            _atomic_write(Path(args.out), _summary_csv(rows))
+            _atomic_write(Path(args.out), _summary_csv(_summary_rows(_record_columns([record]))))
         else:
             _atomic_write(Path(args.out), "\n".join(
                 f"{r.inequality_id},{r.lhs!r},{r.rhs!r},{r.slack!r},{r.holds},{r.equality}" for r in reports
@@ -268,35 +310,30 @@ def cmd_verify(args) -> int:
         raise InvalidInputError("give exactly one of --zeros or --config")
     a = args.a
     if args.config is not None:
-        data = _load_config_file(args.config)
-        zeros = np.array([complex(re, im) for re, im in data["zeros"]], dtype=complex)
-        a = data.get("a", a)
+        zeros, file_a = _load_config_file(args.config)
+        a = a if file_a is None else file_a
     else:
         zeros = _parse_zeros(args.zeros)
 
+    settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
     extra = []
     sendov_reports = []
     if a is not None:
         inst = SendovInstance(a=float(a), other_zeros=zeros)
         zeros = inst.zeros()
-        pm = check_special_case(inst, RootSolverSettings(tol_root=args.tol_root))
-        sendov_reports = [
-            make_report("C1", float(inst.n - 1), pm.c1_value, args.tol_eq),
-            make_report("C2", pm.c2_value, float(inst.n - 1), args.tol_eq),
-        ]
+        pm = check_special_case(inst, settings)
+        # C1/C2 are theorems only under the centroid hypothesis.
+        if pm.condition_holds:
+            sendov_reports = [
+                make_report("C1", float(inst.n - 1), pm.c1_value, args.tol_eq),
+                make_report("C2", pm.c2_value, float(inst.n - 1), args.tol_eq),
+            ]
         extra.append(
             f"sendov: condition_holds={pm.condition_holds} min|w-a|={pm.min_distance:.6f} "
             f"M2={pm.values[2]:.6f} M-2={pm.values[1]:.6f}"
         )
 
-    settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
-    reports = full_report(
-        zeros, settings, recenter_centered=args.recenter, tol_eq=args.tol_eq
-    )
-    if a is not None:
-        # C1/C2 are theorems only under the centroid hypothesis.
-        if sendov_reports and check_special_case(SendovInstance(float(a), zeros[1:]), settings).condition_holds:
-            reports = reports + sendov_reports
+    reports = full_report(zeros, settings, recenter_centered=args.recenter, tol_eq=args.tol_eq) + sendov_reports
 
     spectrum = verify_spectrum(zeros, settings)
     scale = max(1.0, float(np.max(np.abs(zeros))))
@@ -357,22 +394,23 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_root_records(args) -> list[dict]:
+def _sweep_root(args) -> tuple[list[dict], list[tuple]]:
+    """Records and summary columns of a root-configuration ensemble."""
     ens = Ensemble(
         kind=args.ensemble, n=args.n, count=args.count, seed=args.seed,
         recenter=args.recenter, scale=args.scale,
     )
     zs = np.array([sample_one(ens, i) for i in range(args.count)])
     settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
-    table, mask = evaluate_ensemble(zs, settings, recenter_centered=True)
-    records = []
-    for i in range(args.count):
-        reports = reports_from_table(table, mask, i, recentered=True, tol_eq=args.tol_eq)
-        records.append(_record("sample", sample_seed(args.seed, i), zs[i], reports))
-    return records
+    table, _mask = evaluate_ensemble(zs, settings, recenter_centered=True)
+    columns = _report_columns(table, args.tol_eq)
+    reports = _report_dicts(columns, args.count)
+    records = [_record("sample", sample_seed(args.seed, i), zs[i], reports[i]) for i in range(args.count)]
+    return records, [(iid, args.n, slack, holds, equality) for iid, _l, _r, slack, holds, equality in columns]
 
 
-def _sweep_sendov_records(args) -> list[dict]:
+def _sweep_sendov(args) -> tuple[list[dict], list[tuple]]:
+    """Records and summary columns of Sendov instances: M_{-2}, and C1/C2 where the hypothesis holds."""
     ens = Ensemble(kind="sendov-boundary", n=args.n, count=args.count, seed=args.seed)
     instances, seeds = [], []
     index = 0
@@ -388,31 +426,31 @@ def _sweep_sendov_records(args) -> list[dict]:
     a = np.array([inst.a for inst in instances])
     others = np.array([inst.other_zeros for inst in instances])
     settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
-    m2vals, _hits = probe_m_minus2_batch(a, others, settings)
-    records = []
-    for i, inst in enumerate(instances):
-        pm = check_special_case(inst, settings)
-        reports = []
-        if pm.condition_holds:
-            reports = [
-                make_report("C1", float(inst.n - 1), pm.c1_value, args.tol_eq),
-                make_report("C2", pm.c2_value, float(inst.n - 1), args.tol_eq),
-            ]
-        records.append(
-            _record(
-                "sample", seeds[i], inst.zeros(), reports, a=inst.a,
-                objective="M_MINUS2", objective_value=m2vals[i],
-            )
+    special = special_case_batch(a, others, settings)
+    # C1/C2 are theorems only under the centroid hypothesis.
+    held = np.array([inst.hypothesis_margin() >= 0.0 for inst in instances])
+    side = np.full(len(instances), float(args.n - 1))
+    columns = _report_columns(
+        {"C1": Column(side, special.c1, False), "C2": Column(special.c2, side, False)}, args.tol_eq
+    )
+    reports = _report_dicts(columns, len(instances))
+    records = [
+        _record(
+            "sample", seeds[i], inst.zeros(), reports[i] if held[i] else [], a=inst.a,
+            objective="M_MINUS2", objective_value=special.m_minus2[i],
         )
-    return records
+        for i, inst in enumerate(instances)
+    ]
+    summary = [
+        (iid, args.n, slack[held], holds[held], equality[held]) for iid, _l, _r, slack, holds, equality in columns
+    ]
+    return records, summary
 
 
 def cmd_sweep(args) -> int:
-    if args.ensemble == "sendov-boundary":
-        records = _sweep_sendov_records(args)
-    else:
-        records = _sweep_root_records(args)
-    rows = _summary_rows(records)
+    sweep = _sweep_sendov if args.ensemble == "sendov-boundary" else _sweep_root
+    records, summary = sweep(args)
+    rows = _summary_rows(summary)
     jsonl_path, csv_path = _out_paths(args.out or "sweep")
     _write_jsonl(jsonl_path, records)
     _atomic_write(csv_path, _summary_csv(rows))
@@ -444,8 +482,6 @@ def cmd_search(args) -> int:
         kind = args.ensemble or "uniform-disk"
         if kind == "sendov-boundary":
             raise InvalidInputError(f"objective {objective} needs a root-configuration ensemble")
-    from .inequalities import CENTERED_IDS  # local import to avoid cycles in __init__
-
     needs_center = objective in CENTERED_IDS and not args.raw_starts
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=needs_center)
     records, verified_counterexample = [], False
@@ -469,7 +505,7 @@ def cmd_search(args) -> int:
                 )
         records.append(
             _record(
-                kind_tag, seed_i, rec.zeros, rec.reports, a=rec.a,
+                kind_tag, seed_i, rec.zeros, [_report_dict(r) for r in rec.reports], a=rec.a,
                 objective=objective, objective_value=rec.objective_value,
             )
         )
@@ -481,15 +517,21 @@ def cmd_search(args) -> int:
     return EXIT_VIOLATION if verified_counterexample else EXIT_OK
 
 
-def cmd_report(args) -> int:
+def _read_records(paths) -> list[dict]:
     records = []
-    for path in args.input:
+    for path in paths:
         with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-    rows = _summary_rows(records)
+            for lineno, line in enumerate(handle, 1):
+                try:
+                    if line.strip():
+                        records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise InvalidInputError(f"{path}:{lineno}: not a JSON record: {exc}") from None
+    return records
+
+
+def cmd_report(args) -> int:
+    rows = _summary_rows(_record_columns(_read_records(args.input)))
     if args.format == "csv" or args.out:
         text = _summary_csv(rows)
         if args.out:

@@ -5,10 +5,6 @@ of use.  They can be overridden per call; these module constants are only
 the defaults.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 # Residual tolerance for accepting a computed polynomial root, relative to
 # max(1, root bound)^degree times the leading coefficient.
 TOL_ROOT = 1e-9
@@ -26,17 +22,3 @@ TOL_DISK = 1e-12
 # Fixed default seed: reproducibility by default, never wall-clock entropy.
 DEFAULT_SEED = 1729
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Bundle of the tunable tolerances, mainly for CLI plumbing."""
-
-    tol_root: float = TOL_ROOT
-    tol_center: float = TOL_CENTER
-    tol_eq: float = TOL_EQ
-    tol_disk: float = TOL_DISK
-
-    def __post_init__(self):
-        for name in ("tol_root", "tol_center", "tol_eq", "tol_disk"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")

@@ -1,11 +1,23 @@
-"""Closed-form evaluators for the zero/critical-point inequalities.
+"""The zero/critical-point inequalities, each written once in one table.
 
 Each inequality bounds a power sum (or symmetric function) of the
-critical-point moduli by an expression in the zeros.  Evaluators return
-:class:`InequalityReport` values carrying both sides, the slack
-``rhs - lhs``, and holds/equality flags; forms that assume a centered
-configuration (zero centroid) carry the gating flags instead of silently
-recentering, so callers decide how to treat off-center input.
+critical-point moduli by an expression in the zeros.  ``_TABLE`` is the one
+place an inequality is written: an :class:`Inequality` gives its id family,
+its left-hand kernel (critical points), its right-hand side (the zeros'
+sums, or the moduli polynomial's critical points ``xi``) and whether it
+assumes a centered configuration.  To add one, append an entry; its
+kernels map a :class:`_Sums` (plus k or r for a family) to one value per
+configuration, and a quantity ``_Sums`` lacks goes into ``_Sums._LAZY``.
+
+Every evaluator selects from the table over a (b, n) batch:
+:func:`evaluate_ensemble` evaluates every entry into one :class:`Column`
+per id, :func:`full_report` is that on a batch of one, the ``eval_*``
+functions evaluate a few entries on one configuration, and :func:`lookup`
+resolves one id for the search objective.  Reports carry both sides, the
+slack ``rhs - lhs`` and holds/equality flags; centered-only forms carry
+gating flags instead of silently recentering.  Where a caller asks for
+recentering, the recentered critical points are ``w - mean(z)`` (critical
+points move with the zeros), so p' is solved once per configuration.
 
 Inequality identifiers
 ----------------------
@@ -32,17 +44,18 @@ independent verification of the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .config import TOL_CENTER, TOL_EQ
 from .errors import InvalidInputError, NumericConsistencyError
 from .matrices import build_D, build_S, trace_word
-from .poly import as_zeros, centroid_residual, elementary_symmetric_all, recenter
+from .poly import as_zeros, centroid_residual, elementary_symmetric_all
 from .rootfind import (
     RootSolverSettings,
-    critical_points,
     critical_points_batch,
     moduli_critical_points,
     moduli_critical_points_batch,
@@ -51,6 +64,9 @@ from .rootfind import (
 __all__ = [
     "InequalityReport",
     "make_report",
+    "Column",
+    "Inequality",
+    "lookup",
     "DEFAULT_ORDERS",
     "eval_order1",
     "eval_order2",
@@ -64,15 +80,11 @@ __all__ = [
     "full_report",
     "evaluate_ensemble",
     "order6_bounds",
-    "reports_from_table",
     "CENTERED_IDS",
 ]
 
 # r exponents used by default for the general-order forms.
 DEFAULT_ORDERS = (2.0, 2.5, 3.0, 4.0, 6.0)
-
-# Forms whose right-hand side is only valid for centered configurations.
-CENTERED_IDS = frozenset({"S0", "BS", "KT", "STAR", "STARSTAR", "ST1"})
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,13 @@ class InequalityReport:
         return self.centered_satisfied or not self.centered_required
 
 
+def _flags(lhs, rhs, tol_eq):
+    """``(slack, holds, equality)`` of the two sides, elementwise."""
+    slack = rhs - lhs
+    margin = tol_eq * np.maximum(1.0, np.abs(rhs))
+    return slack, slack >= -margin, np.abs(slack) <= margin
+
+
 def make_report(
     iid: str,
     lhs: float,
@@ -112,33 +131,33 @@ def make_report(
     aux: dict | None = None,
 ) -> InequalityReport:
     """Assemble a report from the two sides, deriving slack and flags."""
-    lhs = float(lhs)
-    rhs = float(rhs)
-    slack = rhs - lhs
-    margin = tol_eq * max(1.0, abs(rhs))
+    lhs, rhs = float(lhs), float(rhs)
+    slack, holds, equality = _flags(lhs, rhs, tol_eq)
     return InequalityReport(
-        inequality_id=iid,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=slack >= -margin,
-        equality=abs(slack) <= margin,
-        centered_required=centered_required,
-        centered_satisfied=centered_satisfied,
-        aux=aux,
+        iid, lhs, rhs, float(slack), bool(holds), bool(equality), centered_required, centered_satisfied, aux
     )
 
 
-def _param_id(base: str, value) -> str:
-    return f"{base}({value:g})"
+class Column(namedtuple("Column", "lhs rhs centered_required")):
+    """One inequality over a batch: both sides as (b,) arrays."""
+
+    __slots__ = ()
+
+    def flags(self, tol_eq: float = TOL_EQ):
+        """``(slack, holds, equality)`` as (b,) arrays, by the rule of :class:`InequalityReport`."""
+        return _flags(self.lhs, self.rhs, tol_eq)
 
 
 # ---------------------------------------------------------------------------
-# power-sum kernels (batched over leading axes)
+# sums of the zeros and of the critical points
+
+def _abs2(c):
+    return c.real * c.real + c.imag * c.imag
+
 
 def _abs_pow_sum(v, r):
     """sum |v|**r along the trailing axis, with fast paths for r in 1,2,4,6."""
-    a2 = v.real * v.real + v.imag * v.imag
+    a2 = _abs2(v)
     if r == 1:
         return np.sqrt(a2).sum(axis=-1)
     if r == 2:
@@ -150,58 +169,54 @@ def _abs_pow_sum(v, r):
     return (a2 ** (r / 2.0)).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class _ZeroSums:
-    n: int
-    a1: np.ndarray  # sum |z|
-    a2: np.ndarray  # sum |z|^2
-    a4: np.ndarray  # sum |z|^4
-    a6: np.ndarray  # sum |z|^6
-    t1: np.ndarray  # sum z
-    t2: np.ndarray  # sum z^2
-    t3: np.ndarray  # sum z^3
-    u: np.ndarray  # sum z |z|^2
-    v: np.ndarray  # sum z^2 |z|^2
+class _Sums:
+    """Sums of a (b, n) stack of zeros ``z`` and of its critical points ``w``.
+
+    Each ``_LAZY`` quantity is computed on first use, so one entry costs only
+    what it reads.  ``xi`` may be given instead of computed.
+    """
+
+    _LAZY = {
+        "m2": lambda s: _abs2(s.z),  # |z|^2
+        "z2": lambda s: s.z * s.z,
+        "a1": lambda s: np.sqrt(s.m2).sum(axis=-1),  # sum |z|
+        "a2": lambda s: s.m2.sum(axis=-1),  # sum |z|^2
+        "a4": lambda s: (s.m2 * s.m2).sum(axis=-1),  # sum |z|^4
+        "a6": lambda s: (s.m2 * s.m2 * s.m2).sum(axis=-1),  # sum |z|^6
+        "t1": lambda s: s.z.sum(axis=-1),  # sum z
+        "t2": lambda s: s.z2.sum(axis=-1),  # sum z^2
+        "t3": lambda s: (s.z2 * s.z).sum(axis=-1),  # sum z^3
+        "u": lambda s: (s.z * s.m2).sum(axis=-1),  # sum z |z|^2
+        "v": lambda s: (s.z2 * s.m2).sum(axis=-1),  # sum z^2 |z|^2
+        "ez": lambda s: elementary_symmetric_all(np.abs(s.z)),  # e_0..e_n of |z|
+        "ew": lambda s: elementary_symmetric_all(np.abs(s.w)),  # e_0..e_{n-1} of |w|
+        # running products of the largest |w| and of xi (sorted descending)
+        "top_w": lambda s: np.cumprod(np.sort(np.abs(s.w), axis=-1)[..., ::-1], axis=-1),
+        "xi": lambda s: moduli_critical_points_batch(s.z),
+        "top_xi": lambda s: np.cumprod(s.xi, axis=-1),
+    }
+
+    def __init__(self, z, w=None, xi=None):
+        self.z, self.w, self.n = z, w, z.shape[-1]
+        if xi is not None:
+            self.xi = xi
+
+    def __getattr__(self, name):
+        if name not in self._LAZY:
+            raise AttributeError(name)
+        value = self._LAZY[name](self)
+        setattr(self, name, value)
+        return value
 
 
-def _zero_sums(z) -> _ZeroSums:
-    m2 = z.real * z.real + z.imag * z.imag
-    z2 = z * z
-    return _ZeroSums(
-        n=z.shape[-1],
-        a1=np.sqrt(m2).sum(axis=-1),
-        a2=m2.sum(axis=-1),
-        a4=(m2 * m2).sum(axis=-1),
-        a6=(m2 * m2 * m2).sum(axis=-1),
-        t1=z.sum(axis=-1),
-        t2=z2.sum(axis=-1),
-        t3=(z2 * z).sum(axis=-1),
-        u=(z * m2).sum(axis=-1),
-        v=(z2 * m2).sum(axis=-1),
-    )
+# ---------------------------------------------------------------------------
+# the table
+
+def _rhs_s(s: _Sums):
+    return (s.n - 2.0) / s.n * s.a2 + _abs2(s.t1) / s.n**2
 
 
-def _abs2(c):
-    return c.real * c.real + c.imag * c.imag
-
-
-def _rhs_order2_centered(s: _ZeroSums):
-    return (s.n - 2.0) / s.n * s.a2
-
-
-def _rhs_order2_general(s: _ZeroSums):
-    return _rhs_order2_centered(s) + _abs2(s.t1) / s.n**2
-
-
-def _rhs_order4_bs(s: _ZeroSums):
-    return (s.n - 4.0) / s.n * s.a4 + 2.0 / s.n**2 * s.a2**2
-
-
-def _rhs_order4_kt(s: _ZeroSums):
-    return (s.n - 4.0) / s.n * s.a4 + (s.a2**2 + _abs2(s.t2)) / s.n**2
-
-
-def _rhs_order6_star(s: _ZeroSums):
+def _rhs_star(s: _Sums):
     n = s.n
     return (
         (n - 6.0) / n * s.a6
@@ -211,7 +226,7 @@ def _rhs_order6_star(s: _ZeroSums):
     )
 
 
-def _rhs_order6_starstar(s: _ZeroSums):
+def _rhs_starstar(s: _Sums):
     n = s.n
     return (
         (n - 6.0) / n * s.a6
@@ -223,23 +238,123 @@ def _rhs_order6_starstar(s: _ZeroSums):
     )
 
 
-def _rhs_order1_general(s: _ZeroSums):
-    return (s.n - 1.0) / s.n * s.a1
-
-
-def _rhs_order1_centered(s: _ZeroSums):
-    return np.sqrt((s.n - 2.0) / s.n) * s.a1
-
-
-def _rhs_general_lxz(s: _ZeroSums, r: float):
+def _rhs_lxz(s: _Sums, r: float):
     n = s.n
     return (n - 1.0) ** (r - 2.0) / n**r * np.abs(s.t1) ** r + (
         (n - 1.0) ** (r - 2.0) * (n - 2.0) / n ** (r / 2.0)
     ) * s.a2 ** (r / 2.0)
 
 
-def _rhs_general_impro(s: _ZeroSums, r: float):
-    return _rhs_order2_general(s) ** (r / 2.0)
+@dataclass(frozen=True)
+class Inequality:
+    """One inequality ``lhs <= rhs``, both sides evaluated over a batch.
+
+    ``lhs`` and ``rhs`` map a :class:`_Sums` (plus the parameter ``value``
+    for a family) to one value per configuration.  ``param`` is None for a
+    fixed form, ``"k"`` for a family indexed by k = 1..n-1 and ``"r"`` for
+    one indexed by a real order r >= 2; :meth:`bind` sets ``value``.
+    """
+
+    family: str
+    lhs: Callable
+    rhs: Callable
+    centered: bool = False
+    param: str | None = None
+    value: int | float | None = None
+
+    @property
+    def iid(self) -> str:
+        return self.family if self.param is None else f"{self.family}({self.value:g})"
+
+    def bind(self, value, n: int) -> "Inequality":
+        """The family member for ``value`` at degree n; a fixed form is returned as is."""
+        if self.param is None:
+            return self
+        if self.param == "k" and not 1 <= value <= n - 1:
+            raise InvalidInputError(f"k must be in 1..{n - 1}, got {value}")
+        if self.param == "r" and not value >= 2:
+            raise InvalidInputError(f"order r must be >= 2, got {value}")
+        return replace(self, value=value)
+
+    def sides(self, s: _Sums):
+        """``(lhs, rhs)`` as (b,) arrays."""
+        args = (s,) if self.param is None else (s, self.value)
+        return np.atleast_1d(self.lhs(*args)), np.atleast_1d(self.rhs(*args))
+
+    def evaluate(self, zeros, critical) -> tuple[float, float]:
+        """``(lhs, rhs)`` of one configuration and its critical points, as given (no recentering)."""
+        lhs, rhs = self.sides(_Sums(np.asarray(zeros)[np.newaxis], np.asarray(critical)[np.newaxis]))
+        return float(lhs[0]), float(rhs[0])
+
+
+def _power(r):
+    return lambda s: _abs_pow_sum(s.w, r)
+
+
+# In report order.
+_TABLE = (
+    Inequality("S0", _power(2), lambda s: (s.n - 2.0) / s.n * s.a2, centered=True),
+    Inequality("S", _power(2), _rhs_s),
+    Inequality("BS", _power(4), lambda s: (s.n - 4.0) / s.n * s.a4 + 2.0 / s.n**2 * s.a2**2, centered=True),
+    Inequality("KT", _power(4), lambda s: (s.n - 4.0) / s.n * s.a4 + (s.a2**2 + _abs2(s.t2)) / s.n**2, centered=True),
+    Inequality("STAR", _power(6), _rhs_star, centered=True),
+    Inequality("STARSTAR", _power(6), _rhs_starstar, centered=True),
+    Inequality("BSEN", _power(1), lambda s: (s.n - 1.0) / s.n * s.a1),
+    Inequality("ST1", _power(1), lambda s: np.sqrt((s.n - 2.0) / s.n) * s.a1, centered=True),
+    Inequality("EK", lambda s, k: s.ew[..., k], lambda s, k: (s.n - k) / s.n * s.ez[..., k], param="k"),
+    Inequality("LOGMAJ", lambda s, k: s.top_w[..., k - 1], lambda s, k: s.top_xi[..., k - 1], param="k"),
+    Inequality("LXZ", lambda s, r: _abs_pow_sum(s.w, r), _rhs_lxz, param="r"),
+    Inequality("IMPRO", lambda s, r: _abs_pow_sum(s.w, r), lambda s, r: _rhs_s(s) ** (r / 2.0), param="r"),
+)
+
+_BY_FAMILY = {entry.family: entry for entry in _TABLE}
+
+# Forms whose right-hand side is only valid for centered configurations.
+CENTERED_IDS = frozenset(entry.family for entry in _TABLE if entry.centered)
+
+
+def lookup(iid: str, n: int) -> Inequality:
+    """The inequality with id ``iid`` (``KT``, ``EK(3)``, ``LXZ(2.5)``...) at degree n."""
+    family, paren, rest = iid.partition("(")
+    entry = _BY_FAMILY.get(family)
+    if entry is None or (entry.param is None) != (paren == "") or (paren and not rest.endswith(")")):
+        raise InvalidInputError(f"unknown inequality id {iid!r}")
+    if entry.param is None:
+        return entry
+    try:
+        value = (int if entry.param == "k" else float)(rest[:-1])
+    except ValueError:
+        raise InvalidInputError(f"unknown inequality id {iid!r}") from None
+    return entry.bind(value, n)
+
+
+def _suite(n: int, orders) -> list[Inequality]:
+    """Every inequality at degree n, in report order."""
+    fixed = [entry for entry in _TABLE if entry.param is None]
+    by_k = [entry.bind(k, n) for entry in _TABLE if entry.param == "k" for k in range(1, n)]
+    by_r = [entry.bind(r, n) for r in orders for entry in _TABLE if entry.param == "r"]
+    return fixed + by_k + by_r
+
+
+def _columns(z, w, forms, *, recenter: bool = False, xi=None) -> dict[str, Column]:
+    """Both sides of each form over a (b, n) stack and its critical points.
+
+    With ``recenter`` the centered-only forms see ``z - mean(z)`` and
+    ``w - mean(z)``: translating the zeros translates the critical points.
+    """
+    raw = centered = _Sums(z, w, xi)
+    if recenter:
+        shift = np.mean(z, axis=-1, keepdims=True)
+        centered = _Sums(z - shift, w - shift)
+    return {form.iid: Column(*form.sides(centered if form.centered else raw), form.centered) for form in forms}
+
+
+def _reports(table: dict[str, Column], tol_eq: float, centered: bool) -> list[InequalityReport]:
+    """Reports of a batch-of-one table; ``centered``: did centered-only forms see a centered configuration."""
+    return [
+        make_report(iid, lhs[0], rhs[0], tol_eq, required, centered or not required)
+        for iid, (lhs, rhs, required) in table.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +372,22 @@ def _checked_pair(zeros, critical):
     return z, w
 
 
+def _single(zeros, critical, families, value=None, *, tol_eq, tol_center=TOL_CENTER, xi=None):
+    """Reports of the given families (bound to ``value``) on one configuration, as is."""
+    z, w = _checked_pair(zeros, critical)
+    forms = [_BY_FAMILY[family].bind(value, z.shape[0]) for family in families]
+    table = _columns(z[np.newaxis], w[np.newaxis], forms, xi=xi)
+    return _reports(table, tol_eq, centroid_residual(z) <= tol_center)
+
+
 def eval_order2(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
     """Order-2 reports (S0 centered form, S general form)."""
-    z, w = _checked_pair(zeros, critical)
-    s = _zero_sums(z)
-    centered = centroid_residual(z) <= tol_center
-    lhs = _abs_pow_sum(w, 2)
-    s0 = make_report("S0", lhs, _rhs_order2_centered(s), tol_eq, True, centered)
-    gen = make_report("S", lhs, _rhs_order2_general(s), tol_eq)
-    return s0, gen
+    return tuple(_single(zeros, critical, ("S0", "S"), tol_eq=tol_eq, tol_center=tol_center))
 
 
 def eval_order4(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
     """Order-4 reports (BS, KT); both assume a centered configuration."""
-    z, w = _checked_pair(zeros, critical)
-    s = _zero_sums(z)
-    centered = centroid_residual(z) <= tol_center
-    lhs = _abs_pow_sum(w, 4)
-    bs = make_report("BS", lhs, _rhs_order4_bs(s), tol_eq, True, centered)
-    kt = make_report("KT", lhs, _rhs_order4_kt(s), tol_eq, True, centered)
-    return bs, kt
+    return tuple(_single(zeros, critical, ("BS", "KT"), tol_eq=tol_eq, tol_center=tol_center))
 
 
 def eval_order6(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
@@ -286,35 +397,17 @@ def eval_order6(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = 
     STAR rhs always (a trace-inequality consequence), and both coincide
     with the left side exactly when the zeros are collinear.
     """
-    z, w = _checked_pair(zeros, critical)
-    s = _zero_sums(z)
-    centered = centroid_residual(z) <= tol_center
-    lhs = _abs_pow_sum(w, 6)
-    star = make_report("STAR", lhs, _rhs_order6_star(s), tol_eq, True, centered)
-    starstar = make_report("STARSTAR", lhs, _rhs_order6_starstar(s), tol_eq, True, centered)
-    return star, starstar
+    return tuple(_single(zeros, critical, ("STAR", "STARSTAR"), tol_eq=tol_eq, tol_center=tol_center))
 
 
 def eval_order1(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
     """Order-1 reports (BSEN general, ST1 centered)."""
-    z, w = _checked_pair(zeros, critical)
-    s = _zero_sums(z)
-    centered = centroid_residual(z) <= tol_center
-    lhs = _abs_pow_sum(w, 1)
-    bsen = make_report("BSEN", lhs, _rhs_order1_general(s), tol_eq)
-    st1 = make_report("ST1", lhs, _rhs_order1_centered(s), tol_eq, True, centered)
-    return bsen, st1
+    return tuple(_single(zeros, critical, ("BSEN", "ST1"), tol_eq=tol_eq, tol_center=tol_center))
 
 
 def eval_symmetric(zeros, critical, k: int, *, tol_eq: float = TOL_EQ):
     """Elementary-symmetric report EK(k): e_k(|w|) <= ((n-k)/n) e_k(|z|)."""
-    z, w = _checked_pair(zeros, critical)
-    n = z.shape[0]
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"k must be in 1..{n - 1}, got {k}")
-    lhs = elementary_symmetric_all(np.abs(w))[k]
-    rhs = (n - k) / n * elementary_symmetric_all(np.abs(z))[k]
-    return make_report(_param_id("EK", k), lhs, rhs, tol_eq)
+    return _single(zeros, critical, ("EK",), k, tol_eq=tol_eq)[0]
 
 
 def eval_logmaj(zeros, critical, k: int, xi=None, *, tol_eq: float = TOL_EQ):
@@ -326,20 +419,13 @@ def eval_logmaj(zeros, critical, k: int, xi=None, *, tol_eq: float = TOL_EQ):
     elementary-symmetric consequence e_k(|w|) <= e_k(xi).
     """
     z, w = _checked_pair(zeros, critical)
-    n = z.shape[0]
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"k must be in 1..{n - 1}, got {k}")
-    if xi is None:
-        xi = moduli_critical_points(z)
-    xi = np.asarray(xi, dtype=float)
-    aw = np.sort(np.abs(w))[::-1]
-    lhs = float(np.prod(aw[:k]))
-    rhs = float(np.prod(xi[:k]))
+    xi = moduli_critical_points(z) if xi is None else np.asarray(xi, dtype=float)
+    (rep,) = _single(z, w, ("LOGMAJ",), k, tol_eq=tol_eq, xi=xi[np.newaxis])
     aux = {
         "esf_lhs": float(elementary_symmetric_all(np.abs(w))[k]),
         "esf_rhs": float(elementary_symmetric_all(xi)[k]),
     }
-    return make_report(_param_id("LOGMAJ", k), lhs, rhs, tol_eq, aux=aux)
+    return replace(rep, aux=aux)
 
 
 def eval_general(zeros, critical, r: float, *, tol_eq: float = TOL_EQ):
@@ -348,14 +434,7 @@ def eval_general(zeros, critical, r: float, *, tol_eq: float = TOL_EQ):
     IMPRO is the tighter bound for n >= 3; the two right-hand sides agree
     identically when n = 2 or r = 2.
     """
-    z, w = _checked_pair(zeros, critical)
-    if not r >= 2:
-        raise InvalidInputError(f"order r must be >= 2, got {r}")
-    s = _zero_sums(z)
-    lhs = _abs_pow_sum(w, r)
-    lxz = make_report(_param_id("LXZ", r), lhs, _rhs_general_lxz(s, r), tol_eq)
-    impro = make_report(_param_id("IMPRO", r), lhs, _rhs_general_impro(s, r), tol_eq)
-    return lxz, impro
+    return tuple(_single(zeros, critical, ("LXZ", "IMPRO"), r, tol_eq=tol_eq))
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +485,42 @@ def order6_bounds(zs):
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
-    s = _zero_sums(z)
-    return _rhs_order6_star(s), _rhs_order6_starstar(s)
+    s = _Sums(z)
+    return _rhs_star(s), _rhs_starstar(s)
 
 
 # ---------------------------------------------------------------------------
 # whole-suite evaluation
+
+def evaluate_ensemble(
+    zs,
+    settings: RootSolverSettings | None = None,
+    *,
+    orders=DEFAULT_ORDERS,
+    recenter_centered: bool = True,
+    tol_center: float = TOL_CENTER,
+):
+    """Every inequality of the table over a (b, n) stack of configurations.
+
+    Returns ``(table, centered_mask)`` where ``table`` maps each inequality
+    id, in report order, to a :class:`Column` ``(lhs, rhs,
+    centered_required)`` of length-b arrays (``Column.flags`` gives the
+    slack/holds/equality columns), and ``centered_mask`` marks samples
+    whose *original* configuration was centered.  With
+    ``recenter_centered`` (the default) the centered-only forms are
+    evaluated on recentered copies and are therefore valid for every
+    sample; otherwise they use the raw configurations and are only
+    meaningful where ``centered_mask`` holds.  p' is solved once per
+    configuration.
+    """
+    z = as_zeros(zs)
+    if z.ndim == 1:
+        z = z[np.newaxis, :]
+    w = critical_points_batch(z, settings)
+    centered_mask = np.asarray(centroid_residual(z) <= tol_center)
+    table = _columns(z, w, _suite(z.shape[-1], orders), recenter=recenter_centered)
+    return table, centered_mask
+
 
 def full_report(
     zeros,
@@ -422,116 +531,17 @@ def full_report(
     tol_eq: float = TOL_EQ,
     tol_center: float = TOL_CENTER,
 ) -> list[InequalityReport]:
-    """Every inequality report for one configuration, in a fixed order.
+    """Every inequality report for one configuration, in report order.
 
-    With ``recenter_centered`` the centered-only forms are evaluated on the
-    recentered configuration (fresh critical points included); otherwise
-    they are evaluated as-is and flagged when the centroid is off origin.
+    This is :func:`evaluate_ensemble` on a batch of one.  With
+    ``recenter_centered`` the centered-only forms are evaluated on the
+    recentered configuration; otherwise they are evaluated as-is and
+    flagged when the centroid is off origin.
     """
     z = as_zeros(zeros)
     if z.ndim != 1:
         raise InvalidInputError("full_report takes a single configuration")
-    n = z.shape[0]
-    w = critical_points(z, settings)
-    if recenter_centered and centroid_residual(z) > tol_center:
-        zc = recenter(z)
-        wc = critical_points(zc, settings)
-    else:
-        zc, wc = z, w
-    kw = {"tol_eq": tol_eq, "tol_center": tol_center}
-    reports = [
-        eval_order2(zc, wc, **kw)[0],
-        eval_order2(z, w, **kw)[1],
-        *eval_order4(zc, wc, **kw),
-        *eval_order6(zc, wc, **kw),
-        eval_order1(z, w, **kw)[0],
-        eval_order1(zc, wc, **kw)[1],
-    ]
-    xi = moduli_critical_points(z)
-    for k in range(1, n):
-        reports.append(eval_symmetric(z, w, k, tol_eq=tol_eq))
-    for k in range(1, n):
-        reports.append(eval_logmaj(z, w, k, xi=xi, tol_eq=tol_eq))
-    for r in orders:
-        reports.extend(eval_general(z, w, r, tol_eq=tol_eq))
-    return reports
-
-
-def evaluate_ensemble(
-    zs,
-    settings: RootSolverSettings | None = None,
-    *,
-    orders=DEFAULT_ORDERS,
-    recenter_centered: bool = True,
-    tol_center: float = TOL_CENTER,
-):
-    """Batched two-sided evaluation over a (b, n) stack of configurations.
-
-    Returns ``(table, centered_mask)`` where ``table`` maps each inequality
-    id to ``(lhs, rhs, centered_required)`` arrays of length b, and
-    ``centered_mask`` marks samples whose *original* configuration was
-    centered.  With ``recenter_centered`` (the default) the centered-only
-    forms are evaluated on recentered copies and are therefore valid for
-    every sample; otherwise they use the raw configurations and are only
-    meaningful where ``centered_mask`` holds.
-    """
-    z = as_zeros(zs)
-    if z.ndim == 1:
-        z = z[np.newaxis, :]
-    n = z.shape[-1]
-    w = critical_points_batch(z, settings)
-    xi = moduli_critical_points_batch(z)
-    centered_mask = np.asarray(centroid_residual(z) <= tol_center)
-
-    if recenter_centered:
-        zc = recenter(z)
-        wc = critical_points_batch(zc, settings)
-    else:
-        zc, wc = z, w
-    s_raw = _zero_sums(z)
-    s_cen = _zero_sums(zc)
-
-    table: dict[str, tuple[np.ndarray, np.ndarray, bool]] = {}
-
-    def put(iid, lhs, rhs, centered_required=False):
-        table[iid] = (np.atleast_1d(lhs), np.atleast_1d(rhs), centered_required)
-
-    put("S0", _abs_pow_sum(wc, 2), _rhs_order2_centered(s_cen), True)
-    put("S", _abs_pow_sum(w, 2), _rhs_order2_general(s_raw))
-    put("BS", _abs_pow_sum(wc, 4), _rhs_order4_bs(s_cen), True)
-    put("KT", _abs_pow_sum(wc, 4), _rhs_order4_kt(s_cen), True)
-    put("STAR", _abs_pow_sum(wc, 6), _rhs_order6_star(s_cen), True)
-    put("STARSTAR", _abs_pow_sum(wc, 6), _rhs_order6_starstar(s_cen), True)
-    put("BSEN", _abs_pow_sum(w, 1), _rhs_order1_general(s_raw))
-    put("ST1", _abs_pow_sum(wc, 1), _rhs_order1_centered(s_cen), True)
-
-    ew = elementary_symmetric_all(np.abs(w))
-    ez = elementary_symmetric_all(np.abs(z))
-    for k in range(1, n):
-        put(_param_id("EK", k), ew[..., k], (n - k) / n * ez[..., k])
-
-    aw_desc = np.sort(np.abs(w), axis=-1)[..., ::-1]
-    prod_w = np.cumprod(aw_desc, axis=-1)
-    prod_xi = np.cumprod(xi, axis=-1)
-    for k in range(1, n):
-        put(_param_id("LOGMAJ", k), prod_w[..., k - 1], prod_xi[..., k - 1])
-
-    for r in orders:
-        put(_param_id("LXZ", r), _abs_pow_sum(w, r), _rhs_general_lxz(s_raw, r))
-        put(_param_id("IMPRO", r), _abs_pow_sum(w, r), _rhs_general_impro(s_raw, r))
-
-    return table, centered_mask
-
-
-def reports_from_table(table, centered_mask, index: int, *, recentered: bool = True, tol_eq: float = TOL_EQ):
-    """Materialize the reports of sample ``index`` from an ensemble table.
-
-    ``recentered`` must match the ``recenter_centered`` flag the table was
-    built with: it decides whether the centered-only rows were evaluated on
-    a configuration that actually is centered.
-    """
-    out = []
-    for iid, (lhs, rhs, centered_required) in table.items():
-        satisfied = True if not centered_required else (recentered or bool(centered_mask[index]))
-        out.append(make_report(iid, lhs[index], rhs[index], tol_eq, centered_required, satisfied))
-    return out
+    table, centered_mask = evaluate_ensemble(
+        z, settings, orders=orders, recenter_centered=recenter_centered, tol_center=tol_center
+    )
+    return _reports(table, tol_eq, recenter_centered or bool(centered_mask[0]))

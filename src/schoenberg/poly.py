@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import TOL_CENTER
 from .errors import InvalidInputError
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "elementary_symmetric_all",
     "recenter",
     "centroid_residual",
-    "is_centered",
     "is_collinear",
 ]
 
@@ -147,10 +145,6 @@ def centroid_residual(zeros):
     scale = np.maximum(1.0, np.max(np.abs(z), axis=-1))
     res = np.abs(np.sum(z, axis=-1)) / scale
     return float(res) if np.isscalar(res) or res.ndim == 0 else res
-
-
-def is_centered(zeros, tol: float = TOL_CENTER) -> bool:
-    return bool(np.all(centroid_residual(zeros) <= tol))
 
 
 def is_collinear(zeros, tol: float = 1e-10) -> bool:

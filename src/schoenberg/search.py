@@ -13,29 +13,16 @@ tightened root tolerance before being believed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_SEED, TOL_CENTER
 from .errors import ConvergenceError, InvalidInputError, RejectedStartError
-from .inequalities import (
-    CENTERED_IDS,
-    InequalityReport,
-    eval_general,
-    eval_logmaj,
-    eval_order1,
-    eval_order2,
-    eval_order4,
-    eval_order6,
-    eval_symmetric,
-    full_report,
-    make_report,
-)
+from .inequalities import CENTERED_IDS, full_report, lookup, make_report
 from .poly import as_zeros, centroid_residual, recenter
 from .rootfind import RootSolverSettings, critical_points
-from .sendov import CRITICAL_HIT_TOL, SendovInstance, check_special_case
+from .sendov import SendovInstance, check_special_case, distance_columns
 
 __all__ = [
     "ENSEMBLE_KINDS",
@@ -147,55 +134,49 @@ def sample_array(ensemble: Ensemble):
 # ---------------------------------------------------------------------------
 # objectives
 
-_PARAM_ID = re.compile(r"^(EK|LOGMAJ)\((\d+)\)$")
-_ORDER_ID = re.compile(r"^(LXZ|IMPRO)\(([0-9.]+)\)$")
+class _Objective:
+    """A maximized value of packed coordinates; tracks the best configuration seen.
 
+    Subclasses provide ``encode``, ``decode`` (coordinates to a
+    configuration, projecting onto the constraint set), ``value`` and
+    ``reports``.
+    """
 
-def _single_report(iid: str, zeros, critical) -> InequalityReport:
-    if iid == "S0":
-        return eval_order2(zeros, critical)[0]
-    if iid == "S":
-        return eval_order2(zeros, critical)[1]
-    if iid == "BS":
-        return eval_order4(zeros, critical)[0]
-    if iid == "KT":
-        return eval_order4(zeros, critical)[1]
-    if iid == "STAR":
-        return eval_order6(zeros, critical)[0]
-    if iid == "STARSTAR":
-        return eval_order6(zeros, critical)[1]
-    if iid == "BSEN":
-        return eval_order1(zeros, critical)[0]
-    if iid == "ST1":
-        return eval_order1(zeros, critical)[1]
-    m = _PARAM_ID.match(iid)
-    if m:
-        k = int(m.group(2))
-        if m.group(1) == "EK":
-            return eval_symmetric(zeros, critical, k)
-        return eval_logmaj(zeros, critical, k)
-    m = _ORDER_ID.match(iid)
-    if m:
-        r = float(m.group(2))
-        pair = eval_general(zeros, critical, r)
-        return pair[0] if m.group(1) == "LXZ" else pair[1]
-    raise InvalidInputError(f"unknown objective/inequality id {iid!r}")
-
-
-class _RatioObjective:
-    """lhs/rhs of one inequality as a function of packed zero coordinates."""
-
-    def __init__(self, iid: str, n: int, solver: RootSolverSettings):
-        self.iid = iid
+    def __init__(self, n: int, solver: RootSolverSettings):
         self.n = n
         self.solver = solver
-        self.centered = iid in CENTERED_IDS
         self.best_value = -np.inf
         self.best_config = None
         self._warm = None
 
-    def dim(self) -> int:
-        return 2 * (self.n - 1) if self.centered else 2 * self.n
+    def _critical_points(self, zeros):
+        """Critical points warm-started from the last solve, retried cold; None if both fail."""
+        try:
+            w = critical_points(zeros, self.solver, initial=self._warm)
+        except ConvergenceError:
+            try:
+                w = critical_points(zeros, self.solver)
+            except ConvergenceError:
+                return None
+        self._warm = w
+        return w
+
+    def __call__(self, x) -> float:
+        config = self.decode(x)
+        val = self.value(config)
+        if val > self.best_value:
+            self.best_value = val
+            self.best_config = config
+        return -val
+
+
+class _RatioObjective(_Objective):
+    """lhs/rhs of one inequality as a function of packed zero coordinates."""
+
+    def __init__(self, iid: str, n: int, solver: RootSolverSettings):
+        super().__init__(n, solver)
+        self.inequality = lookup(iid, n)
+        self.centered = self.inequality.centered
 
     def encode(self, zeros) -> np.ndarray:
         z = as_zeros(zeros)
@@ -210,46 +191,20 @@ class _RatioObjective:
         return z
 
     def value(self, zeros) -> float:
-        try:
-            w = critical_points(zeros, self.solver, initial=self._warm)
-        except ConvergenceError:
-            try:
-                w = critical_points(zeros, self.solver)
-            except ConvergenceError:
-                return -np.inf
-        self._warm = w
-        rep = _single_report(self.iid, zeros, w)
-        if not np.isfinite(rep.rhs) or rep.rhs <= 1e-150 or not np.isfinite(rep.lhs):
+        w = self._critical_points(zeros)
+        if w is None:
             return -np.inf
-        return rep.lhs / rep.rhs
-
-    def __call__(self, x) -> float:
-        zeros = self.decode(x)
-        val = self.value(zeros)
-        if val > self.best_value:
-            self.best_value = val
-            self.best_config = zeros
-        return -val
+        lhs, rhs = self.inequality.evaluate(zeros, w)
+        if not np.isfinite(rhs) or rhs <= 1e-150 or not np.isfinite(lhs):
+            return -np.inf
+        return lhs / rhs
 
     def reports(self, zeros):
         return full_report(zeros, self.solver, recenter_centered=True)
 
 
-class _MMinus2Objective:
+class _MMinus2Objective(_Objective):
     """M_{-2} of |w_k - a| over Sendov instances, coordinates [a, re/im...]."""
-
-    iid = "M_MINUS2"
-    centered = False
-
-    def __init__(self, n: int, solver: RootSolverSettings):
-        self.n = n
-        self.solver = solver
-        self.best_value = -np.inf
-        self.best_config = None
-        self._warm = None
-
-    def dim(self) -> int:
-        return 1 + 2 * (self.n - 1)
 
     def encode(self, inst: SendovInstance) -> np.ndarray:
         zr = np.column_stack([inst.other_zeros.real, inst.other_zeros.imag]).ravel()
@@ -263,40 +218,14 @@ class _MMinus2Objective:
         return SendovInstance(a=a, other_zeros=z)
 
     def value(self, inst: SendovInstance) -> float:
-        try:
-            w = critical_points(inst.zeros(), self.solver, initial=self._warm)
-        except ConvergenceError:
-            try:
-                w = critical_points(inst.zeros(), self.solver)
-            except ConvergenceError:
-                return -np.inf
-        self._warm = w
-        dist = np.abs(w - inst.a)
-        if dist.min() <= CRITICAL_HIT_TOL or np.abs(inst.other_zeros - inst.a).min() <= CRITICAL_HIT_TOL:
-            return 0.0
-        return float((np.mean(dist**-2.0)) ** -0.5)
-
-    def __call__(self, x) -> float:
-        inst = self.decode(x)
-        val = self.value(inst)
-        if val > self.best_value:
-            self.best_value = val
-            self.best_config = inst
-        return -val
+        w = self._critical_points(inst.zeros())
+        if w is None:
+            return -np.inf
+        return float(distance_columns([inst.a], inst.other_zeros[np.newaxis], w[np.newaxis]).m_minus2[0])
 
     def reports(self, inst: SendovInstance):
-        rep = check_special_case(inst, self.solver)
-        n = inst.n
-        return [
-            make_report("C1", float(n - 1), rep.c1_value),
-            make_report("C2", rep.c2_value, float(n - 1)),
-        ]
-
-
-def _make_objective(objective_id: str, n: int, solver: RootSolverSettings):
-    if objective_id == "M_MINUS2":
-        return _MMinus2Objective(n, solver)
-    return _RatioObjective(objective_id, n, solver)
+        rep, side = check_special_case(inst, self.solver), float(inst.n - 1)
+        return [make_report("C1", side, rep.c1_value), make_report("C2", rep.c2_value, side)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +306,12 @@ def maximize(objective_id: str, start, settings: SearchSettings | None = None, *
     if objective_id == "M_MINUS2":
         if not isinstance(start, SendovInstance):
             raise InvalidInputError("M_MINUS2 objective needs a SendovInstance start")
-        n = start.n
+        obj = _MMinus2Objective(start.n, settings.solver)
     else:
         start = as_zeros(start)
-        n = start.shape[0]
         if objective_id in CENTERED_IDS and centroid_residual(start) > TOL_CENTER:
             raise InvalidInputError(f"objective {objective_id} requires a centered start")
-    obj = _make_objective(objective_id, n, settings.solver)
+        obj = _RatioObjective(objective_id, start.shape[0], settings.solver)
     x0 = obj.encode(start)
     f0 = obj(x0)
     if not np.isfinite(f0):

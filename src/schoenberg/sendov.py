@@ -14,11 +14,17 @@ critical points to the distinguished zero:
   near 1), while no configuration with M_{-2} > 1 is known.  Whether
   M_{-2} <= 1 always holds is open; the probe only reports candidates and
   asserts nothing.
+
+M_{-2}, M_2, C1, C2, the minimum distance and the exact-hit flag are
+computed in one place, :func:`distance_columns`, from a batch of critical
+points: :func:`special_case_batch` applies it after one batched solve, and
+:func:`check_special_case` and the search objective to a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,9 @@ __all__ = [
     "PowerMeanReport",
     "power_mean",
     "check_special_case",
+    "SpecialCaseColumns",
+    "distance_columns",
+    "special_case_batch",
     "probe_m_minus2",
     "probe_m_minus2_batch",
     "CRITICAL_HIT_TOL",
@@ -133,29 +142,35 @@ class PowerMeanReport:
         return self.critical_hit or self.min_distance <= 1.0
 
 
-def _exact_hit(inst: SendovInstance) -> bool:
-    # A zero repeated at a forces a critical point exactly at a, no matter
-    # how much a root cluster smears the computed points.
-    return bool(np.min(np.abs(inst.other_zeros - inst.a)) <= CRITICAL_HIT_TOL)
+class SpecialCaseColumns(namedtuple("SpecialCaseColumns", "hit m_minus2 m2 c1 c2 min_distance")):
+    """Per-instance (b,) columns of the special-case quantities.
+
+    ``m_minus2``/``m2`` are M_{-2}/M_2 of |w_k - a|, ``c1 = sum |w_k - a|^-2``
+    and ``c2 = sum |w_k - a|^2``.  ``hit`` marks an exact critical hit, where
+    ``m_minus2`` is 0 and ``c1`` is inf by convention.
+    """
+
+    __slots__ = ()
 
 
-def _distance_report(inst: SendovInstance, dist: np.ndarray) -> PowerMeanReport:
-    hit = bool(np.min(dist) <= CRITICAL_HIT_TOL) or _exact_hit(inst)
-    exponents = (-math.inf, -2.0, 2.0)
-    if hit:
-        c1 = math.inf
-        values = (0.0, 0.0, power_mean(dist, 2))
-    else:
-        c1 = float(np.sum(dist**-2.0))
-        values = tuple(power_mean(dist, p) for p in exponents)
-    return PowerMeanReport(
-        exponents=exponents,
-        values=values,
-        condition_holds=inst.hypothesis_margin() >= 0.0,
-        c1_value=c1,
-        c2_value=float(np.sum(dist**2)),
-        min_distance=float(np.min(dist)),
-        critical_hit=hit,
+def distance_columns(a_values, other_zeros, critical) -> SpecialCaseColumns:
+    """Special-case quantities of b instances from their critical points.
+
+    ``a_values`` has shape (b,), ``other_zeros`` and ``critical`` shape
+    (b, n-1).  A critical point within ``CRITICAL_HIT_TOL`` of a, or a zero
+    repeated at a (which forces a critical point there however much a
+    root cluster smears the computed points), is an exact hit.
+    """
+    a = np.asarray(a_values, dtype=float)[:, np.newaxis]
+    dist = np.abs(np.asarray(critical) - a)
+    min_distance = dist.min(axis=1)
+    hit = (min_distance <= CRITICAL_HIT_TOL) | (np.abs(np.asarray(other_zeros) - a).min(axis=1) <= CRITICAL_HIT_TOL)
+    m = dist.shape[1]
+    with np.errstate(divide="ignore"):
+        c1 = np.sum(dist**-2.0, axis=1)
+    c2 = np.sum(dist**2, axis=1)
+    return SpecialCaseColumns(
+        hit, np.where(hit, 0.0, (c1 / m) ** -0.5), (c2 / m) ** 0.5, np.where(hit, math.inf, c1), c2, min_distance
     )
 
 
@@ -168,7 +183,17 @@ def check_special_case(inst: SendovInstance, settings: RootSolverSettings | None
     immediately.
     """
     w = critical_points(inst.zeros(), settings)
-    return _distance_report(inst, np.abs(w - inst.a))
+    columns = distance_columns([inst.a], inst.other_zeros[np.newaxis], w[np.newaxis])
+    hit, m_minus2, m2, c1, c2, min_distance = (column[0].item() for column in columns)
+    return PowerMeanReport(
+        exponents=(-math.inf, -2.0, 2.0),
+        values=(0.0 if hit else min_distance, m_minus2, m2),
+        condition_holds=inst.hypothesis_margin() >= 0.0,
+        c1_value=c1,
+        c2_value=c2,
+        min_distance=min_distance,
+        critical_hit=hit,
+    )
 
 
 def probe_m_minus2(inst: SendovInstance, settings: RootSolverSettings | None = None) -> float:
@@ -190,6 +215,24 @@ def probe_m_minus2(inst: SendovInstance, settings: RootSolverSettings | None = N
     return value
 
 
+def special_case_batch(a_values, other_zeros, settings: RootSolverSettings | None = None) -> SpecialCaseColumns:
+    """Special-case columns of instances sharing one degree, from one batched solve.
+
+    ``a_values`` has shape (b,), ``other_zeros`` shape (b, n-1).  An
+    ``m_minus2`` above 1 is a counterexample candidate and is replaced by
+    its individually re-verified :func:`probe_m_minus2` value; the other
+    columns are as solved.
+    """
+    settings = settings or RootSolverSettings()
+    a = np.asarray(a_values, dtype=float)
+    others = np.asarray(other_zeros, dtype=complex)
+    full = np.concatenate([a[:, np.newaxis].astype(complex), others], axis=1)
+    columns = distance_columns(a, others, critical_points_batch(full, settings))
+    for i in np.flatnonzero(columns.m_minus2 > 1.0):
+        columns.m_minus2[i] = probe_m_minus2(SendovInstance(float(a[i]), others[i]), settings)
+    return columns
+
+
 def probe_m_minus2_batch(a_values, other_zeros, settings: RootSolverSettings | None = None):
     """Vectorized M_{-2} over instances sharing one degree.
 
@@ -198,18 +241,5 @@ def probe_m_minus2_batch(a_values, other_zeros, settings: RootSolverSettings | N
     convention).  Candidates above 1 are individually re-verified at
     tightened tolerance.
     """
-    settings = settings or RootSolverSettings()
-    a = np.asarray(a_values, dtype=float)
-    others = np.asarray(other_zeros, dtype=complex)
-    full = np.concatenate([a[:, np.newaxis].astype(complex), others], axis=1)
-    w = critical_points_batch(full, settings)
-    dist = np.abs(w - a[:, np.newaxis])
-    hits = (dist.min(axis=1) <= CRITICAL_HIT_TOL) | (
-        np.abs(others - a[:, np.newaxis]).min(axis=1) <= CRITICAL_HIT_TOL
-    )
-    m = dist.shape[1]
-    with np.errstate(divide="ignore"):
-        values = np.where(hits, 0.0, (np.sum(dist**-2.0, axis=1) / m) ** -0.5)
-    for i in np.flatnonzero(values > 1.0):
-        values[i] = probe_m_minus2(SendovInstance(float(a[i]), others[i]), settings)
-    return values, hits
+    columns = special_case_batch(a_values, other_zeros, settings)
+    return columns.m_minus2, columns.hit

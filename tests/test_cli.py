@@ -7,6 +7,8 @@ import pytest
 
 from schoenberg.cli import main
 from schoenberg.inequalities import full_report
+from schoenberg.rootfind import RootSolverSettings
+from schoenberg.sendov import SendovInstance, check_special_case
 
 
 def read_jsonl(path):
@@ -38,6 +40,32 @@ def test_verify_single_zero_is_usage_error(capsys):
 
 def test_verify_bad_token_is_usage_error(capsys):
     assert main(["verify", "--zeros", "1,0 nope"]) == 2
+
+
+def test_verify_unparsable_number_is_usage_error(capsys):
+    assert main(["verify", "--zeros", "1,abc"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_verify_config_without_zeros_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"a": 0.5}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+
+
+def test_verify_config_invalid_json_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"zeros": [[1, 0], [-1, 0]')
+    assert main(["verify", "--config", str(cfg)]) == 2
+
+
+def test_report_malformed_line_is_usage_error(tmp_path, capsys):
+    base = tmp_path / "sw"
+    assert main(["sweep", "--ensemble", "gaussian", "--n", "3", "--count", "4", "--out", str(base)]) == 0
+    archive = tmp_path / "sw.jsonl"
+    archive.write_text(archive.read_text() + '{"kind": "sample", "reports": [\n')
+    assert main(["report", "--input", str(archive)]) == 2
+    assert "sw.jsonl:5" in capsys.readouterr().err
 
 
 def test_verify_requires_exactly_one_source(tmp_path, capsys):
@@ -112,6 +140,36 @@ def test_sweep_sendov_boundary_hypothesis_filter(tmp_path, capsys):
     assert rows["C2"]["violations"] == "0"
     records = read_jsonl(tmp_path / "sb.jsonl")
     assert all(rec["a"] is not None and rec["objective"] == "M_MINUS2" for rec in records)
+
+
+def test_sweep_dotted_basenames_do_not_collide(tmp_path, capsys):
+    argv = ["sweep", "--ensemble", "gaussian", "--n", "3", "--count", "5"]
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "run.v2")]) == 0
+    assert main(argv + ["--seed", "2", "--out", str(tmp_path / "run.v3")]) == 0
+    assert main(argv + ["--seed", "3", "--out", str(tmp_path / "plain.jsonl")]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["plain.csv", "plain.jsonl", "run.v2.csv", "run.v2.jsonl", "run.v3.csv", "run.v3.jsonl"]
+    assert read_jsonl(tmp_path / "run.v2.jsonl") != read_jsonl(tmp_path / "run.v3.jsonl")
+
+
+def test_sweep_sendov_c1_c2_equal_check_special_case(tmp_path, capsys):
+    base = tmp_path / "sb"
+    assert main([
+        "sweep", "--ensemble", "sendov-boundary", "--n", "6", "--count", "60",
+        "--seed", "29", "--out", str(base),
+    ]) == 0
+    settings = RootSolverSettings(rng_seed=29)
+    checked = 0
+    for rec in read_jsonl(tmp_path / "sb.jsonl"):
+        zeros = [complex(re, im) for re, im in rec["zeros"]]
+        pm = check_special_case(SendovInstance(rec["a"], np.array(zeros[1:])), settings)
+        by_id = {r["id"]: r for r in rec["reports"]}
+        assert bool(by_id) == pm.condition_holds
+        if by_id:
+            assert by_id["C1"]["rhs"] == (None if pm.critical_hit else pm.c1_value)
+            assert by_id["C2"]["lhs"] == pm.c2_value
+            checked += 1
+    assert checked > 0
 
 
 def test_search_m_minus2(tmp_path, capsys):

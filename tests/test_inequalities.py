@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schoenberg.errors import InvalidInputError
 from schoenberg.inequalities import (
+    CENTERED_IDS,
     eval_general,
     eval_logmaj,
     eval_order1,
@@ -14,6 +17,7 @@ from schoenberg.inequalities import (
     eval_symmetric,
     evaluate_ensemble,
     full_report,
+    lookup,
     order6_bounds,
     star_trace_oracle,
     starstar_trace_oracle,
@@ -322,13 +326,82 @@ def test_full_report_ids_and_flags():
 
 
 def test_evaluate_ensemble_matches_single_reports():
+    # Batch == single is the contract: a configuration evaluated inside a
+    # batch gives bit-identical sides and flags to it evaluated alone.
     rng = np.random.default_rng(137)
-    z = centered_batch(rng, 8, 5)
-    table, mask = evaluate_ensemble(z)
-    assert mask.all()
-    for i in (0, 3, 7):
-        reports = full_report(z[i], recenter_centered=True)
-        for rep in reports:
-            lhs, rhs, _ = table[rep.inequality_id]
-            assert lhs[i] == pytest.approx(rep.lhs, rel=1e-12, abs=1e-14)
-            assert rhs[i] == pytest.approx(rep.rhs, rel=1e-12, abs=1e-14)
+    raw = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    for z, centered in ((centered_batch(rng, 8, 5), True), (raw, False)):
+        table, mask = evaluate_ensemble(z)
+        assert (mask == centered).all()
+        for i in (0, 3, 7):
+            reports = full_report(z[i], recenter_centered=True)
+            assert [rep.inequality_id for rep in reports] == list(table)
+            for rep in reports:
+                col = table[rep.inequality_id]
+                slack, holds, equality = col.flags()
+                assert (col.lhs[i], col.rhs[i]) == (rep.lhs, rep.rhs)
+                assert (slack[i], holds[i], equality[i]) == (rep.slack, rep.holds, rep.equality)
+                assert rep.applicable
+
+
+def test_single_evaluators_match_the_suite():
+    rng = np.random.default_rng(139)
+    z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    w = critical_points(z)
+    suite = {rep.inequality_id: rep for rep in full_report(z)}
+    singles = [
+        *eval_order2(z, w), *eval_order4(z, w), *eval_order6(z, w), *eval_order1(z, w),
+        *(eval_symmetric(z, w, k) for k in range(1, 6)),
+        *(eval_logmaj(z, w, k) for k in range(1, 6)),
+        *(rep for r in (2.0, 2.5, 3.0, 4.0, 6.0) for rep in eval_general(z, w, r)),
+    ]
+    assert sorted(rep.inequality_id for rep in singles) == sorted(suite)
+    for rep in singles:
+        want = suite[rep.inequality_id]
+        assert (rep.lhs, rep.rhs, rep.holds, rep.equality) == (want.lhs, want.rhs, want.holds, want.equality)
+        assert rep.applicable == want.applicable
+
+
+def test_lookup_resolves_every_id_and_rejects_others():
+    n = 5
+    for rep in full_report(np.array([1.0, 2.0, -1j, 0.5 + 0.5j, -2.0])):
+        entry = lookup(rep.inequality_id, n)
+        assert entry.iid == rep.inequality_id
+        assert entry.centered == (rep.inequality_id in CENTERED_IDS)
+    assert CENTERED_IDS == {"S0", "BS", "KT", "STAR", "STARSTAR", "ST1"}
+    for bad in ("WAT", "KT(2)", "EK", "EK(0)", "EK(5)", "EK(x)", "LXZ(1.5)", "IMPRO(2", "S0()"):
+        with pytest.raises(InvalidInputError):
+            lookup(bad, n)
+
+
+# --- invariance of every table entry ----------------------------------------
+
+@st.composite
+def separated_configs(draw):
+    """Zeros with max |z| = 1 and pairwise distance >= 0.05 (no root clusters)."""
+    n = draw(st.integers(3, 8))
+    coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    z = np.array([complex(draw(coord), draw(coord)) for _ in range(n)])
+    gaps = np.abs(z[:, None] - z[None, :]) + 10 * np.eye(n)
+    assume(np.abs(z).max() > 0.1 and gaps.min() >= 0.05)
+    return z / np.abs(z).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    z=separated_configs(),
+    seed=st.integers(0, 2**32 - 1),
+    angle=st.floats(0.0, 2 * np.pi),
+    scale=st.floats(0.05, 20.0),
+)
+def test_every_entry_invariant_under_permutation_rotation_scaling(z, seed, angle, scale):
+    perm = np.random.default_rng(seed).permutation(z.shape[0])
+    # Centered entries are judged on the centered input, the others on the raw one.
+    for centered, zz in ((False, z), (True, recenter(z))):
+        variants = np.stack([zz, zz[perm], np.exp(1j * angle) * zz, scale * zz])
+        table, _ = evaluate_ensemble(variants, recenter_centered=False)
+        for iid, (lhs, rhs, _required) in table.items():
+            if (iid in CENTERED_IDS) != centered or rhs[0] <= 1e-6:
+                continue
+            ratio = lhs / rhs
+            assert np.abs(ratio - ratio[0]).max() <= 1e-7, (iid, ratio)
