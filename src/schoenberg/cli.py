@@ -403,9 +403,15 @@ def _sweep_root(args) -> tuple[list[dict], list[tuple]]:
     zs = np.array([sample_one(ens, i) for i in range(args.count)])
     settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
     table, _mask = evaluate_ensemble(zs, settings, recenter_centered=True)
+    sides = [(iid, col.lhs.tolist(), col.rhs.tolist(), col.centered_required) for iid, col in table.items()]
+    records = [
+        _record(
+            "sample", sample_seed(args.seed, i), zs[i],
+            [_report_dict(make_report(iid, lhs[i], rhs[i], args.tol_eq, required)) for iid, lhs, rhs, required in sides],
+        )
+        for i in range(args.count)
+    ]
     columns = _report_columns(table, args.tol_eq)
-    reports = _report_dicts(columns, args.count)
-    records = [_record("sample", sample_seed(args.seed, i), zs[i], reports[i]) for i in range(args.count)]
     return records, [(iid, args.n, slack, holds, equality) for iid, _l, _r, slack, holds, equality in columns]
 
 

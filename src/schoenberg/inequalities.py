@@ -16,8 +16,8 @@ functions evaluate a few entries on one configuration, and :func:`lookup`
 resolves one id for the search objective.  Reports carry both sides, the
 slack ``rhs - lhs`` and holds/equality flags; centered-only forms carry
 gating flags instead of silently recentering.  Where a caller asks for
-recentering, the recentered critical points are ``w - mean(z)`` (critical
-points move with the zeros), so p' is solved once per configuration.
+recentering, the centered-only forms see the recentered zeros and the
+critical points solved from that recentered copy.
 
 Inequality identifiers
 ----------------------
@@ -53,7 +53,7 @@ import numpy as np
 from .config import TOL_CENTER, TOL_EQ
 from .errors import InvalidInputError, NumericConsistencyError
 from .matrices import build_D, build_S, trace_word
-from .poly import as_zeros, centroid_residual, elementary_symmetric_all
+from .poly import as_zeros, centroid_residual, elementary_symmetric_all, recenter
 from .rootfind import (
     RootSolverSettings,
     critical_points_batch,
@@ -114,13 +114,6 @@ class InequalityReport:
         return self.centered_satisfied or not self.centered_required
 
 
-def _flags(lhs, rhs, tol_eq):
-    """``(slack, holds, equality)`` of the two sides, elementwise."""
-    slack = rhs - lhs
-    margin = tol_eq * np.maximum(1.0, np.abs(rhs))
-    return slack, slack >= -margin, np.abs(slack) <= margin
-
-
 def make_report(
     iid: str,
     lhs: float,
@@ -132,9 +125,10 @@ def make_report(
 ) -> InequalityReport:
     """Assemble a report from the two sides, deriving slack and flags."""
     lhs, rhs = float(lhs), float(rhs)
-    slack, holds, equality = _flags(lhs, rhs, tol_eq)
+    slack = rhs - lhs
+    margin = tol_eq * max(1.0, abs(rhs))
     return InequalityReport(
-        iid, lhs, rhs, float(slack), bool(holds), bool(equality), centered_required, centered_satisfied, aux
+        iid, lhs, rhs, slack, slack >= -margin, abs(slack) <= margin, centered_required, centered_satisfied, aux
     )
 
 
@@ -144,8 +138,10 @@ class Column(namedtuple("Column", "lhs rhs centered_required")):
     __slots__ = ()
 
     def flags(self, tol_eq: float = TOL_EQ):
-        """``(slack, holds, equality)`` as (b,) arrays, by the rule of :class:`InequalityReport`."""
-        return _flags(self.lhs, self.rhs, tol_eq)
+        """``(slack, holds, equality)`` as (b,) arrays, by the rule of :func:`make_report`."""
+        slack = self.rhs - self.lhs
+        margin = tol_eq * np.maximum(1.0, np.abs(self.rhs))
+        return slack, slack >= -margin, np.abs(slack) <= margin
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +332,14 @@ def _suite(n: int, orders) -> list[Inequality]:
     return fixed + by_k + by_r
 
 
-def _columns(z, w, forms, *, recenter: bool = False, xi=None) -> dict[str, Column]:
+def _columns(z, w, forms, *, centered=None, xi=None) -> dict[str, Column]:
     """Both sides of each form over a (b, n) stack and its critical points.
 
-    With ``recenter`` the centered-only forms see ``z - mean(z)`` and
-    ``w - mean(z)``: translating the zeros translates the critical points.
+    ``centered``, a ``(zc, wc)`` pair, is what the centered-only forms see
+    instead of ``(z, w)``.
     """
-    raw = centered = _Sums(z, w, xi)
-    if recenter:
-        shift = np.mean(z, axis=-1, keepdims=True)
-        centered = _Sums(z - shift, w - shift)
+    raw = _Sums(z, w, xi)
+    centered = raw if centered is None else _Sums(*centered)
     return {form.iid: Column(*form.sides(centered if form.centered else raw), form.centered) for form in forms}
 
 
@@ -510,15 +504,18 @@ def evaluate_ensemble(
     ``recenter_centered`` (the default) the centered-only forms are
     evaluated on recentered copies and are therefore valid for every
     sample; otherwise they use the raw configurations and are only
-    meaningful where ``centered_mask`` holds.  p' is solved once per
-    configuration.
+    meaningful where ``centered_mask`` holds.
     """
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
     w = critical_points_batch(z, settings)
     centered_mask = np.asarray(centroid_residual(z) <= tol_center)
-    table = _columns(z, w, _suite(z.shape[-1], orders), recenter=recenter_centered)
+    centered = None
+    if recenter_centered:
+        zc = recenter(z)
+        centered = (zc, critical_points_batch(zc, settings))
+    table = _columns(z, w, _suite(z.shape[-1], orders), centered=centered)
     return table, centered_mask
 
 
