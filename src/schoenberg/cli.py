@@ -32,7 +32,6 @@ from .errors import (
 )
 from .inequalities import (
     CENTERED_IDS,
-    Column,
     evaluate_ensemble,
     full_report,
     make_report,
@@ -86,37 +85,11 @@ def _report_dict(rep) -> dict:
     }
 
 
-def _json_floats(values) -> list:
-    """A column as JSON numbers: Python floats, non-finite ones as None."""
-    return [x if math.isfinite(x) else None for x in np.asarray(values, dtype=float).tolist()]
-
-
-def _report_columns(table: dict[str, Column], tol_eq: float) -> list[tuple]:
-    """``(id, lhs, rhs, slack, holds, equality)`` arrays of each inequality of a table."""
-    return [(iid, col.lhs, col.rhs, *col.flags(tol_eq)) for iid, col in table.items()]
-
-
-def _report_dicts(columns: list[tuple], count: int) -> list[list[dict]]:
-    """Each of the ``count`` rows' JSONL report dicts, from report columns."""
-    lists = [
-        (iid, _json_floats(lhs), _json_floats(rhs), _json_floats(slack), holds.tolist(), equality.tolist())
-        for iid, lhs, rhs, slack, holds, equality in columns
-    ]
-    return [
-        [
-            {"id": iid, "lhs": lhs[i], "rhs": rhs[i], "slack": slack[i], "holds": holds[i], "equality": equality[i]}
-            for iid, lhs, rhs, slack, holds, equality in lists
-        ]
-        for i in range(count)
-    ]
-
-
 def _record(kind, seed, zeros, reports, a=None, objective=None, objective_value=None) -> dict:
-    """A JSONL record; ``reports`` are report dicts."""
     rec = {"kind": kind, "seed": int(seed), "n": int(len(zeros)), "zeros": _pairs(zeros)}
     if a is not None:
         rec["a"] = float(a)
-    rec["reports"] = reports
+    rec["reports"] = [_report_dict(r) for r in reports]
     if objective is not None:
         rec["objective"] = objective
         rec["objective_value"] = _num(objective_value)
@@ -137,37 +110,29 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 SUMMARY_COLUMNS = ("inequality_id", "n", "samples", "violations", "min_slack", "equality_count")
 
 
-def _summary_rows(columns) -> list[dict]:
-    """The CSV summary rows of ``(id, n, slack, holds, equality)`` columns, merged by (id, n).
-
-    A non-finite slack (null in JSONL) counts as +inf towards ``min_slack``.
-    """
+def _summary_rows(records: list[dict]) -> list[dict]:
+    """Aggregate JSONL records into the CSV summary rows, keyed by (id, n)."""
     acc: dict[tuple, dict] = {}
-    for iid, n, slack, holds, equality in columns:
-        if len(slack) == 0:
-            continue
-        row = acc.setdefault(
-            (iid, n),
-            {"inequality_id": iid, "n": n, "samples": 0, "violations": 0, "min_slack": math.inf, "equality_count": 0},
-        )
-        row["samples"] += len(slack)
-        row["violations"] += int(np.count_nonzero(~holds))
-        row["min_slack"] = min(row["min_slack"], float(np.where(np.isfinite(slack), slack, math.inf).min()))
-        row["equality_count"] += int(np.count_nonzero(equality))
+    for rec in records:
+        for rep in rec.get("reports", []):
+            key = (rep["id"], rec["n"])
+            row = acc.setdefault(
+                key,
+                {
+                    "inequality_id": rep["id"],
+                    "n": rec["n"],
+                    "samples": 0,
+                    "violations": 0,
+                    "min_slack": math.inf,
+                    "equality_count": 0,
+                },
+            )
+            row["samples"] += 1
+            slack = rep["slack"] if rep["slack"] is not None else math.inf
+            row["min_slack"] = min(row["min_slack"], slack)
+            row["violations"] += 0 if rep["holds"] else 1
+            row["equality_count"] += 1 if rep["equality"] else 0
     return [acc[k] for k in sorted(acc, key=lambda t: (t[1], t[0]))]
-
-
-def _record_columns(records: list[dict]) -> list[tuple]:
-    """The ``(id, n, slack, holds, equality)`` columns of JSONL records' reports (null slack as NaN)."""
-    groups: dict[tuple, list] = {}
-    try:
-        for rec in records:
-            for rep in rec.get("reports", []):
-                groups.setdefault((rep["id"], rec["n"]), []).append((rep["slack"], rep["holds"], rep["equality"]))
-        columns = {key: np.array(rows, dtype=float) for key, rows in groups.items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed record: {exc!r}") from None
-    return [(iid, n, c[:, 0], c[:, 1] != 0, c[:, 2] != 0) for (iid, n), c in columns.items()]
 
 
 def _summary_csv(rows: list[dict]) -> str:
@@ -294,11 +259,11 @@ def _verify_reports_output(args, zeros, reports, extra_lines):
             f"{str(rep.holds):>5} {str(rep.equality):>8} {str(rep.applicable):>10}"
         )
     if args.out:
-        record = _record("verify", args.seed, zeros, [_report_dict(r) for r in reports])
+        record = _record("verify", args.seed, zeros, reports)
         if args.format == "jsonl":
             _write_jsonl(Path(args.out), [record])
         elif args.format == "csv":
-            _atomic_write(Path(args.out), _summary_csv(_summary_rows(_record_columns([record]))))
+            _atomic_write(Path(args.out), _summary_csv(_summary_rows([record])))
         else:
             _atomic_write(Path(args.out), "\n".join(
                 f"{r.inequality_id},{r.lhs!r},{r.rhs!r},{r.slack!r},{r.holds},{r.equality}" for r in reports
@@ -394,8 +359,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_root(args) -> tuple[list[dict], list[tuple]]:
-    """Records and summary columns of a root-configuration ensemble."""
+def _sweep_root_records(args) -> list[dict]:
     ens = Ensemble(
         kind=args.ensemble, n=args.n, count=args.count, seed=args.seed,
         recenter=args.recenter, scale=args.scale,
@@ -404,19 +368,16 @@ def _sweep_root(args) -> tuple[list[dict], list[tuple]]:
     settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
     table, _mask = evaluate_ensemble(zs, settings, recenter_centered=True)
     sides = [(iid, col.lhs.tolist(), col.rhs.tolist(), col.centered_required) for iid, col in table.items()]
-    records = [
+    return [
         _record(
             "sample", sample_seed(args.seed, i), zs[i],
-            [_report_dict(make_report(iid, lhs[i], rhs[i], args.tol_eq, required)) for iid, lhs, rhs, required in sides],
+            [make_report(iid, lhs[i], rhs[i], args.tol_eq, required) for iid, lhs, rhs, required in sides],
         )
         for i in range(args.count)
     ]
-    columns = _report_columns(table, args.tol_eq)
-    return records, [(iid, args.n, slack, holds, equality) for iid, _l, _r, slack, holds, equality in columns]
 
 
-def _sweep_sendov(args) -> tuple[list[dict], list[tuple]]:
-    """Records and summary columns of Sendov instances: M_{-2}, and C1/C2 where the hypothesis holds."""
+def _sweep_sendov_records(args) -> list[dict]:
     ens = Ensemble(kind="sendov-boundary", n=args.n, count=args.count, seed=args.seed)
     instances, seeds = [], []
     index = 0
@@ -433,30 +394,31 @@ def _sweep_sendov(args) -> tuple[list[dict], list[tuple]]:
     others = np.array([inst.other_zeros for inst in instances])
     settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
     special = special_case_batch(a, others, settings)
-    # C1/C2 are theorems only under the centroid hypothesis.
-    held = np.array([inst.hypothesis_margin() >= 0.0 for inst in instances])
-    side = np.full(len(instances), float(args.n - 1))
-    columns = _report_columns(
-        {"C1": Column(side, special.c1, False), "C2": Column(special.c2, side, False)}, args.tol_eq
-    )
-    reports = _report_dicts(columns, len(instances))
-    records = [
-        _record(
-            "sample", seeds[i], inst.zeros(), reports[i] if held[i] else [], a=inst.a,
-            objective="M_MINUS2", objective_value=special.m_minus2[i],
+    side = float(args.n - 1)
+    records = []
+    for i, inst in enumerate(instances):
+        reports = []
+        # C1/C2 are theorems only under the centroid hypothesis.
+        if inst.hypothesis_margin() >= 0.0:
+            reports = [
+                make_report("C1", side, special.c1[i], args.tol_eq),
+                make_report("C2", special.c2[i], side, args.tol_eq),
+            ]
+        records.append(
+            _record(
+                "sample", seeds[i], inst.zeros(), reports, a=inst.a,
+                objective="M_MINUS2", objective_value=special.m_minus2[i],
+            )
         )
-        for i, inst in enumerate(instances)
-    ]
-    summary = [
-        (iid, args.n, slack[held], holds[held], equality[held]) for iid, _l, _r, slack, holds, equality in columns
-    ]
-    return records, summary
+    return records
 
 
 def cmd_sweep(args) -> int:
-    sweep = _sweep_sendov if args.ensemble == "sendov-boundary" else _sweep_root
-    records, summary = sweep(args)
-    rows = _summary_rows(summary)
+    if args.ensemble == "sendov-boundary":
+        records = _sweep_sendov_records(args)
+    else:
+        records = _sweep_root_records(args)
+    rows = _summary_rows(records)
     jsonl_path, csv_path = _out_paths(args.out or "sweep")
     _write_jsonl(jsonl_path, records)
     _atomic_write(csv_path, _summary_csv(rows))
@@ -511,7 +473,7 @@ def cmd_search(args) -> int:
                 )
         records.append(
             _record(
-                kind_tag, seed_i, rec.zeros, [_report_dict(r) for r in rec.reports], a=rec.a,
+                kind_tag, seed_i, rec.zeros, rec.reports, a=rec.a,
                 objective=objective, objective_value=rec.objective_value,
             )
         )
@@ -537,7 +499,10 @@ def _read_records(paths) -> list[dict]:
 
 
 def cmd_report(args) -> int:
-    rows = _summary_rows(_record_columns(_read_records(args.input)))
+    try:
+        rows = _summary_rows(_read_records(args.input))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InvalidInputError(f"malformed record: {exc!r}") from None
     if args.format == "csv" or args.out:
         text = _summary_csv(rows)
         if args.out:

@@ -137,12 +137,6 @@ class Column(namedtuple("Column", "lhs rhs centered_required")):
 
     __slots__ = ()
 
-    def flags(self, tol_eq: float = TOL_EQ):
-        """``(slack, holds, equality)`` as (b,) arrays, by the rule of :func:`make_report`."""
-        slack = self.rhs - self.lhs
-        margin = tol_eq * np.maximum(1.0, np.abs(self.rhs))
-        return slack, slack >= -margin, np.abs(slack) <= margin
-
 
 # ---------------------------------------------------------------------------
 # sums of the zeros and of the critical points
@@ -498,9 +492,8 @@ def evaluate_ensemble(
 
     Returns ``(table, centered_mask)`` where ``table`` maps each inequality
     id, in report order, to a :class:`Column` ``(lhs, rhs,
-    centered_required)`` of length-b arrays (``Column.flags`` gives the
-    slack/holds/equality columns), and ``centered_mask`` marks samples
-    whose *original* configuration was centered.  With
+    centered_required)`` of length-b arrays, and ``centered_mask`` marks
+    samples whose *original* configuration was centered.  With
     ``recenter_centered`` (the default) the centered-only forms are
     evaluated on recentered copies and are therefore valid for every
     sample; otherwise they use the raw configurations and are only

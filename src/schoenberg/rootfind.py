@@ -132,14 +132,27 @@ def _initial_estimates(coeffs, settings):
 
 
 def _aberth_iterate(coeffs, x, settings):
-    """Run the simultaneous iteration in place; returns the final estimates."""
+    """Run the simultaneous iteration; returns the final estimates.
+
+    A polynomial leaves the iteration once all its estimates are at the
+    round-off floor or stalled twice running, exactly where it would stop if
+    solved alone, so its roots never depend on the rest of the batch.
+    """
     d = x.shape[-1]
+    out = np.empty_like(x)
+    active = np.arange(x.shape[0])
     stalled_prev = np.zeros(x.shape, dtype=bool)
     for _ in range(settings.max_iterations):
         p, dp, e = _eval_with_bound(coeffs, x)
         at_floor = np.abs(p) <= 4.0 * _EPS * e
-        if np.all(at_floor):
-            break
+        moving = ~np.all(at_floor, axis=1)
+        if not np.all(moving):
+            out[active[~moving]] = x[~moving]
+            active, coeffs, x, p, dp, at_floor, stalled_prev = (
+                v[moving] for v in (active, coeffs, x, p, dp, at_floor, stalled_prev)
+            )
+            if active.size == 0:
+                return out
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
             pair = x[:, :, np.newaxis] - x[:, np.newaxis, :]
@@ -155,10 +168,15 @@ def _aberth_iterate(coeffs, x, settings):
         corr = np.where(at_floor, 0.0, corr)
         x = x - corr
         stalled = np.abs(corr) <= 1e-16 * (1.0 + np.abs(x))
-        if np.all(at_floor | (stalled & stalled_prev)):
-            break
+        moving = ~np.all(at_floor | (stalled & stalled_prev), axis=1)
+        if not np.all(moving):
+            out[active[~moving]] = x[~moving]
+            active, coeffs, x, stalled = (v[moving] for v in (active, coeffs, x, stalled))
+            if active.size == 0:
+                return out
         stalled_prev = stalled
-    return x
+    out[active] = x
+    return out
 
 
 def _newton_polish(coeffs, x, steps: int = 2):

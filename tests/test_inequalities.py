@@ -18,6 +18,7 @@ from schoenberg.inequalities import (
     evaluate_ensemble,
     full_report,
     lookup,
+    make_report,
     order6_bounds,
     star_trace_oracle,
     starstar_trace_oracle,
@@ -337,10 +338,9 @@ def test_evaluate_ensemble_matches_single_reports():
             reports = full_report(z[i], recenter_centered=True)
             assert [rep.inequality_id for rep in reports] == list(table)
             for rep in reports:
-                col = table[rep.inequality_id]
-                slack, holds, equality = col.flags()
-                assert (col.lhs[i], col.rhs[i]) == (rep.lhs, rep.rhs)
-                assert (slack[i], holds[i], equality[i]) == (rep.slack, rep.holds, rep.equality)
+                lhs, rhs, required = table[rep.inequality_id]
+                assert (lhs[i], rhs[i]) == (rep.lhs, rep.rhs)
+                assert make_report(rep.inequality_id, lhs[i], rhs[i], centered_required=required) == rep
                 assert rep.applicable
 
 

@@ -97,6 +97,18 @@ def test_find_roots_deterministic_and_batch_consistent():
         np.testing.assert_array_equal(find_roots(coeffs[i]), a[i])
 
 
+def test_finished_rows_leave_the_batch():
+    # Row 0 starts exactly on its roots, a double one included: alone it stops
+    # at once.  Row 1 still iterates, but must not move row 0 (for instance by
+    # spreading its coincident estimates).
+    coeffs = np.array([from_roots(np.array([1, 1, 2])), from_roots(np.array([0.3 + 0.2j, -1.1, 0.7j]))])
+    initial = np.array([[1, 1, 2], [3, 3j, -3]], dtype=complex)
+    batch = find_roots_batch(coeffs, initial=initial)
+    np.testing.assert_array_equal(batch[0], [1, 1, 2])
+    for i in range(2):
+        np.testing.assert_array_equal(find_roots(coeffs[i], initial=initial[i]), batch[i])
+
+
 def test_critical_points_examples():
     np.testing.assert_array_equal(critical_points([1, -1]), [0])
     got = np.sort_complex(critical_points([1, 2, 3]))
