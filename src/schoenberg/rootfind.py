@@ -145,14 +145,15 @@ def _aberth_iterate(coeffs, x, settings):
     for _ in range(settings.max_iterations):
         p, dp, e = _eval_with_bound(coeffs, x)
         at_floor = np.abs(p) <= 4.0 * _EPS * e
-        moving = ~np.all(at_floor, axis=1)
-        if not np.all(moving):
-            out[active[~moving]] = x[~moving]
+        done = at_floor.all(axis=1)
+        if done.any():
+            out[active[done]] = x[done]
+            if done.all():
+                return out
+            moving = ~done
             active, coeffs, x, p, dp, at_floor, stalled_prev = (
                 v[moving] for v in (active, coeffs, x, p, dp, at_floor, stalled_prev)
             )
-            if active.size == 0:
-                return out
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
             pair = x[:, :, np.newaxis] - x[:, np.newaxis, :]
@@ -168,12 +169,13 @@ def _aberth_iterate(coeffs, x, settings):
         corr = np.where(at_floor, 0.0, corr)
         x = x - corr
         stalled = np.abs(corr) <= 1e-16 * (1.0 + np.abs(x))
-        moving = ~np.all(at_floor | (stalled & stalled_prev), axis=1)
-        if not np.all(moving):
-            out[active[~moving]] = x[~moving]
-            active, coeffs, x, stalled = (v[moving] for v in (active, coeffs, x, stalled))
-            if active.size == 0:
+        done = (at_floor | (stalled & stalled_prev)).all(axis=1)
+        if done.any():
+            out[active[done]] = x[done]
+            if done.all():
                 return out
+            moving = ~done
+            active, coeffs, x, stalled = (v[moving] for v in (active, coeffs, x, stalled))
         stalled_prev = stalled
     out[active] = x
     return out
