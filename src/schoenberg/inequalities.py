@@ -430,39 +430,46 @@ def eval_general(zeros, critical, r: float, *, tol_eq: float = TOL_EQ):
 
 def _oracle_config(zeros, tol_center):
     z = as_zeros(zeros)
-    if z.ndim != 1:
-        raise InvalidInputError("trace oracles take a single configuration")
-    if centroid_residual(z) > tol_center:
-        raise InvalidInputError("trace oracles require a centered configuration")
+    if z.ndim > 2:
+        raise InvalidInputError("trace oracles take a configuration or a (b, n) stack")
+    if np.any(centroid_residual(z) > tol_center):
+        raise InvalidInputError("trace oracles require centered configurations")
     return z
 
 
-def _real_trace(t: complex, scale: float) -> float:
-    if abs(t.imag) > 1e-9 * scale:
+def _real_trace(t, z):
+    """Real part of the traces ``t`` of words of degree 6 in the zeros ``z``."""
+    imag = np.abs(np.imag(t))
+    bad = imag > 1e-9 * np.maximum(1.0, np.max(np.abs(z), axis=-1)) ** 6
+    if np.any(bad):
         raise NumericConsistencyError(
-            f"trace imaginary part {t.imag:.3e} exceeds 1e-9 * scale^6"
+            f"trace imaginary part {np.max(np.where(bad, imag, 0.0)):.3e} exceeds 1e-9 * scale^6"
         )
     return t.real
 
 
-def star_trace_oracle(zeros, *, tol_center: float = TOL_CENTER) -> float:
-    """tr((S D* S D)^3) by explicit matrix products: the STAR right side."""
+def _word_factors(zeros, tol_center):
     z = _oracle_config(zeros, tol_center)
-    s = build_S(z.shape[0])
     d = build_D(z)
-    dh = d.conj().T
-    t = trace_word([s, dh, s, d] * 3)
-    return _real_trace(t, float(np.maximum(1.0, np.max(np.abs(z)))) ** 6)
+    return z, build_S(z.shape[-1]), d, d.conj().swapaxes(-1, -2)
 
 
-def starstar_trace_oracle(zeros, *, tol_center: float = TOL_CENTER) -> float:
-    """tr((A*)^3 A^3) with A = SDS by explicit products: the STARSTAR right side."""
-    z = _oracle_config(zeros, tol_center)
-    s = build_S(z.shape[0])
-    d = build_D(z)
-    dh = d.conj().T
-    t = trace_word([s, dh, s, dh, s, dh, s, d, s, d, s, d])
-    return _real_trace(t, float(np.maximum(1.0, np.max(np.abs(z)))) ** 6)
+def star_trace_oracle(zeros, *, tol_center: float = TOL_CENTER):
+    """tr((S D* S D)^3) by explicit matrix products: the STAR right side.
+
+    A float for one configuration, a (b,) array for a (b, n) stack.
+    """
+    z, s, d, dh = _word_factors(zeros, tol_center)
+    return _real_trace(trace_word([s, dh, s, d] * 3), z)
+
+
+def starstar_trace_oracle(zeros, *, tol_center: float = TOL_CENTER):
+    """tr((A*)^3 A^3) with A = SDS by explicit products: the STARSTAR right side.
+
+    A float for one configuration, a (b,) array for a (b, n) stack.
+    """
+    z, s, d, dh = _word_factors(zeros, tol_center)
+    return _real_trace(trace_word([s, dh, s, dh, s, dh, s, d, s, d, s, d]), z)
 
 
 def order6_bounds(zs):

@@ -5,17 +5,27 @@ The central objects are the diagonal matrix D of the zeros, the rank
 D*, S.  The spectrum of D S is {0} union the critical points, which is
 what ties matrix trace inequalities to polynomial geometry; traces of
 explicit words serve as brute-force oracles for the closed-form bounds.
+
+Every function that takes a configuration also takes a (b, n) stack of
+them and then works slice by slice on (b, n, n) stacks; a single
+configuration is a stack of one.  The spectrum check reads spec(D S)
+off the compression Q^T D Q, where the n x (n-1) matrix Q is an
+orthonormal basis of the complement of the all-ones vector, so that
+S = Q Q^T and spec(D S) = spec(Q^T D Q) union {0}.  Its eigenvalues come
+from LAPACK, not from the polynomial root solver whose critical points
+they check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
 from .poly import as_zeros
-from .rootfind import RootSolverSettings, critical_points, find_roots, match_multisets
+from .rootfind import RootSolverSettings, critical_points_batch, find_roots, match_multisets_batch
 
 __all__ = [
     "build_S",
@@ -40,46 +50,61 @@ def build_S(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex) - np.full((n, n), 1.0 / n, dtype=complex)
 
 
-def build_D(zeros) -> np.ndarray:
-    """Diagonal matrix of a root configuration."""
+def _configurations(zeros) -> np.ndarray:
     z = as_zeros(zeros)
-    if z.ndim != 1:
-        raise InvalidInputError("build_D expects a single configuration")
-    return np.diag(z)
+    if z.ndim > 2:
+        raise InvalidInputError(f"expected a configuration or a (b, n) stack, got shape {z.shape}")
+    return z
+
+
+def build_D(zeros) -> np.ndarray:
+    """Diagonal matrix of a root configuration; a (b, n, n) stack for a (b, n) stack."""
+    z = _configurations(zeros)
+    n = z.shape[-1]
+    d = np.zeros(z.shape + (n,), dtype=complex)
+    d[..., np.arange(n), np.arange(n)] = z
+    return d
 
 
 def sds_matrix(zeros) -> np.ndarray:
     """The compressed product S D S whose normality encodes collinearity."""
-    z = as_zeros(zeros)
-    s = build_S(z.shape[0])
+    z = _configurations(zeros)
+    s = build_S(z.shape[-1])
     return s @ build_D(z) @ s
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m, *, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
+        what = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise InvalidInputError(f"expected {what}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix entries must be finite")
     return a
 
 
-def trace_word(factors) -> complex:
+def trace_word(factors):
     """Trace of the left-to-right product of square matrices.
 
     Brute-force oracle: the product is carried out by explicit
-    multiplication, no algebraic simplification.
+    multiplication, no algebraic simplification.  A factor is an (n, n)
+    matrix or a (b, n, n) stack; stacks multiply slice by slice, a lone
+    matrix standing in every slice.  Returns a complex when every factor
+    is a matrix, else the (b,) array of the slices' traces.
     """
-    mats = [_as_square(f) for f in factors]
+    mats = [_as_square(f, stack=True) for f in factors]
     if not mats:
         raise InvalidInputError("trace_word needs at least one factor")
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats):
+    n = mats[0].shape[-1]
+    if any(m.shape[-1] != n for m in mats):
         raise InvalidInputError("all factors must have the same order")
+    if len({m.shape[0] for m in mats if m.ndim == 3}) > 1:
+        raise InvalidInputError("stacked factors must have the same length")
     prod = mats[0]
     for m in mats[1:]:
         prod = prod @ m
-    return complex(np.trace(prod))
+    t = np.trace(prod, axis1=-2, axis2=-1)
+    return complex(t) if t.ndim == 0 else t
 
 
 def char_poly(matrix) -> np.ndarray:
@@ -112,27 +137,54 @@ def eigenvalues(matrix, settings: RootSolverSettings | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class SpectrumComparison:
-    """Eigenvalues of a matrix against an expected multiset."""
+    """Eigenvalues of D S against {0} union the critical points.
+
+    For a (b, n) stack the fields are (b, n), (b, n) and (b,) arrays; for
+    a single configuration (n,), (n,) and a float.
+    """
 
     matrix_eigenvalues: np.ndarray
     expected: np.ndarray
-    max_pair_distance: float
+    max_pair_distance: float | np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _complement_basis(n: int) -> np.ndarray:
+    """Orthonormal n x (n-1) basis Q of the complement of the all-ones vector.
+
+    Columns 2..n of the Householder reflector I - 2 v v^T / v^T v with
+    v = 1 + sqrt(n) e_1, which maps e_1 to -1/sqrt(n); hence Q Q^T = S.
+    """
+    v = np.ones(n)
+    v[0] += np.sqrt(n)
+    q = (np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:].astype(complex)
+    q.flags.writeable = False
+    return q
 
 
 def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> SpectrumComparison:
     """Check that D(I - J/n) has spectrum {0} union the critical points.
 
-    The expected side comes from the polynomial root finder applied to p',
-    the matrix side from the characteristic polynomial of D S; the report
-    carries the greedy multiset-pairing distance between the two.
+    Takes one configuration or a (b, n) stack.  The expected side is one
+    batched polynomial solve of p'.  The matrix side is LAPACK's
+    eigenvalues of the (n-1) x (n-1) compressions Q^T D Q, plus an exact
+    0: with S = Q Q^T, D S = (D Q) Q^T and Q^T (D Q) share their nonzero
+    eigenvalues.  The compression stays accurate where D S is defective
+    (for a centered pair D S is a nilpotent Jordan block, whose computed
+    eigenvalues would be off by the square root of the round-off).  The
+    report carries each configuration's greedy multiset-pairing distance
+    between the two sides.
     """
-    z = as_zeros(zeros)
-    if z.ndim != 1:
-        raise InvalidInputError("verify_spectrum expects a single configuration")
-    ds = build_D(z) @ build_S(z.shape[0])
-    eigs = eigenvalues(ds, settings)
-    expected = np.concatenate([np.zeros(1, dtype=complex), critical_points(z, settings)])
-    return SpectrumComparison(eigs, expected, match_multisets(eigs, expected))
+    z = _configurations(zeros)
+    stack = z if z.ndim == 2 else z[np.newaxis, :]
+    q = _complement_basis(stack.shape[1])
+    zero = np.zeros((stack.shape[0], 1), dtype=complex)
+    eigs = np.concatenate([zero, np.linalg.eigvals((q.T * stack[:, np.newaxis, :]) @ q)], axis=1)
+    expected = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)
+    distance = match_multisets_batch(eigs, expected)
+    if z.ndim == 1:
+        return SpectrumComparison(eigs[0], expected[0], float(distance[0]))
+    return SpectrumComparison(eigs, expected, distance)
 
 
 def is_normal(matrix, tol: float = 1e-10) -> bool:

@@ -33,6 +33,7 @@ __all__ = [
     "moduli_critical_points",
     "moduli_critical_points_batch",
     "match_multisets",
+    "match_multisets_batch",
     "cluster_sizes",
 ]
 
@@ -346,17 +347,24 @@ def match_multisets(a, b) -> float:
     bv = np.asarray(b, dtype=complex).ravel()
     if av.size != bv.size:
         raise InvalidInputError(f"multiset size mismatch: {av.size} vs {bv.size}")
-    m = av.size
-    if m == 0:
-        return 0.0
-    dist = np.abs(av[:, np.newaxis] - bv[np.newaxis, :])
-    worst = 0.0
+    return float(match_multisets_batch(av[np.newaxis, :], bv[np.newaxis, :])[0])
+
+
+def match_multisets_batch(a, b) -> np.ndarray:
+    """Row-wise :func:`match_multisets` of two (b, m) stacks; returns (b,) distances."""
+    av = np.asarray(a, dtype=complex)
+    bv = np.asarray(b, dtype=complex)
+    if av.ndim != 2 or av.shape != bv.shape:
+        raise InvalidInputError(f"expected two (b, m) stacks of one shape, got {av.shape} and {bv.shape}")
+    rows, m = av.shape
+    dist = np.abs(av[:, :, np.newaxis] - bv[:, np.newaxis, :])
+    worst = np.zeros(rows)
+    r = np.arange(rows)
     for _ in range(m):
-        k = int(np.argmin(dist))
-        i, j = divmod(k, m)
-        worst = max(worst, float(dist[i, j]))
-        dist[i, :] = np.inf
-        dist[:, j] = np.inf
+        i, j = np.divmod(np.argmin(dist.reshape(rows, m * m), axis=1), m)
+        worst = np.maximum(worst, dist[r, i, j])
+        dist[r, i, :] = np.inf
+        dist[r, :, j] = np.inf
     return worst
 
 

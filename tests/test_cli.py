@@ -1,10 +1,12 @@
 """CLI surface: exit codes, JSONL/CSV formats, reproducibility."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from schoenberg import cli
 from schoenberg.cli import main
 from schoenberg.inequalities import full_report
 from schoenberg.rootfind import RootSolverSettings
@@ -68,6 +70,16 @@ def test_report_malformed_line_is_usage_error(tmp_path, capsys):
     assert "sw.jsonl:5" in capsys.readouterr().err
 
 
+def test_verify_config_unknown_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"zeros": [[1, 0], [-1, 0]], "seed": 3}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'seed'" in err
+    cfg.write_text(json.dumps({"zeros": [[1, 0], [-1, 0]], "a": 0.5}))
+    assert main(["verify", "--config", str(cfg)]) == 0
+
+
 def test_verify_requires_exactly_one_source(tmp_path, capsys):
     assert main(["verify"]) == 2
     cfg = tmp_path / "c.json"
@@ -95,6 +107,30 @@ def test_verify_sendov_instance(capsys):
 def test_oracle_small(capsys):
     assert main(["oracle", "--n", "3", "--samples", "50"]) == 0
     assert main(["oracle", "--n", "2", "--samples", "20"]) == 0
+
+
+@pytest.mark.parametrize("tolerance, label", [("SPECTRUM_TOL", "spectrum"), ("TRACE_ORACLE_TOL", "trace")])
+def test_oracle_reports_the_worst_configuration_on_failure(monkeypatch, capsys, tolerance, label):
+    monkeypatch.setattr(cli, tolerance, 0.0)
+    assert main(["oracle", "--n", "6", "--samples", "20"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"worst {label} config: ")
+    pairs = json.loads(err[0].split(": ", 1)[1])
+    assert len(pairs) == 6 and all(len(p) == 2 for p in pairs)
+
+
+# The two lines the benchmark's output check parses (perfbench/outcheck.py).
+_TRACE_LINE = re.compile(r"trace oracle: (\d+) samples, n=(\d+), max \|closed - trace\| = (\S+)")
+_SPECTRUM_LINE = re.compile(r"spectrum check: max pairing distance = (\S+)")
+
+
+def test_oracle_output_keeps_the_benchmark_lines(capsys):
+    assert main(["oracle", "--n", "10", "--samples", "5"]) == 0
+    out = capsys.readouterr().out
+    trace, spectrum = _TRACE_LINE.search(out), _SPECTRUM_LINE.search(out)
+    assert trace and spectrum
+    assert trace.groups()[:2] == ("5", "10")
+    assert float(trace.group(3)) <= 1e-10 and float(spectrum.group(1)) <= 1e-12
 
 
 def test_oracle_size_guard(capsys):

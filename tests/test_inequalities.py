@@ -235,6 +235,26 @@ def test_closed_forms_match_trace_oracles():
             assert abs(starstar_trace_oracle(z[i]) - starstar_rhs[i]) <= 1e-10
 
 
+def test_trace_oracles_on_a_stack_equal_per_row_calls():
+    rng = np.random.default_rng(107)
+    for n in (2, 6, 10):
+        z = centered_batch(rng, 40, n)
+        star, starstar = star_trace_oracle(z), starstar_trace_oracle(z)
+        assert star.shape == starstar.shape == (40,)
+        for i in range(z.shape[0]):
+            assert star[i] == star_trace_oracle(z[i])
+            assert starstar[i] == starstar_trace_oracle(z[i])
+
+
+def test_trace_oracles_reject_one_off_centre_row():
+    z = centered_batch(np.random.default_rng(109), 5, 4)
+    z[3] += 0.1
+    with pytest.raises(InvalidInputError):
+        star_trace_oracle(z)
+    with pytest.raises(InvalidInputError):
+        starstar_trace_oracle(z)
+
+
 # --- ordering and invariance claims -----------------------------------------
 
 def test_ordering_chain_order6():

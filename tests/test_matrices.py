@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schoenberg import rootfind
 from schoenberg.errors import InvalidInputError, UnsupportedSizeError
 from schoenberg.matrices import (
     build_D,
@@ -15,7 +16,7 @@ from schoenberg.matrices import (
     verify_spectrum,
 )
 from schoenberg.poly import recenter
-from schoenberg.rootfind import match_multisets
+from schoenberg.rootfind import RootSolverSettings, match_multisets
 
 
 def random_configs(rng, count, n):
@@ -55,6 +56,28 @@ def test_trace_word_examples():
         trace_word([])
     with pytest.raises(InvalidInputError):
         trace_word([np.eye(2), np.eye(3)])
+
+
+def test_build_D_of_a_stack_is_a_stack_of_diagonals():
+    z = np.array([[1, -1, 2j], [0.5, 0, -3]])
+    d = build_D(z)
+    assert d.shape == (2, 3, 3)
+    for i in range(2):
+        np.testing.assert_array_equal(d[i], build_D(z[i]))
+
+
+def test_trace_word_on_stacks_equals_per_slice_calls():
+    rng = np.random.default_rng(61)
+    for n in (2, 5, 10):
+        z = random_configs(rng, 30, n)
+        s, d = build_S(n), build_D(z)
+        dh = d.conj().swapaxes(-1, -2)
+        traces = trace_word([s, dh, s, d] * 3)
+        assert traces.shape == (30,)
+        for i in range(30):
+            assert traces[i] == trace_word([s, dh[i], s, d[i]] * 3)
+    with pytest.raises(InvalidInputError):
+        trace_word([build_D(z[:2]), build_D(z[:3])])
 
 
 def test_char_poly_examples():
@@ -104,6 +127,31 @@ def test_verify_spectrum_examples():
     want = np.array([0, 2 - 1 / np.sqrt(3), 2 + 1 / np.sqrt(3)])
     assert match_multisets(cmp3.matrix_eigenvalues, want) <= 1e-8
     assert cmp3.max_pair_distance <= 1e-8
+
+
+def test_verify_spectrum_on_a_stack_equals_per_row_calls():
+    rng = np.random.default_rng(75)
+    for n in (2, 3, 6, 10):
+        z = random_configs(rng, 30, n)
+        batch = verify_spectrum(z)
+        assert batch.matrix_eigenvalues.shape == batch.expected.shape == (30, n)
+        for i in range(30):
+            one = verify_spectrum(z[i])
+            np.testing.assert_array_equal(batch.matrix_eigenvalues[i], one.matrix_eigenvalues)
+            np.testing.assert_array_equal(batch.expected[i], one.expected)
+            assert batch.max_pair_distance[i] == one.max_pair_distance
+
+
+def test_spectrum_check_does_not_share_the_root_solver(monkeypatch):
+    # Scale every root the polynomial solver returns by 1 + 1e-3 (0 stays 0).
+    # A matrix side that solved a characteristic polynomial with the same
+    # solver would move along and the distance would stay at round-off.
+    solve = rootfind.find_roots_batch
+    monkeypatch.setattr(rootfind, "find_roots_batch", lambda *a, **k: solve(*a, **k) * (1 + 1e-3))
+    loose = RootSolverSettings(tol_root=1.0)  # let the scaled critical points past the residual gate
+    assert verify_spectrum([1, 2, 3j, -1 - 1j], loose).max_pair_distance >= 1e-4
+    z = random_configs(np.random.default_rng(77), 20, 6)
+    assert np.all(verify_spectrum(z, loose).max_pair_distance >= 1e-4)
 
 
 def test_spectrum_equivalence_random():

@@ -14,6 +14,7 @@ from schoenberg.rootfind import (
     find_roots,
     find_roots_batch,
     match_multisets,
+    match_multisets_batch,
     moduli_critical_points,
     moduli_critical_points_batch,
 )
@@ -192,6 +193,33 @@ def test_match_multisets_examples():
     assert match_multisets([1 + 1j, 2], [2, 1 + 1j]) == 0.0
     with pytest.raises(InvalidInputError):
         match_multisets([1, 2], [1])
+
+
+def _greedy_match(a, b):
+    # reference: pair the globally closest unmatched points, one pair at a time
+    dist = np.abs(np.subtract.outer(a, b)).tolist()
+    left, right, worst = set(range(len(a))), set(range(len(b))), 0.0
+    while left:
+        i, j = min(((i, j) for i in sorted(left) for j in sorted(right)), key=lambda ij: dist[ij[0]][ij[1]])
+        worst = max(worst, dist[i][j])
+        left.remove(i)
+        right.remove(j)
+    return worst
+
+
+def test_match_multisets_batch_equals_greedy_reference():
+    rng = np.random.default_rng(191)
+    a = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    b = a[:, rng.permutation(6)] + 1e-3 * rng.standard_normal((40, 6))
+    b[::4] = rng.standard_normal((10, 6))  # some rows far apart
+    a[1, :3] = a[1, 0]  # a repeated point
+    got = match_multisets_batch(a, b)
+    assert got.shape == (40,)
+    for i in range(40):
+        assert got[i] == _greedy_match(a[i], b[i]) == match_multisets(a[i], b[i])
+    assert match_multisets_batch(np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [0.0] * 3
+    with pytest.raises(InvalidInputError):
+        match_multisets_batch(a, b[:, :5])
 
 
 def test_match_multisets_greedy_distance():
