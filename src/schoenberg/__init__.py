@@ -70,6 +70,7 @@ from .search import (
     SearchRecord,
     SearchSettings,
     maximize,
+    maximize_batch,
     sample,
     sample_one,
     verify_candidate,

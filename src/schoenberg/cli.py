@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceError,
     InvalidInputError,
     NumericConsistencyError,
-    RejectedStartError,
 )
 from .inequalities import (
     CENTERED_IDS,
@@ -47,7 +46,8 @@ from .search import (
     ENSEMBLE_KINDS,
     Ensemble,
     SearchSettings,
-    maximize,
+    maximize_batch,
+    sample,
     sample_array,
     sample_one,
     sample_seed,
@@ -450,13 +450,10 @@ def cmd_search(args) -> int:
             raise InvalidInputError(f"objective {objective} needs a root-configuration ensemble")
     needs_center = objective in CENTERED_IDS and not args.raw_starts
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=needs_center)
+    seeds = [sample_seed(args.seed, i) for i in range(args.starts)]
     records, verified_counterexample = [], False
-    for i in range(args.starts):
-        start = sample_one(ens, i)
-        seed_i = sample_seed(args.seed, i)
-        try:
-            rec = maximize(objective, start, settings, sample_seed=seed_i)
-        except RejectedStartError:
+    for rec in maximize_batch(objective, sample(ens), settings, sample_seeds=seeds):
+        if rec is None:
             continue
         kind_tag = "search"
         if rec.objective_value > 1.0 + COUNTEREXAMPLE_MARGIN:
@@ -471,7 +468,7 @@ def cmd_search(args) -> int:
                 )
         records.append(
             _record(
-                kind_tag, seed_i, rec.zeros, rec.reports, a=rec.a,
+                kind_tag, rec.sample_seed, rec.zeros, rec.reports, a=rec.a,
                 objective=objective, objective_value=rec.objective_value,
             )
         )
@@ -525,7 +522,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InvalidInputError, RejectedStartError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, NumericConsistencyError) as exc:

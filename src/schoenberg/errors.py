@@ -14,14 +14,16 @@ class UnsupportedSizeError(InvalidInputError):
 class ConvergenceError(RuntimeError):
     """Root iteration did not reach the residual tolerance.
 
-    Carries the best iterate and its scaled residual so callers can inspect
-    or retry with looser settings.
+    Carries the best iterates, the worst scaled residual and the indices of
+    the batch rows that failed, so callers can keep the rows that passed and
+    retry only the others.
     """
 
-    def __init__(self, message, best=None, residual=None):
+    def __init__(self, message, best=None, residual=None, rows=None):
         super().__init__(message)
         self.best = best
         self.residual = residual
+        self.rows = rows
 
 
 class NumericConsistencyError(ArithmeticError):

@@ -271,10 +271,9 @@ class Inequality:
         args = (s,) if self.param is None else (s, self.value)
         return np.atleast_1d(self.lhs(*args)), np.atleast_1d(self.rhs(*args))
 
-    def evaluate(self, zeros, critical) -> tuple[float, float]:
-        """``(lhs, rhs)`` of one configuration and its critical points, as given (no recentering)."""
-        lhs, rhs = self.sides(_Sums(np.asarray(zeros)[np.newaxis], np.asarray(critical)[np.newaxis]))
-        return float(lhs[0]), float(rhs[0])
+    def evaluate(self, zs, ws):
+        """``(lhs, rhs)`` of a (b, n) stack and its (b, n-1) critical points, as given (no recentering)."""
+        return self.sides(_Sums(zs, ws))
 
 
 def _power(r):

@@ -215,7 +215,8 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial
     ``coeffs`` has shape (b, d+1), ascending order; returns shape (b, d).
     Raises :class:`ConvergenceError` if any polynomial fails the residual
     test ``|p(r)| <= tol_root * residual_scale``; the error carries the
-    best iterates and worst scaled residual.
+    best iterates of every row, the worst scaled residual and the indices
+    of the failed rows.
     """
     settings = settings or DEFAULT_SETTINGS
     c = _as_coeff_batch(coeffs)
@@ -235,14 +236,16 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial
             if sub.shape[1] > 1:
                 roots[rows[:, np.newaxis], np.arange(d - m)] = _solve_uniform(sub, settings)
     p, _, _ = _eval_with_bound(c, roots)
-    scaled = np.abs(p) / residual_scale(c)[:, np.newaxis]
-    worst = float(np.max(scaled))
-    if not (np.isfinite(worst) and worst <= settings.tol_root):
+    scaled = np.max(np.abs(p), axis=1) / residual_scale(c)
+    failed = np.flatnonzero(~(scaled <= settings.tol_root))
+    if failed.size:
+        worst = float(np.max(scaled))
         raise ConvergenceError(
             f"root iteration residual {worst:.3e} above tol_root {settings.tol_root:.1e} "
-            f"after {settings.max_iterations} iterations",
+            f"after {settings.max_iterations} iterations in {failed.size} of {b} rows",
             best=roots,
             residual=worst,
+            rows=failed,
         )
     return roots
 
@@ -272,29 +275,44 @@ def critical_points(zeros, settings: RootSolverSettings | None = None, initial=N
 
 
 def critical_points_batch(zs, settings: RootSolverSettings | None = None, chunk: int = 8192, initial=None):
-    """Critical points of a (b, n) stack of configurations; returns (b, n-1)."""
+    """Critical points of a (b, n) stack of configurations; returns (b, n-1).
+
+    Every row is solved; if any fails, the :class:`ConvergenceError` carries
+    all b rows of iterates and the indices of the failed ones.
+    """
     settings = settings or DEFAULT_SETTINGS
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
     b, n = z.shape
     out = np.empty((b, n - 1), dtype=complex)
+    scaled = np.empty(b)
+    failed = np.zeros(b, dtype=bool)
     for lo in range(0, b, chunk):
         hi = min(lo + chunk, b)
         zc = z[lo:hi]
         dp = derivative(from_roots(zc))
         init = None if initial is None else np.atleast_2d(initial)[lo:hi]
-        w = find_roots_batch(dp, settings, initial=init)
+        try:
+            w = find_roots_batch(dp, settings, initial=init)
+        except ConvergenceError as err:
+            w = err.best
+            failed[lo + err.rows] = True
         # Enforce the configuration-scale residual bound, which is tighter
         # than the generic coefficient-based one checked by the solver.
         pv, _, _ = _eval_with_bound(dp, w)
         scale = np.maximum(1.0, np.max(np.abs(zc), axis=1)) ** (n - 1)
-        worst = float(np.max(np.abs(pv) / scale[:, np.newaxis]))
-        if worst > settings.tol_root:
-            raise ConvergenceError(
-                f"critical point residual {worst:.3e} above tol_root", best=w, residual=worst
-            )
+        scaled[lo:hi] = np.max(np.abs(pv), axis=1) / scale
         out[lo:hi] = w
+    failed = np.flatnonzero(failed | ~(scaled <= settings.tol_root))
+    if failed.size:
+        worst = float(np.max(scaled))
+        raise ConvergenceError(
+            f"critical point residual {worst:.3e} above tol_root in {failed.size} of {b} rows",
+            best=out,
+            residual=worst,
+            rows=failed,
+        )
     return out
 
 

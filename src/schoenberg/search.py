@@ -5,10 +5,21 @@ pure function of ``(ensemble.seed, i)`` through a single derived 64-bit
 seed, so records can be regenerated from their seed alone.  The search
 maximizes either an inequality slack ratio lhs/rhs (how close a
 configuration comes to saturating a bound) or the M_{-2} power mean of a
-Sendov instance, by Nelder-Mead over the real/imaginary parts of the
-zeros with projection back onto the constraint set.  Any objective value
-above 1 + 1e-6 is a counterexample candidate and must be re-verified at
-tightened root tolerance before being believed.
+Sendov instance, by Nelder-Mead (Nelder & Mead 1965) over the
+real/imaginary parts of the zeros with projection back onto the
+constraint set.
+
+All starts of one search advance in lockstep, as rows of one stack of
+simplices.  Each round evaluates the reflection, expansion and inside
+contraction of every active row with one batched critical-point solve;
+only the rows that shrink make a second.  Each row is warm-started from
+its own previous solve, never a batch mate's, and a row that fails is
+retried cold on its own and scored -inf if it fails again.  Each row
+stops on its own, when its simplex spread falls below ``step_tol`` or
+its round budget is spent, so a start's record does not depend on the
+other starts of its batch.  Any objective value above 1 + 1e-6 is a
+counterexample candidate and must be re-verified at tightened root
+tolerance before being believed.
 """
 
 from __future__ import annotations
@@ -19,10 +30,10 @@ import numpy as np
 
 from .config import DEFAULT_SEED, TOL_CENTER
 from .errors import ConvergenceError, InvalidInputError, RejectedStartError
-from .inequalities import CENTERED_IDS, full_report, lookup, make_report
+from .inequalities import CENTERED_IDS, evaluate_ensemble, lookup, make_report
 from .poly import as_zeros, centroid_residual, recenter
-from .rootfind import RootSolverSettings, critical_points
-from .sendov import SendovInstance, check_special_case, distance_columns
+from .rootfind import RootSolverSettings, critical_points, critical_points_batch
+from .sendov import SendovInstance, distance_columns
 
 __all__ = [
     "ENSEMBLE_KINDS",
@@ -34,6 +45,7 @@ __all__ = [
     "SearchSettings",
     "SearchRecord",
     "maximize",
+    "maximize_batch",
     "verify_candidate",
     "COUNTEREXAMPLE_MARGIN",
 ]
@@ -132,150 +144,185 @@ def sample_array(ensemble: Ensemble):
 
 
 # ---------------------------------------------------------------------------
-# objectives
+# the objective: decode -> solve -> score over stacks of packed coordinates
 
 class _Objective:
-    """A maximized value of packed coordinates; tracks the best configuration seen.
+    """A maximized value of packed coordinates, evaluated over (rows, dim) stacks.
 
-    Subclasses provide ``encode``, ``decode`` (coordinates to a
-    configuration, projecting onto the constraint set), ``value`` and
-    ``reports``.
+    Ratio objectives pack the real/imaginary parts of the zeros (all but the
+    last for centered forms, whose last zero is the negated sum of the
+    others).  ``M_MINUS2`` packs ``[a, re/im of the other zeros]`` and
+    projects a onto [0, 1] and the other zeros onto the unit disk.  Decoded
+    configurations are full (rows, n) zeros stacks; for ``M_MINUS2`` the
+    first zero is a.
     """
 
-    def __init__(self, n: int, solver: RootSolverSettings):
+    def __init__(self, objective_id: str, n: int, solver: RootSolverSettings):
         self.n = n
         self.solver = solver
-        self.best_value = -np.inf
-        self.best_config = None
-        self._warm = None
+        self.sendov = objective_id == "M_MINUS2"
+        self.inequality = None if self.sendov else lookup(objective_id, n)
+        self.centered = not self.sendov and self.inequality.centered
 
-    def _critical_points(self, zeros):
-        """Critical points warm-started from the last solve, retried cold; None if both fail."""
-        try:
-            w = critical_points(zeros, self.solver, initial=self._warm)
-        except ConvergenceError:
-            try:
-                w = critical_points(zeros, self.solver)
-            except ConvergenceError:
-                return None
-        self._warm = w
-        return w
-
-    def __call__(self, x) -> float:
-        config = self.decode(x)
-        val = self.value(config)
-        if val > self.best_value:
-            self.best_value = val
-            self.best_config = config
-        return -val
-
-
-class _RatioObjective(_Objective):
-    """lhs/rhs of one inequality as a function of packed zero coordinates."""
-
-    def __init__(self, iid: str, n: int, solver: RootSolverSettings):
-        super().__init__(n, solver)
-        self.inequality = lookup(iid, n)
-        self.centered = self.inequality.centered
-
-    def encode(self, zeros) -> np.ndarray:
-        z = as_zeros(zeros)
-        free = z[:-1] if self.centered else z
-        return np.column_stack([free.real, free.imag]).ravel()
+    def encode(self, start) -> np.ndarray:
+        if self.sendov:
+            free, head = start.other_zeros, [start.a]
+        else:
+            free, head = (start[:-1] if self.centered else start), []
+        return np.concatenate([head, np.column_stack([free.real, free.imag]).ravel()])
 
     def decode(self, x) -> np.ndarray:
-        v = x.reshape(-1, 2)
-        z = v[:, 0] + 1j * v[:, 1]
+        v = x[:, 1:] if self.sendov else x
+        v = v.reshape(x.shape[0], v.shape[1] // 2, 2)
+        z = v[..., 0] + 1j * v[..., 1]
+        if self.sendov:
+            a = np.clip(x[:, :1], 0.0, 1.0)
+            return np.concatenate([a.astype(complex), z / np.maximum(1.0, np.abs(z))], axis=1)
         if self.centered:
-            z = np.concatenate([z, [-z.sum()]])
+            z = np.concatenate([z, -z.sum(axis=1, keepdims=True)], axis=1)
         return z
 
-    def value(self, zeros) -> float:
-        w = self._critical_points(zeros)
-        if w is None:
-            return -np.inf
-        lhs, rhs = self.inequality.evaluate(zeros, w)
-        if not np.isfinite(rhs) or rhs <= 1e-150 or not np.isfinite(lhs):
-            return -np.inf
-        return lhs / rhs
+    def solve(self, zs, warm=None):
+        """Critical points of a zeros stack and the mask of rows that converged.
 
-    def reports(self, zeros):
-        return full_report(zeros, self.solver, recenter_centered=True)
+        Rows that fail from their warm start are retried cold, in one call.
+        """
+        w = np.empty((zs.shape[0], self.n - 1), dtype=complex)
+        ok = np.ones(zs.shape[0], dtype=bool)
+        rows = np.arange(zs.shape[0])
+        for initial in (None,) if warm is None else (warm, None):
+            try:
+                w[rows] = critical_points_batch(zs[rows], self.solver, initial=None if initial is None else initial[rows])
+                ok[rows] = True
+                break
+            except ConvergenceError as err:
+                w[rows] = err.best
+                ok[rows[err.rows]] = False
+                rows = rows[err.rows]
+        return w, ok
 
+    def score(self, zs, w, ok=True) -> np.ndarray:
+        """Objective values of a zeros stack from its critical points; -inf where undefined or unsolved."""
+        if self.sendov:
+            value = distance_columns(zs[:, 0].real, zs[:, 1:], w).m_minus2
+        else:
+            lhs, rhs = self.inequality.evaluate(zs, w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = np.where(np.isfinite(rhs) & (rhs > 1e-150) & np.isfinite(lhs), lhs / rhs, -np.inf)
+        return np.where(ok, value, -np.inf)
 
-class _MMinus2Objective(_Objective):
-    """M_{-2} of |w_k - a| over Sendov instances, coordinates [a, re/im...]."""
-
-    def encode(self, inst: SendovInstance) -> np.ndarray:
-        zr = np.column_stack([inst.other_zeros.real, inst.other_zeros.imag]).ravel()
-        return np.concatenate([[inst.a], zr])
-
-    def decode(self, x) -> SendovInstance:
-        a = float(np.clip(x[0], 0.0, 1.0))
-        v = x[1:].reshape(-1, 2)
-        z = v[:, 0] + 1j * v[:, 1]
-        z = z / np.maximum(1.0, np.abs(z))
-        return SendovInstance(a=a, other_zeros=z)
-
-    def value(self, inst: SendovInstance) -> float:
-        w = self._critical_points(inst.zeros())
-        if w is None:
-            return -np.inf
-        return float(distance_columns([inst.a], inst.other_zeros[np.newaxis], w[np.newaxis]).m_minus2[0])
-
-    def reports(self, inst: SendovInstance):
-        rep, side = check_special_case(inst, self.solver), float(inst.n - 1)
-        return [make_report("C1", side, rep.c1_value), make_report("C2", rep.c2_value, side)]
+    def reports(self, zs) -> list:
+        """Report lists of a zeros stack, from one batched evaluation."""
+        if self.sendov:
+            columns = distance_columns(zs[:, 0].real, zs[:, 1:], critical_points_batch(zs, self.solver))
+            side = float(self.n - 1)
+            return [[make_report("C1", side, c1), make_report("C2", c2, side)] for c1, c2 in zip(columns.c1, columns.c2)]
+        table, _ = evaluate_ensemble(zs, self.solver, recenter_centered=True)
+        return [
+            [make_report(iid, lhs[i], rhs[i], centered_required=required) for iid, (lhs, rhs, required) in table.items()]
+            for i in range(zs.shape[0])
+        ]
 
 
 # ---------------------------------------------------------------------------
-# Nelder-Mead with projection (projection happens inside the objective)
+# lockstep Nelder-Mead with projection (projection happens in decode)
 
-def _nelder_mead(f, x0, initial_step, step_tol, max_iterations):
-    dim = x0.size
-    simplex = np.empty((dim + 1, dim))
-    simplex[0] = x0
-    for i in range(dim):
-        simplex[i + 1] = x0
-        simplex[i + 1, i] += initial_step * max(1.0, abs(x0[i]))
-    values = np.array([f(p) for p in simplex])
-    rounds = 0
-    for rounds in range(1, max_iterations + 1):
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
-        if np.max(np.abs(simplex[1:] - simplex[0])) < step_tol:
+class _Ascent:
+    """Per-row state of a batch of ascents: warm starts and best points.
+
+    ``evaluate`` minimizes the negated objective, as Nelder-Mead does, and
+    records for each row its best point so far and the critical points of
+    its best point of the last call, which warm-start its next call.
+    """
+
+    def __init__(self, obj: _Objective, x0, start, warm):
+        self.obj = obj
+        self.best_f, self.best_x, self.warm = start.copy(), x0.copy(), warm
+
+    def evaluate(self, points, rows):
+        """Negated objective of ``points`` (m, k, dim), point j of row ``rows[i]`` at [i, j]; one solve."""
+        m, k, dim = points.shape
+        x = points.reshape(m * k, dim)
+        zs = self.obj.decode(x)
+        w, ok = self.obj.solve(zs, np.repeat(self.warm[rows], k, axis=0))
+        f = -self.obj.score(zs, w, ok).reshape(m, k)
+        j = np.argmin(f, axis=1)
+        i = np.arange(m)
+        fj = f[i, j]
+        better = fj < self.best_f[rows]
+        self.best_f[rows[better]] = fj[better]
+        self.best_x[rows[better]] = points[i[better], j[better]]
+        solved = np.isfinite(fj)
+        self.warm[rows[solved]] = w.reshape(m, k, -1)[i[solved], j[solved]]
+        return f
+
+
+def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
+    """Run every row's Nelder-Mead in lockstep; returns the rounds each row took.
+
+    One round sorts every active simplex, retires the rows whose spread is
+    below ``step_tol``, and evaluates the reflection, expansion and inside
+    contraction of all remaining rows in one call; only the rows that then
+    shrink make a second call.  Each row takes the steps it would take alone.
+    """
+    b, dim = x0.shape
+    simplex = np.repeat(x0[:, np.newaxis, :], dim + 1, axis=1)
+    diag = np.arange(dim)
+    simplex[:, diag + 1, diag] += settings.initial_step * np.maximum(1.0, np.abs(x0))
+    values = np.empty((b, dim + 1))
+    values[:, 0] = ascent.best_f  # the start values, as nothing else is evaluated yet
+    rows = np.arange(b)
+    values[:, 1:] = ascent.evaluate(simplex[:, 1:], rows)
+    rounds = np.zeros(b, dtype=int)
+    for it in range(1, settings.max_iterations + 1):
+        order = np.argsort(values[rows], axis=1, kind="stable")
+        s = np.take_along_axis(simplex[rows], order[:, :, np.newaxis], axis=1)
+        v = np.take_along_axis(values[rows], order, axis=1)
+        rounds[rows] = it
+        going = ~(np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) < settings.step_tol)
+        rows, s, v = rows[going], s[going], v[going]
+        if rows.size == 0:
             break
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        fr = f(reflected)
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = f(contracted)
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = [f(p) for p in simplex[1:]]
+        centroid = s[:, :-1].mean(axis=1)
+        worst = s[:, -1]
+        trial = np.stack(
+            [centroid + (centroid - worst), centroid + 2.0 * (centroid - worst), centroid + 0.5 * (worst - centroid)],
+            axis=1,
+        )
+        fr, fe, fc = ascent.evaluate(trial, rows).T
+        improved = fr < v[:, 0]
+        expand = improved & (fe < fr)
+        reflect = (improved & ~expand) | (~improved & (fr < v[:, -2]))
+        contract = ~improved & ~reflect & (fc < v[:, -1])
+        pick = np.where(expand, 1, np.where(contract, 2, 0))
+        accept = expand | reflect | contract
+        s[accept, -1] = trial[accept, pick[accept]]
+        v[accept, -1] = np.choose(pick, (fr, fe, fc))[accept]
+        shrink = np.flatnonzero(~accept)
+        if shrink.size:
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + 0.5 * (s[shrink, 1:] - best)
+            v[shrink, 1:] = ascent.evaluate(s[shrink, 1:], rows[shrink])
+        simplex[rows], values[rows] = s, v
     return rounds
 
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Search budget and termination for one ascent."""
+    """Search budget and termination of each ascent."""
 
     max_iterations: int = 200
     step_tol: float = 1e-9
     initial_step: float = 0.1
     solver: RootSolverSettings = field(default_factory=RootSolverSettings)
+
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise InvalidInputError("max_iterations must be nonnegative")
+        if not self.step_tol > 0:
+            raise InvalidInputError("step_tol must be positive")
+        if not self.initial_step > 0:
+            raise InvalidInputError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -292,6 +339,70 @@ class SearchRecord:
     reports: list
 
 
+def _checked_starts(objective_id: str, starts) -> tuple[list, int]:
+    """The starts as configurations the objective accepts, and their common degree."""
+    if objective_id == "M_MINUS2":
+        if not all(isinstance(start, SendovInstance) for start in starts):
+            raise InvalidInputError("M_MINUS2 objective needs SendovInstance starts")
+        degrees = {start.n for start in starts}
+    else:
+        starts = [as_zeros(start) for start in starts]
+        if objective_id in CENTERED_IDS and any(centroid_residual(start) > TOL_CENTER for start in starts):
+            raise InvalidInputError(f"objective {objective_id} requires centered starts")
+        degrees = {start.shape[0] for start in starts}
+    if len(degrees) > 1:
+        raise InvalidInputError(f"starts of one search must share one degree, got {sorted(degrees)}")
+    return starts, degrees.pop()
+
+
+def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = None, *, sample_seeds=None) -> list:
+    """Derivative-free ascents of one objective from many starts, run in lockstep.
+
+    Returns one :class:`SearchRecord` per start, in order, or None for a
+    start where the objective is undefined (that start is dropped).  All
+    ascents advance together as rows of one stack of simplices: each
+    Nelder-Mead round solves the trial points of every active row in one
+    batched call, and the final reports of all ascents take one batched
+    evaluation.  A row is warm-started only from its own previous solve,
+    rows that fail are retried cold (and scored -inf if they fail again),
+    and each row stops on its own (simplex spread below ``step_tol``, or
+    the round budget), so every record equals that of :func:`maximize` on
+    its start alone, bit for bit.
+    """
+    settings = settings or SearchSettings()
+    starts = list(starts)
+    if not starts:
+        return []
+    starts, n = _checked_starts(objective_id, starts)
+    seeds = [0] * len(starts) if sample_seeds is None else list(sample_seeds)
+    records = [None] * len(starts)
+    obj = _Objective(objective_id, n, settings.solver)
+    x0 = np.array([obj.encode(start) for start in starts])
+    zs = obj.decode(x0)
+    w, ok = obj.solve(zs)
+    start = -obj.score(zs, w, ok)
+    kept = np.flatnonzero(np.isfinite(start))
+    if kept.size == 0:
+        return records
+    ascent = _Ascent(obj, x0[kept], start[kept], w[kept])
+    rounds = _nelder_mead(ascent, x0[kept], settings)
+    best = obj.decode(ascent.best_x)
+    for i, zeros, value, start_value, its, reports in zip(
+        kept, best, -ascent.best_f, -start[kept], rounds, obj.reports(best)
+    ):
+        records[i] = SearchRecord(
+            sample_seed=seeds[i],
+            zeros=zeros,
+            a=float(zeros[0].real) if obj.sendov else None,
+            objective_id=objective_id,
+            objective_value=float(value),
+            start_value=float(start_value),
+            iterations=int(its),
+            reports=reports,
+        )
+    return records
+
+
 def maximize(objective_id: str, start, settings: SearchSettings | None = None, *, sample_seed: int = 0) -> SearchRecord:
     """Derivative-free ascent of one objective from one start configuration.
 
@@ -301,38 +412,16 @@ def maximize(objective_id: str, start, settings: SearchSettings | None = None, *
     negated sum of the others), so the start must be centered; Sendov
     coordinates are projected back onto a in [0, 1] and the unit disk.
     The returned record's objective value is never below the start value.
+
+    This is :func:`maximize_batch` on a batch of one: Nelder-Mead rounds
+    warm-start each solve from the critical points of the best point of
+    the previous one, and the ascent stops when the simplex spread falls
+    below ``step_tol`` or after ``max_iterations`` rounds.
     """
-    settings = settings or SearchSettings()
-    if objective_id == "M_MINUS2":
-        if not isinstance(start, SendovInstance):
-            raise InvalidInputError("M_MINUS2 objective needs a SendovInstance start")
-        obj = _MMinus2Objective(start.n, settings.solver)
-    else:
-        start = as_zeros(start)
-        if objective_id in CENTERED_IDS and centroid_residual(start) > TOL_CENTER:
-            raise InvalidInputError(f"objective {objective_id} requires a centered start")
-        obj = _RatioObjective(objective_id, start.shape[0], settings.solver)
-    x0 = obj.encode(start)
-    f0 = obj(x0)
-    if not np.isfinite(f0):
+    (record,) = maximize_batch(objective_id, [start], settings, sample_seeds=[sample_seed])
+    if record is None:
         raise RejectedStartError(f"objective {objective_id} undefined at the start configuration")
-    start_value = -f0
-    rounds = _nelder_mead(obj, x0, settings.initial_step, settings.step_tol, settings.max_iterations)
-    best = obj.best_config
-    if objective_id == "M_MINUS2":
-        zeros, a = best.zeros(), best.a
-    else:
-        zeros, a = best, None
-    return SearchRecord(
-        sample_seed=sample_seed,
-        zeros=zeros,
-        a=a,
-        objective_id=objective_id,
-        objective_value=obj.best_value,
-        start_value=start_value,
-        iterations=rounds,
-        reports=obj.reports(best),
-    )
+    return record
 
 
 def verify_candidate(record: SearchRecord, settings: SearchSettings | None = None) -> float:
@@ -342,9 +431,9 @@ def verify_candidate(record: SearchRecord, settings: SearchSettings | None = Non
     only believed if it survives this re-verification.
     """
     settings = settings or SearchSettings()
-    tight = settings.solver.tightened()
-    if record.objective_id == "M_MINUS2":
-        obj = _MMinus2Objective(len(record.zeros), tight)
-        return obj.value(SendovInstance(record.a, record.zeros[1:]))
-    obj = _RatioObjective(record.objective_id, len(record.zeros), tight)
-    return obj.value(record.zeros)
+    obj = _Objective(record.objective_id, len(record.zeros), settings.solver.tightened())
+    try:
+        w = critical_points(record.zeros, obj.solver)
+    except ConvergenceError:
+        return -np.inf
+    return float(obj.score(record.zeros[np.newaxis], w[np.newaxis])[0])

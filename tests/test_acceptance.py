@@ -27,7 +27,7 @@ from schoenberg.rootfind import (
     find_roots_batch,
     match_multisets,
 )
-from schoenberg.search import Ensemble, SearchSettings, maximize, sample_one, verify_candidate
+from schoenberg.search import Ensemble, SearchSettings, maximize_batch, sample, verify_candidate
 from schoenberg.sendov import SendovInstance, check_special_case, probe_m_minus2_batch
 from schoenberg import cli
 
@@ -335,8 +335,7 @@ def test_criterion_9_m_minus2_probe():
     ascents = 0
     for n in (3, 4, 5, 6):
         ens = Ensemble(kind="sendov-boundary", n=n, count=250, seed=SEED + 90 + n)
-        for i in range(ens.count):
-            rec = maximize("M_MINUS2", sample_one(ens, i), settings)
+        for rec in maximize_batch("M_MINUS2", sample(ens), settings):
             value = rec.objective_value
             if value > 1.0 + 1e-6:
                 value = verify_candidate(rec, settings)

@@ -241,6 +241,17 @@ def test_search_centered_objective_with_raw_starts_is_usage_error(tmp_path, caps
     assert code == 2
 
 
+def test_search_negative_budget_is_usage_error(tmp_path, capsys):
+    code = main([
+        "search", "--objective", "KT", "--n", "4", "--starts", "2",
+        "--max-iterations", "-3", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_iterations" in err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_report_roundtrip(tmp_path, capsys):
     base = tmp_path / "sw"
     main(["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "25", "--seed", "3",

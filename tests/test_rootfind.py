@@ -87,6 +87,49 @@ def test_find_roots_non_convergence_carries_best_iterate():
     assert err.value.residual > 0
 
 
+def _one_failing_row():
+    """Four n=7 configurations and warm starts: exact for rows 0, 1, 3, far off for row 2.
+
+    With a two-iteration budget, rows 0, 1 and 3 pass the residual gate at
+    once and row 2 cannot.
+    """
+    z = random_configs(np.random.default_rng(43), 4, 7)
+    warm = critical_points_batch(z)
+    warm[2] = 3.0 * warm[2] + 1.0
+    return z, warm, RootSolverSettings(max_iterations=2)
+
+
+def test_convergence_error_names_the_failed_rows():
+    z, warm, settings = _one_failing_row()
+    with pytest.raises(ConvergenceError) as err:
+        critical_points_batch(z, settings, initial=warm)
+    np.testing.assert_array_equal(err.value.rows, [2])
+    assert err.value.best.shape == (4, 6)
+    for i in (0, 1, 3):
+        np.testing.assert_array_equal(err.value.best[i], critical_points(z[i], settings, initial=warm[i]))
+    with pytest.raises(ConvergenceError) as err:
+        critical_points(z[2], settings, initial=warm[2])
+    np.testing.assert_array_equal(err.value.rows, [0])
+
+    coeffs = derivative(from_roots(z))
+    with pytest.raises(ConvergenceError) as err:
+        find_roots_batch(coeffs, settings, initial=warm)
+    np.testing.assert_array_equal(err.value.rows, [2])
+
+
+def test_overflowing_row_fails_alone():
+    # One row at |z| ~ 10 and n = 24 overflows the Horner evaluation; the
+    # unit-scale rows of the same batch still pass.
+    rng = np.random.default_rng(5)
+    z = (rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))) / np.sqrt(2)
+    z[2] *= 10.0
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as err:
+        critical_points_batch(z)
+    np.testing.assert_array_equal(err.value.rows, [2])
+    for i in (0, 1, 3):
+        np.testing.assert_array_equal(err.value.best[i], critical_points(z[i]))
+
+
 def test_find_roots_deterministic_and_batch_consistent():
     rng = np.random.default_rng(37)
     z = random_configs(rng, 4, 7)

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from schoenberg import search
 from schoenberg.errors import InvalidInputError, RejectedStartError
 from schoenberg.matrices import is_normal, sds_matrix
 from schoenberg.poly import centroid_residual, recenter
+from schoenberg.rootfind import RootSolverSettings, critical_points_batch
 from schoenberg.search import (
     ENSEMBLE_KINDS,
     Ensemble,
     SearchSettings,
     maximize,
+    maximize_batch,
     sample,
     sample_array,
     sample_one,
@@ -144,3 +147,73 @@ def test_verify_candidate_reproduces_value():
     rec = maximize("M_MINUS2", inst, SearchSettings(max_iterations=30))
     refined = verify_candidate(rec)
     assert refined == pytest.approx(rec.objective_value, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"max_iterations": -1}, {"step_tol": 0.0}, {"step_tol": -1e-9}, {"initial_step": 0.0}, {"initial_step": -0.1}],
+)
+def test_search_settings_reject_bad_values(changes):
+    with pytest.raises(InvalidInputError):
+        SearchSettings(**changes)
+
+
+def test_search_settings_zero_budget_scores_the_start_simplex():
+    start = recenter(np.array([0.3, -1.2, 0.9, 2.0j], dtype=complex))
+    rec = maximize("KT", start, SearchSettings(max_iterations=0))
+    assert rec.iterations == 0 and rec.objective_value >= rec.start_value
+
+
+@pytest.mark.parametrize(
+    "objective, kind, n",
+    [("KT", "uniform-disk", 5), ("S", "gaussian", 4), ("M_MINUS2", "sendov-boundary", 4)],
+)
+def test_batched_search_equals_single_ascents(objective, kind, n):
+    ens = Ensemble(kind=kind, n=n, count=3, seed=404, recenter=objective == "KT")
+    starts = list(sample(ens))
+    seeds = [sample_seed(404, i) for i in range(3)]
+    if objective != "M_MINUS2":  # the objective is undefined at all-zeros
+        starts.insert(1, np.zeros(n, dtype=complex))
+        seeds.insert(1, 7)
+    # A loose step_tol lets the rows stop in different rounds.
+    settings = SearchSettings(max_iterations=150, step_tol=1e-3)
+    batch = maximize_batch(objective, starts, settings, sample_seeds=seeds)
+    assert len(batch) == len(starts)
+    assert sum(rec is None for rec in batch) == (objective != "M_MINUS2")
+    assert len({rec.iterations for rec in batch if rec is not None}) > 1
+    for start, seed, rec in zip(starts, seeds, batch):
+        if rec is None:
+            with pytest.raises(RejectedStartError):
+                maximize(objective, start, settings)
+            continue
+        one = maximize(objective, start, settings, sample_seed=seed)
+        np.testing.assert_array_equal(rec.zeros, one.zeros)
+        assert (rec.sample_seed, rec.a, rec.objective_value, rec.start_value, rec.iterations) == (
+            one.sample_seed, one.a, one.objective_value, one.start_value, one.iterations
+        )
+        assert rec.reports == one.reports
+
+
+def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch):
+    # Warm starts that are exact for rows 0, 1 and 3 and far off for row 2;
+    # with a two-iteration budget only row 2 fails, warm and again cold.
+    rng = np.random.default_rng(43)
+    z = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    warm = critical_points_batch(z)
+    warm[2] = 3.0 * warm[2] + 1.0
+    obj = search._Objective("S", 7, RootSolverSettings(max_iterations=2))
+    calls = []
+
+    def counting(zs, settings, initial=None):
+        calls.append((len(zs), initial is None))
+        return critical_points_batch(zs, settings, initial=initial)
+
+    monkeypatch.setattr(search, "critical_points_batch", counting)
+    w, ok = obj.solve(z, warm)
+    assert calls == [(4, False), (1, True)]  # only the failed row is retried, cold
+    np.testing.assert_array_equal(ok, [True, True, False, True])
+    values = obj.score(z, w, ok)
+    assert values[2] == -np.inf and np.isfinite(values[[0, 1, 3]]).all()
+    for i in (0, 1, 3):
+        w_i, ok_i = obj.solve(z[i : i + 1], warm[i : i + 1])
+        assert obj.score(z[i : i + 1], w_i, ok_i)[0] == values[i]
