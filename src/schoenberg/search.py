@@ -32,7 +32,7 @@ from .config import DEFAULT_SEED, TOL_CENTER
 from .errors import ConvergenceError, InvalidInputError, RejectedStartError
 from .inequalities import CENTERED_IDS, evaluate_ensemble, lookup, make_report
 from .poly import as_zeros, centroid_residual, recenter
-from .rootfind import RootSolverSettings, critical_points, critical_points_batch
+from .rootfind import RootSolverSettings, critical_points, critical_points_batch  # noqa: F401 (perfbench wraps search.critical_points)
 from .sendov import SendovInstance, distance_columns
 
 __all__ = [
@@ -185,15 +185,16 @@ class _Objective:
     def solve(self, zs, warm=None):
         """Critical points of a zeros stack and the mask of rows that converged.
 
-        Rows that fail from their warm start are retried cold, in one call.
+        Rows that fail from their warm start are retried cold, in one call;
+        each attempt decides the mask of the rows it solves.
         """
         w = np.empty((zs.shape[0], self.n - 1), dtype=complex)
-        ok = np.ones(zs.shape[0], dtype=bool)
+        ok = np.empty(zs.shape[0], dtype=bool)
         rows = np.arange(zs.shape[0])
         for initial in (None,) if warm is None else (warm, None):
+            ok[rows] = True
             try:
                 w[rows] = critical_points_batch(zs[rows], self.solver, initial=None if initial is None else initial[rows])
-                ok[rows] = True
                 break
             except ConvergenceError as err:
                 w[rows] = err.best
@@ -432,8 +433,6 @@ def verify_candidate(record: SearchRecord, settings: SearchSettings | None = Non
     """
     settings = settings or SearchSettings()
     obj = _Objective(record.objective_id, len(record.zeros), settings.solver.tightened())
-    try:
-        w = critical_points(record.zeros, obj.solver)
-    except ConvergenceError:
-        return -np.inf
-    return float(obj.score(record.zeros[np.newaxis], w[np.newaxis])[0])
+    zs = record.zeros[np.newaxis]
+    w, ok = obj.solve(zs)
+    return float(obj.score(zs, w, ok)[0])

@@ -217,3 +217,25 @@ def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch):
     for i in (0, 1, 3):
         w_i, ok_i = obj.solve(z[i : i + 1], warm[i : i + 1])
         assert obj.score(z[i : i + 1], w_i, ok_i)[0] == values[i]
+
+
+def test_row_that_passes_cold_is_scored_when_a_batch_mate_fails_again():
+    # n = 24: row 2 at |z| ~ 10 overflows the Horner evaluation from any
+    # start, and its NaN warm start fails too.  Row 1 has coincident warm
+    # estimates, which fail, but its cold retry (in the same call as row 2's)
+    # passes: it must keep its solo value, not inherit row 2's -inf.
+    rng = np.random.default_rng(5)
+    z = (rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))) / np.sqrt(2)
+    z[2] *= 10.0
+    warm = np.full((4, 23), 0.5, dtype=complex)
+    warm[[0, 3]] = critical_points_batch(z[[0, 3]])
+    warm[2] = np.nan
+    obj = search._Objective("S", 24, RootSolverSettings())
+    with np.errstate(all="ignore"):
+        w, ok = obj.solve(z, warm)
+        np.testing.assert_array_equal(ok, [True, True, False, True])
+        values = obj.score(z, w, ok)
+        assert values[2] == -np.inf and np.isfinite(values[[0, 1, 3]]).all()
+        for i in range(4):
+            w_i, ok_i = obj.solve(z[i : i + 1], warm[i : i + 1])
+            assert obj.score(z[i : i + 1], w_i, ok_i)[0] == values[i]
