@@ -5,7 +5,8 @@ of use.  They can be overridden per call; these module constants are only
 the defaults.
 """
 
-# Residual tolerance for accepting a computed polynomial root, relative to
+# Acceptance tolerance of the solvers: the backward error of a critical point
+# in the normalized zeros, or a polynomial root's residual relative to
 # max(1, root bound)^degree times the leading coefficient.
 TOL_ROOT = 1e-9
 

@@ -12,11 +12,11 @@ class UnsupportedSizeError(InvalidInputError):
 
 
 class ConvergenceError(RuntimeError):
-    """Root iteration did not reach the residual tolerance.
+    """A root or critical-point solve failed its acceptance gate.
 
-    Carries the best iterates, the worst scaled residual and the indices of
-    the batch rows that failed, so callers can keep the rows that passed and
-    retry only the others.
+    Carries the best iterates, the worst gated quantity (scaled residual or
+    backward error) and the indices of the batch rows that failed, so
+    callers can keep the rows that passed.
     """
 
     def __init__(self, message, best=None, residual=None, rows=None):

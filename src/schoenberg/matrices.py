@@ -8,24 +8,23 @@ explicit words serve as brute-force oracles for the closed-form bounds.
 
 Every function that takes a configuration also takes a (b, n) stack of
 them and then works slice by slice on (b, n, n) stacks; a single
-configuration is a stack of one.  The spectrum check reads spec(D S)
-off the compression Q^T D Q, where the n x (n-1) matrix Q is an
-orthonormal basis of the complement of the all-ones vector, so that
-S = Q Q^T and spec(D S) = spec(Q^T D Q) union {0}.  Its eigenvalues come
-from LAPACK, not from the polynomial root solver whose critical points
-they check.
+configuration is a stack of one.  With S = Q Q^T for an orthonormal
+basis Q of the complement of the all-ones vector, spec(D S) is
+spec(Q^T D Q) union {0}, and ``rootfind.critical_points_batch`` computes
+the critical points as exactly those compression eigenvalues.  The
+spectrum check therefore compares them against an independent method:
+Aberth iteration on the coefficients of p'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .poly import as_zeros
-from .rootfind import RootSolverSettings, critical_points_batch, find_roots, match_multisets_batch
+from .poly import as_zeros, derivative, from_roots
+from .rootfind import RootSolverSettings, _normalize, critical_points_batch, find_roots, find_roots_batch, match_multisets_batch
 
 __all__ = [
     "build_S",
@@ -148,39 +147,22 @@ class SpectrumComparison:
     max_pair_distance: float | np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _complement_basis(n: int) -> np.ndarray:
-    """Orthonormal n x (n-1) basis Q of the complement of the all-ones vector.
-
-    Columns 2..n of the Householder reflector I - 2 v v^T / v^T v with
-    v = 1 + sqrt(n) e_1, which maps e_1 to -1/sqrt(n); hence Q Q^T = S.
-    """
-    v = np.ones(n)
-    v[0] += np.sqrt(n)
-    q = (np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:].astype(complex)
-    q.flags.writeable = False
-    return q
-
-
 def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> SpectrumComparison:
     """Check that D(I - J/n) has spectrum {0} union the critical points.
 
-    Takes one configuration or a (b, n) stack.  The expected side is one
-    batched polynomial solve of p'.  The matrix side is LAPACK's
-    eigenvalues of the (n-1) x (n-1) compressions Q^T D Q, plus an exact
-    0: with S = Q Q^T, D S = (D Q) Q^T and Q^T (D Q) share their nonzero
-    eigenvalues.  The compression stays accurate where D S is defective
-    (for a centered pair D S is a nilpotent Jordan block, whose computed
-    eigenvalues would be off by the square root of the round-off).  The
-    report carries each configuration's greedy multiset-pairing distance
-    between the two sides.
+    Takes one configuration or a (b, n) stack.  The matrix side is 0 plus
+    the eigenvalues of Q^T D Q, as the critical-point solver returns them.
+    The expected side is 0 plus one batched Aberth solve of p' for the
+    normalized zeros u = (z - c) / s (whose coefficients stay bounded at
+    any scale), mapped back as c + s r.  The report carries each
+    configuration's greedy multiset-pairing distance between the sides.
     """
     z = _configurations(zeros)
     stack = z if z.ndim == 2 else z[np.newaxis, :]
-    q = _complement_basis(stack.shape[1])
     zero = np.zeros((stack.shape[0], 1), dtype=complex)
-    eigs = np.concatenate([zero, np.linalg.eigvals((q.T * stack[:, np.newaxis, :]) @ q)], axis=1)
-    expected = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)
+    eigs = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)
+    c, s, u = _normalize(stack)
+    expected = np.concatenate([zero, c + s * find_roots_batch(derivative(from_roots(u)), settings)], axis=1)
     distance = match_multisets_batch(eigs, expected)
     if z.ndim == 1:
         return SpectrumComparison(eigs[0], expected[0], float(distance[0]))

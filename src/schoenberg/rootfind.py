@@ -1,28 +1,37 @@
-"""Simultaneous complex root finding and critical-point extraction.
+"""Critical points as eigenvalues, and a simultaneous polynomial root solver.
 
-The solver is Aberth-Ehrlich iteration on all roots at once, initialized
-on a circle just outside the Cauchy root bound with a seeded angular
-offset (to break the symmetry of configurations like roots of unity),
-followed by a short Newton polish.  There is no cluster deflation: the
-simultaneous iteration handles multiple roots, at the usual reduced
-accuracy tol**(1/m) for a cluster of size m.  Roots at the origin are the
-one exception: an exactly zero low-order coefficient block is split off
-before iterating, which is lossless.
+The critical points of p(z) = prod (z - z_j) are the spectrum of the
+compression Q^T diag(z) Q, Q an orthonormal basis of the complement of
+the all-ones vector (Pereira 2003; Malamud 2005).
+:func:`critical_points_batch` takes LAPACK's eigenvalues w for the zeros
+normalized to u = (z - c) / s (c the centroid, s = max |z - c|) and
+returns c + s w.  It forms no coefficients of p', so nothing overflows,
+and needs no starting points or retries.  One Newton step on
+f(x) = sum 1/(x - u_j) = p'(x)/p(x) polishes each point where it lowers
+the backward error |f(w)| / sum |w - u_j|^-2, which must pass ``tol_root``.
 
-Everything is deterministic given ``RootSolverSettings.rng_seed``, and a
-polynomial solved inside a batch yields bit-identical roots to the same
-polynomial solved alone.
+:func:`find_roots_batch` solves general polynomials, and is the
+independent side of ``matrices.verify_spectrum``, by Aberth-Ehrlich
+iteration on all roots at once: initialized on a circle just outside the
+Cauchy root bound with a seeded angular offset (to break the symmetry of
+configurations like roots of unity), followed by a short Newton polish.
+A cluster of m roots gets the usual reduced accuracy tol**(1/m); an
+exactly zero low-order coefficient block is split off first (lossless).
+
+Everything is deterministic, and a row solved inside a batch yields
+bit-identical results to the same row solved alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_SEED, TOL_ROOT
 from .errors import ConvergenceError, InvalidInputError
-from .poly import as_zeros, derivative, from_roots
+from .poly import as_zeros
 
 __all__ = [
     "RootSolverSettings",
@@ -42,7 +51,11 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class RootSolverSettings:
-    """Knobs of the simultaneous root solver."""
+    """Knobs of the root solvers.
+
+    ``tol_root`` gates both solvers; the others steer only the Aberth
+    iteration of :func:`find_roots_batch`.
+    """
 
     max_iterations: int = 250
     tol_root: float = TOL_ROOT
@@ -57,12 +70,7 @@ class RootSolverSettings:
 
     def tightened(self, factor: float = 100.0) -> "RootSolverSettings":
         """Same settings with tol_root divided by ``factor`` (re-verification)."""
-        return RootSolverSettings(
-            max_iterations=2 * self.max_iterations,
-            tol_root=self.tol_root / factor,
-            initial_radius_factor=self.initial_radius_factor,
-            rng_seed=self.rng_seed,
-        )
+        return replace(self, max_iterations=2 * self.max_iterations, tol_root=self.tol_root / factor)
 
 
 DEFAULT_SETTINGS = RootSolverSettings()
@@ -101,9 +109,6 @@ def _eval_with_bound(coeffs, x):
 
 def _cauchy_bound(coeffs):
     """Per-polynomial bound: every root has modulus < 1 + max|c_k / c_d|."""
-    d = coeffs.shape[-1] - 1
-    if d == 0:
-        return np.zeros(coeffs.shape[:-1])
     return 1.0 + np.max(np.abs(coeffs[..., :-1] / coeffs[..., -1:]), axis=-1)
 
 
@@ -155,13 +160,12 @@ def _aberth_iterate(coeffs, x, settings):
             active, coeffs, x, p, dp, at_floor, stalled_prev = (
                 v[moving] for v in (active, coeffs, x, p, dp, at_floor, stalled_prev)
             )
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
-            pair = x[:, :, np.newaxis] - x[:, np.newaxis, :]
-            inv = np.where(pair != 0, 1.0 / np.where(pair == 0, 1.0, pair), 0.0)
-            repulse = inv.sum(axis=2)
-            denom = 1.0 - newton * repulse
-            corr = np.where(denom != 0, newton / np.where(denom == 0, 1.0, denom), newton)
+        newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
+        pair = x[:, :, np.newaxis] - x[:, np.newaxis, :]
+        inv = np.where(pair != 0, 1.0 / np.where(pair == 0, 1.0, pair), 0.0)
+        repulse = inv.sum(axis=2)
+        denom = 1.0 - newton * repulse
+        corr = np.where(denom != 0, newton / np.where(denom == 0, 1.0, denom), newton)
         # Coincident estimates exert no repulsion; spread them slightly.
         collided = (pair == 0).sum(axis=2) > 1
         if np.any(collided):
@@ -186,8 +190,7 @@ def _newton_polish(coeffs, x, steps: int = 2):
     p, dp, _ = _eval_with_bound(coeffs, x)
     best_x, best_p = x, np.abs(p)
     for _ in range(steps):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
+        step = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
         x = best_x - step
         p, dp, _ = _eval_with_bound(coeffs, x)
         better = np.abs(p) < best_p
@@ -198,11 +201,7 @@ def _newton_polish(coeffs, x, steps: int = 2):
 
 def _solve_uniform(coeffs, settings, initial=None):
     """Roots of a batch of same-degree polynomials, no residual enforcement."""
-    b, d1 = coeffs.shape
-    d = d1 - 1
-    if d == 0:
-        return np.zeros((b, 0), dtype=complex)
-    if d == 1:
+    if coeffs.shape[1] == 2:
         return (-coeffs[:, :1] / coeffs[:, 1:]).astype(complex)
     x = _initial_estimates(coeffs, settings) if initial is None else np.array(initial, dtype=complex)
     x = _aberth_iterate(coeffs, x, settings)
@@ -216,7 +215,8 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial
     Raises :class:`ConvergenceError` if any polynomial fails the residual
     test ``|p(r)| <= tol_root * residual_scale``; the error carries the
     best iterates of every row, the worst scaled residual and the indices
-    of the failed rows.
+    of the failed rows.  A row whose evaluation overflows fails that test
+    and is reported only through the error, never by a numpy warning.
     """
     settings = settings or DEFAULT_SETTINGS
     c = _as_coeff_batch(coeffs)
@@ -225,18 +225,19 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial
     roots = np.zeros((b, d), dtype=complex)
     if d == 0:
         return roots
-    if initial is not None:
-        roots = _solve_uniform(c, settings, initial=np.atleast_2d(initial))
-    else:
-        # Split off exact roots at the origin (zero low-order coefficients).
-        first_nz = np.argmax(c != 0, axis=1)
-        for m in np.unique(first_nz):
-            rows = np.flatnonzero(first_nz == m)
-            sub = c[rows][:, m:]
-            if sub.shape[1] > 1:
-                roots[rows[:, np.newaxis], np.arange(d - m)] = _solve_uniform(sub, settings)
-    p, _, _ = _eval_with_bound(c, roots)
-    scaled = np.max(np.abs(p), axis=1) / residual_scale(c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if initial is not None:
+            roots = _solve_uniform(c, settings, initial=np.atleast_2d(initial))
+        else:
+            # Split off exact roots at the origin (zero low-order coefficients).
+            first_nz = np.argmax(c != 0, axis=1)
+            for m in np.unique(first_nz):
+                rows = np.flatnonzero(first_nz == m)
+                sub = c[rows][:, m:]
+                if sub.shape[1] > 1:
+                    roots[rows[:, np.newaxis], np.arange(d - m)] = _solve_uniform(sub, settings)
+        p, _, _ = _eval_with_bound(c, roots)
+        scaled = np.max(np.abs(p), axis=1) / residual_scale(c)
     failed = np.flatnonzero(~(scaled <= settings.tol_root))
     if failed.size:
         worst = float(np.max(scaled))
@@ -264,21 +265,27 @@ def find_roots(coeffs, settings: RootSolverSettings | None = None, initial=None)
 def critical_points(zeros, settings: RootSolverSettings | None = None, initial=None):
     """Critical points (zeros of p') of the monic polynomial with given zeros.
 
-    Returns exactly n - 1 points with multiplicity.  Each computed point w
-    satisfies ``|p'(w)| <= tol_root * max(1, max|z|)**(n-1)``.
+    Returns exactly n - 1 points with multiplicity.  With u = (z - c) / s
+    the normalized zeros and f(x) = sum 1/(x - u_j) = p'(x)/p(x), each
+    point w passes the backward-error gate ``|f(w)| / sum |w - u_j|**-2 <=
+    tol_root``: to first order, w is a critical point of zeros within
+    ``tol_root * s`` of z.  The error is 0 where w equals a zero, then a
+    repeated one.  ``initial`` is ignored: the eigenvalue solve needs none.
     """
     settings = settings or DEFAULT_SETTINGS
     z = as_zeros(zeros)
     if z.ndim != 1:
         raise InvalidInputError("critical_points expects a single configuration; use critical_points_batch")
-    return critical_points_batch(z[np.newaxis, :], settings, initial=initial)[0]
+    return critical_points_batch(z[np.newaxis, :], settings)[0]
 
 
-def critical_points_batch(zs, settings: RootSolverSettings | None = None, chunk: int = 8192, initial=None):
+def critical_points_batch(zs, settings: RootSolverSettings | None = None, chunk: int = 1024):
     """Critical points of a (b, n) stack of configurations; returns (b, n-1).
 
-    Every row is solved; if any fails, the :class:`ConvergenceError` carries
-    all b rows of iterates and the indices of the failed ones.
+    Rows are solved ``chunk`` at a time, which bounds the work arrays.  If
+    any row fails the gate of :func:`critical_points`, the
+    :class:`ConvergenceError` carries all b rows of points, the worst
+    backward error and the indices of the failed rows.
     """
     settings = settings or DEFAULT_SETTINGS
     z = as_zeros(zs)
@@ -286,29 +293,14 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None, chunk:
         z = z[np.newaxis, :]
     b, n = z.shape
     out = np.empty((b, n - 1), dtype=complex)
-    scaled = np.empty(b)
-    failed = np.zeros(b, dtype=bool)
+    error = np.empty(b)
     for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
-        zc = z[lo:hi]
-        dp = derivative(from_roots(zc))
-        init = None if initial is None else np.atleast_2d(initial)[lo:hi]
-        try:
-            w = find_roots_batch(dp, settings, initial=init)
-        except ConvergenceError as err:
-            w = err.best
-            failed[lo + err.rows] = True
-        # Enforce the configuration-scale residual bound, which is tighter
-        # than the generic coefficient-based one checked by the solver.
-        pv, _, _ = _eval_with_bound(dp, w)
-        scale = np.maximum(1.0, np.max(np.abs(zc), axis=1)) ** (n - 1)
-        scaled[lo:hi] = np.max(np.abs(pv), axis=1) / scale
-        out[lo:hi] = w
-    failed = np.flatnonzero(failed | ~(scaled <= settings.tol_root))
+        out[lo : lo + chunk], error[lo : lo + chunk] = _compression_eigenvalues(z[lo : lo + chunk], settings.tol_root)
+    failed = np.flatnonzero(~(error <= settings.tol_root))
     if failed.size:
-        worst = float(np.max(scaled))
+        worst = float(np.max(error))
         raise ConvergenceError(
-            f"critical point residual {worst:.3e} above tol_root in {failed.size} of {b} rows",
+            f"critical point backward error {worst:.3e} above tol_root in {failed.size} of {b} rows",
             best=out,
             residual=worst,
             rows=failed,
@@ -316,14 +308,81 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None, chunk:
     return out
 
 
+@lru_cache(maxsize=64)
+def _complement_basis(n: int) -> np.ndarray:
+    """Orthonormal n x (n-1) basis Q of the complement of the all-ones vector.
+
+    Columns 2..n of the Householder reflector I - 2 v v^T / v^T v with
+    v = 1 + sqrt(n) e_1, which maps e_1 to -1/sqrt(n); hence Q Q^T = I - J/n.
+    """
+    v = np.ones(n)
+    v[0] += np.sqrt(n)
+    q = (np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+    q.flags.writeable = False
+    return q
+
+
+def _normalize(z):
+    """Centroid c, radius s = max |z - c| (1 if 0) and u = (z - c) / s of a (b, n) stack."""
+    c = z.mean(axis=1, keepdims=True)
+    s = np.max(np.abs(z - c), axis=1, keepdims=True)
+    s[s == 0] = 1.0
+    return c, s, (z - c) / s
+
+
+def _backward_error(u, w):
+    """Backward error of each point w as a critical point of the zeros u, and its Newton step.
+
+    With f(x) = sum 1/(x - u_j), the error is |f(w)| / sum |w - u_j|**-2,
+    its limit 0 where w equals a zero.  The step f/f' is 0 there.
+    """
+    inv = w[..., np.newaxis] - u[..., np.newaxis, :]
+    on_zero = (inv == 0).any(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.reciprocal(inv, out=inv)
+        f = inv.sum(axis=-1)
+        error = np.abs(f) / (inv.real**2 + inv.imag**2).sum(axis=-1)
+        step = -f / (inv * inv).sum(axis=-1)
+    return np.where(on_zero, 0.0, error), np.where(on_zero, 0.0, step)
+
+
+def _compression_eigenvalues(z, tol):
+    """Critical points of a (b, n) stack and the worst backward error of each row."""
+    n = z.shape[1]
+    c, s, u = _normalize(z)
+    q = _complement_basis(n)
+    w = np.linalg.eigvals((q.T * u[:, np.newaxis, :]) @ q)
+    error, step = _backward_error(u, w)
+    polished, _ = _backward_error(u, w - step)
+    better = polished < error
+    w, error = np.where(better, w - step, w), np.where(better, polished, error).max(axis=1)
+    # An (n-1)-fold eigenvalue is resolved only to about eps**(1/(n-1)).
+    # Points that close to the centroid are read as c itself, n - 1 times,
+    # when the power sums sum u_j**k, k < n, vanish to tol: c is then the
+    # (n-1)-fold critical point of a regular n-gon that close to u.
+    near = np.flatnonzero(np.max(np.abs(w), axis=1) <= 2.0 * (n * _EPS) ** (1.0 / (n - 1)))
+    if near.size:
+        powers = np.cumprod(np.repeat(u[near, np.newaxis, :], n - 1, axis=1), axis=1)
+        moment = np.max(np.abs(powers.sum(axis=2)), axis=1) / n
+        polygon = moment <= tol
+        w[near[polygon]] = 0.0
+        error[near[polygon]] = moment[polygon]
+    # A zero of multiplicity m is a critical point m - 1 times, which the
+    # eigenvalues find to round-off: a point within 8 n eps of a zero is it.
+    gap = np.abs(w[:, :, np.newaxis] - u[:, np.newaxis, :])
+    j = np.argmin(gap, axis=2)
+    on_zero = np.take_along_axis(gap, j[:, :, np.newaxis], axis=2)[:, :, 0] <= 8 * n * _EPS
+    return np.where(on_zero, np.take_along_axis(z, j, axis=1), c + s * w), error
+
+
 def moduli_critical_points(zeros, settings: RootSolverSettings | None = None):
     """Critical points of the moduli polynomial q(z) = prod (z - |z_j|).
 
-    All roots of q are real and nonnegative, so Rolle interlacing pins one
-    critical point inside each gap between consecutive sorted moduli (and a
-    repeated modulus of multiplicity m is itself a critical point m - 1
-    times).  Each interior point is the unique sign change of q'/q, located
-    by bisection; the result is exactly real and sorted descending.
+    They are the eigenvalues of the real symmetric compression
+    Q^T diag(|z|) Q.  Cauchy interlacing, the matrix form of the Rolle
+    argument, puts one in each gap between consecutive sorted moduli, and
+    a modulus of multiplicity m is one m - 1 times.  The result is real,
+    nonnegative and sorted descending.
     """
     z = as_zeros(zeros)
     if z.ndim != 1:
@@ -331,28 +390,14 @@ def moduli_critical_points(zeros, settings: RootSolverSettings | None = None):
     return moduli_critical_points_batch(z[np.newaxis, :])[0]
 
 
-def moduli_critical_points_batch(zs, rel_tol: float = 1e-13, max_steps: int = 120):
+def moduli_critical_points_batch(zs):
     """Batched moduli-polynomial critical points; returns (b, n-1) floats."""
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
-    r = np.sort(np.abs(z), axis=-1)
-    lo = r[:, :-1].copy()
-    hi = r[:, 1:].copy()
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        interior = (mid > lo) & (mid < hi) & (hi - lo > rel_tol * np.maximum(1.0, hi))
-        if not np.any(interior):
-            break
-        # q'/q at mid: sum over all moduli of 1/(mid - r_j).  mid is strictly
-        # inside a root-free gap, so no term blows up where interior holds.
-        diff = mid[:, :, np.newaxis] - r[:, np.newaxis, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fm = np.where(interior, (1.0 / diff).sum(axis=2), 0.0)
-        lo = np.where(interior & (fm > 0), mid, lo)
-        hi = np.where(interior & (fm <= 0), mid, hi)
-    xi = 0.5 * (lo + hi)
-    return np.sort(xi, axis=-1)[:, ::-1]
+    q = _complement_basis(z.shape[1])
+    xi = np.linalg.eigvalsh((q.T * np.abs(z)[:, np.newaxis, :]) @ q)
+    return np.maximum(xi[:, ::-1], 0.0)
 
 
 def match_multisets(a, b) -> float:
@@ -394,20 +439,8 @@ def cluster_sizes(points, tol: float) -> np.ndarray:
     so matching tolerances should be loosened accordingly.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    m = pts.size
-    close = np.abs(pts[:, np.newaxis] - pts[np.newaxis, :]) <= tol
-    labels = -np.ones(m, dtype=int)
-    current = 0
-    for i in range(m):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = current
-        while stack:
-            j = stack.pop()
-            for k in np.flatnonzero(close[j] & (labels < 0)):
-                labels[k] = current
-                stack.append(k)
-        current += 1
-    counts = np.bincount(labels)
-    return counts[labels]
+    reach = (np.abs(pts[:, np.newaxis] - pts[np.newaxis, :]) <= tol).astype(int)
+    # Squaring doubles the path length covered: the transitive closure.
+    for _ in range(int(np.ceil(np.log2(max(pts.size, 2))))):
+        reach = (reach @ reach > 0).astype(int)
+    return reach.sum(axis=1)

@@ -12,14 +12,13 @@ constraint set.
 All starts of one search advance in lockstep, as rows of one stack of
 simplices.  Each round evaluates the reflection, expansion and inside
 contraction of every active row with one batched critical-point solve;
-only the rows that shrink make a second.  Each row is warm-started from
-its own previous solve, never a batch mate's, and a row that fails is
-retried cold on its own and scored -inf if it fails again.  Each row
-stops on its own, when its simplex spread falls below ``step_tol`` or
-its round budget is spent, so a start's record does not depend on the
-other starts of its batch.  Any objective value above 1 + 1e-6 is a
-counterexample candidate and must be re-verified at tightened root
-tolerance before being believed.
+only the rows that shrink make a second.  The solver takes no starting
+points and treats each row on its own; a row it cannot solve is scored
+-inf.  Each row stops on its own, when its simplex spread falls below
+``step_tol`` or its round budget is spent, so a start's record does not
+depend on the other starts of its batch.  Any objective value above
+1 + 1e-6 is a counterexample candidate and must be re-verified at
+tightened root tolerance before being believed.
 """
 
 from __future__ import annotations
@@ -182,24 +181,14 @@ class _Objective:
             z = np.concatenate([z, -z.sum(axis=1, keepdims=True)], axis=1)
         return z
 
-    def solve(self, zs, warm=None):
-        """Critical points of a zeros stack and the mask of rows that converged.
-
-        Rows that fail from their warm start are retried cold, in one call;
-        each attempt decides the mask of the rows it solves.
-        """
-        w = np.empty((zs.shape[0], self.n - 1), dtype=complex)
-        ok = np.empty(zs.shape[0], dtype=bool)
-        rows = np.arange(zs.shape[0])
-        for initial in (None,) if warm is None else (warm, None):
-            ok[rows] = True
-            try:
-                w[rows] = critical_points_batch(zs[rows], self.solver, initial=None if initial is None else initial[rows])
-                break
-            except ConvergenceError as err:
-                w[rows] = err.best
-                ok[rows[err.rows]] = False
-                rows = rows[err.rows]
+    def solve(self, zs):
+        """Critical points of a zeros stack and the mask of rows that passed the solver's gate."""
+        ok = np.ones(zs.shape[0], dtype=bool)
+        try:
+            w = critical_points_batch(zs, self.solver)
+        except ConvergenceError as err:
+            w = err.best
+            ok[err.rows] = False
         return w, ok
 
     def score(self, zs, w, ok=True) -> np.ndarray:
@@ -229,23 +218,22 @@ class _Objective:
 # lockstep Nelder-Mead with projection (projection happens in decode)
 
 class _Ascent:
-    """Per-row state of a batch of ascents: warm starts and best points.
+    """Per-row best points of a batch of ascents.
 
     ``evaluate`` minimizes the negated objective, as Nelder-Mead does, and
-    records for each row its best point so far and the critical points of
-    its best point of the last call, which warm-start its next call.
+    records for each row its best point so far.
     """
 
-    def __init__(self, obj: _Objective, x0, start, warm):
+    def __init__(self, obj: _Objective, x0, start):
         self.obj = obj
-        self.best_f, self.best_x, self.warm = start.copy(), x0.copy(), warm
+        self.best_f, self.best_x = start.copy(), x0.copy()
 
     def evaluate(self, points, rows):
         """Negated objective of ``points`` (m, k, dim), point j of row ``rows[i]`` at [i, j]; one solve."""
         m, k, dim = points.shape
         x = points.reshape(m * k, dim)
         zs = self.obj.decode(x)
-        w, ok = self.obj.solve(zs, np.repeat(self.warm[rows], k, axis=0))
+        w, ok = self.obj.solve(zs)
         f = -self.obj.score(zs, w, ok).reshape(m, k)
         j = np.argmin(f, axis=1)
         i = np.arange(m)
@@ -253,8 +241,6 @@ class _Ascent:
         better = fj < self.best_f[rows]
         self.best_f[rows[better]] = fj[better]
         self.best_x[rows[better]] = points[i[better], j[better]]
-        solved = np.isfinite(fj)
-        self.warm[rows[solved]] = w.reshape(m, k, -1)[i[solved], j[solved]]
         return f
 
 
@@ -364,11 +350,10 @@ def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = 
     ascents advance together as rows of one stack of simplices: each
     Nelder-Mead round solves the trial points of every active row in one
     batched call, and the final reports of all ascents take one batched
-    evaluation.  A row is warm-started only from its own previous solve,
-    rows that fail are retried cold (and scored -inf if they fail again),
-    and each row stops on its own (simplex spread below ``step_tol``, or
-    the round budget), so every record equals that of :func:`maximize` on
-    its start alone, bit for bit.
+    evaluation.  The solver treats each row on its own, a row it cannot
+    solve is scored -inf, and each row stops on its own (simplex spread
+    below ``step_tol``, or the round budget), so every record equals that
+    of :func:`maximize` on its start alone, bit for bit.
     """
     settings = settings or SearchSettings()
     starts = list(starts)
@@ -385,7 +370,7 @@ def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = 
     kept = np.flatnonzero(np.isfinite(start))
     if kept.size == 0:
         return records
-    ascent = _Ascent(obj, x0[kept], start[kept], w[kept])
+    ascent = _Ascent(obj, x0[kept], start[kept])
     rounds = _nelder_mead(ascent, x0[kept], settings)
     best = obj.decode(ascent.best_x)
     for i, zeros, value, start_value, its, reports in zip(
@@ -414,10 +399,9 @@ def maximize(objective_id: str, start, settings: SearchSettings | None = None, *
     coordinates are projected back onto a in [0, 1] and the unit disk.
     The returned record's objective value is never below the start value.
 
-    This is :func:`maximize_batch` on a batch of one: Nelder-Mead rounds
-    warm-start each solve from the critical points of the best point of
-    the previous one, and the ascent stops when the simplex spread falls
-    below ``step_tol`` or after ``max_iterations`` rounds.
+    This is :func:`maximize_batch` on a batch of one: the ascent stops
+    when the simplex spread falls below ``step_tol`` or after
+    ``max_iterations`` rounds.
     """
     (record,) = maximize_batch(objective_id, [start], settings, sample_seeds=[sample_seed])
     if record is None:

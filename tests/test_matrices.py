@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from schoenberg import rootfind
+from schoenberg import matrices
 from schoenberg.errors import InvalidInputError, UnsupportedSizeError
 from schoenberg.matrices import (
     build_D,
@@ -16,7 +16,7 @@ from schoenberg.matrices import (
     verify_spectrum,
 )
 from schoenberg.poly import recenter
-from schoenberg.rootfind import RootSolverSettings, match_multisets
+from schoenberg.rootfind import match_multisets
 
 
 def random_configs(rng, count, n):
@@ -143,15 +143,14 @@ def test_verify_spectrum_on_a_stack_equals_per_row_calls():
 
 
 def test_spectrum_check_does_not_share_the_root_solver(monkeypatch):
-    # Scale every root the polynomial solver returns by 1 + 1e-3 (0 stays 0).
-    # A matrix side that solved a characteristic polynomial with the same
-    # solver would move along and the distance would stay at round-off.
-    solve = rootfind.find_roots_batch
-    monkeypatch.setattr(rootfind, "find_roots_batch", lambda *a, **k: solve(*a, **k) * (1 + 1e-3))
-    loose = RootSolverSettings(tol_root=1.0)  # let the scaled critical points past the residual gate
-    assert verify_spectrum([1, 2, 3j, -1 - 1j], loose).max_pair_distance >= 1e-4
+    # Scale every critical point the eigenvalue solver returns by 1 + 1e-3
+    # (0 stays 0).  An expected side that called the same solver would move
+    # along and the distance would stay at round-off.
+    solve = matrices.critical_points_batch
+    monkeypatch.setattr(matrices, "critical_points_batch", lambda *a, **k: solve(*a, **k) * (1 + 1e-3))
+    assert verify_spectrum([1, 2, 3j, -1 - 1j]).max_pair_distance >= 1e-4
     z = random_configs(np.random.default_rng(77), 20, 6)
-    assert np.all(verify_spectrum(z, loose).max_pair_distance >= 1e-4)
+    assert np.all(verify_spectrum(z).max_pair_distance >= 1e-4)
 
 
 def test_spectrum_equivalence_random():

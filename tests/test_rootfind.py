@@ -1,10 +1,16 @@
 """Root solver, critical points, moduli polynomial, multiset matching."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from schoenberg.errors import ConvergenceError, InvalidInputError
+from schoenberg.matrices import verify_spectrum
 from schoenberg.poly import derivative, elementary_symmetric_all, from_roots, polyval
 from schoenberg.rootfind import (
     RootSolverSettings,
@@ -87,8 +93,24 @@ def test_find_roots_non_convergence_carries_best_iterate():
     assert err.value.residual > 0
 
 
+def mp_critical_points(z, dps=60):
+    """Critical points by ``mpmath.polyroots`` on p' expanded at ``dps`` digits (oracle)."""
+    with mpmath.workdps(dps):
+        c = [mpmath.mpc(1)]  # descending coefficients of p
+        for r in z:
+            r = mpmath.mpc(r.real, r.imag)
+            c = [a - r * b for a, b in zip(c + [0], [0] + c)]
+        dp = [c[i] * (len(z) - i) for i in range(len(z))]
+        return np.array([complex(x) for x in mpmath.polyroots(dp, maxsteps=500, extraprec=2 * dps)])
+
+
+def gaussian_configs(seed, count, n, scale):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2)
+
+
 def _one_failing_row():
-    """Four n=7 configurations and warm starts: exact for rows 0, 1, 3, far off for row 2.
+    """Four n=7 configurations and starting roots for their p': exact for rows 0, 1, 3, far off for row 2.
 
     With a two-iteration budget, rows 0, 1 and 3 pass the residual gate at
     once and row 2 cannot.
@@ -99,17 +121,16 @@ def _one_failing_row():
     return z, warm, RootSolverSettings(max_iterations=2)
 
 
-def test_convergence_error_names_the_failed_rows():
+def test_convergence_error_names_the_failed_rows(nan_eigvals):
     z, warm, settings = _one_failing_row()
+    solo = [critical_points(row) for row in z]
+    nan_eigvals(2)
     with pytest.raises(ConvergenceError) as err:
-        critical_points_batch(z, settings, initial=warm)
+        critical_points_batch(z)
     np.testing.assert_array_equal(err.value.rows, [2])
-    assert err.value.best.shape == (4, 6)
+    assert err.value.best.shape == (4, 6) and np.isnan(err.value.best[2]).all()
     for i in (0, 1, 3):
-        np.testing.assert_array_equal(err.value.best[i], critical_points(z[i], settings, initial=warm[i]))
-    with pytest.raises(ConvergenceError) as err:
-        critical_points(z[2], settings, initial=warm[2])
-    np.testing.assert_array_equal(err.value.rows, [0])
+        np.testing.assert_array_equal(err.value.best[i], solo[i])
 
     coeffs = derivative(from_roots(z))
     with pytest.raises(ConvergenceError) as err:
@@ -117,17 +138,26 @@ def test_convergence_error_names_the_failed_rows():
     np.testing.assert_array_equal(err.value.rows, [2])
 
 
-def test_overflowing_row_fails_alone():
-    # One row at |z| ~ 10 and n = 24 overflows the Horner evaluation; the
-    # unit-scale rows of the same batch still pass.
-    rng = np.random.default_rng(5)
-    z = (rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))) / np.sqrt(2)
+def test_large_scale_row_solves_and_matches_mpmath():
+    # n = 24 with one row at |z| ~ 10, where the coefficients of p' reach 1e22.
+    z = gaussian_configs(5, 4, 24, 1.0)
     z[2] *= 10.0
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as err:
-        critical_points_batch(z)
-    np.testing.assert_array_equal(err.value.rows, [2])
-    for i in (0, 1, 3):
-        np.testing.assert_array_equal(err.value.best[i], critical_points(z[i]))
+    w = critical_points_batch(z)
+    assert match_multisets(w[2], mp_critical_points(z[2])) <= 1e-12 * np.abs(z[2]).max()
+    for i in range(4):
+        np.testing.assert_array_equal(w[i], critical_points(z[i]))
+
+
+def test_overflowing_coefficient_row_fails_alone_without_warnings():
+    # Row 1 is z^2 + 1e300: its Horner evaluation and residual scale overflow.
+    coeffs = np.array([from_roots(np.array([0.5, -1j])), [1e300, 0.0, 1.0], from_roots(np.array([2.0, 3.0]))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            find_roots_batch(coeffs)
+    np.testing.assert_array_equal(err.value.rows, [1])
+    for i in (0, 2):
+        np.testing.assert_array_equal(err.value.best[i], find_roots(coeffs[i]))
 
 
 def test_find_roots_deterministic_and_batch_consistent():
@@ -201,6 +231,90 @@ def test_critical_point_centroid_identity():
         z = random_configs(rng, 30, n)
         w = critical_points_batch(z)
         assert np.abs(w.mean(axis=1) - z.mean(axis=1)).max() <= 1e-10
+
+
+def test_repeated_zeros_are_returned_exactly():
+    w = critical_points([1, 1, 1, 2])
+    np.testing.assert_array_equal(np.sort_complex(w)[:2], [1, 1])
+    assert np.sort_complex(w)[2] == pytest.approx(1.75, abs=1e-15)
+    rng = np.random.default_rng(83)
+    for n in (4, 9, 20):
+        base = rng.standard_normal((5, n - 2)) + 1j * rng.standard_normal((5, n - 2))
+        z = 1e3 * np.concatenate([base, base[:, :1], base[:, :1]], axis=1)  # a triple zero
+        w = critical_points_batch(z)
+        assert ((w == z[:, :1]).sum(axis=1) == 2).all()
+
+
+@pytest.mark.parametrize(
+    "n, scale",
+    [(24, 10.0), (12, 100.0), (12, 1e3)],
+)
+def test_critical_points_match_60_digit_mpmath(n, scale):
+    z = gaussian_configs(n, 3, n, scale)
+    w = critical_points_batch(z)
+    for i in range(3):
+        assert match_multisets(w[i], mp_critical_points(z[i])) <= 1e-12 * np.abs(z[i]).max()
+
+
+def test_near_collinear_critical_points_match_60_digit_mpmath():
+    # Zeros 1e-7 off a line through 1.5 - 0.5i, the equality case of the even-order bounds.
+    rng = np.random.default_rng(20)
+    t = 5.0 * np.sort(rng.standard_normal(20)) + 1e-7j * rng.standard_normal(20)
+    z = (1.5 - 0.5j) + t * np.exp(0.7j)
+    w = critical_points(z)
+    assert match_multisets(w, mp_critical_points(z)) <= 1e-12 * np.abs(z).max()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_degree_64_at_any_scale(scale):
+    z = gaussian_configs(64, 6, 64, scale)
+    # Zeros z and -z: f(0) = 0 and the points lie within the cluster radius
+    # of 0 at n = 64, yet only one of them is 0.
+    z[-1, 32:] = -z[-1, :32]
+    w = critical_points_batch(z)
+    assert np.abs(w.mean(axis=1) - z.mean(axis=1)).max() <= 1e-13 * scale
+    assert verify_spectrum(z).max_pair_distance.max() <= 1e-9 * np.abs(z).max()
+
+
+@st.composite
+def spread_configs(draw, max_n=10):
+    """Zeros in the unit square whose spread about the centroid is at least 1e-3."""
+    n = draw(st.integers(2, max_n))
+    coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    z = np.array([complex(draw(coord), draw(coord)) for _ in range(n)])
+    assume(np.abs(z - z.mean()).max() >= 1e-3)
+    return z
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    z=spread_configs(),
+    seed=st.integers(0, 2**32 - 1),
+    angle=st.floats(0.0, 2 * np.pi),
+    scale=st.floats(1e-3, 1e3),
+    shift=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
+def test_critical_points_respect_the_symmetries(z, seed, angle, scale, shift):
+    perm = np.random.default_rng(seed).permutation(z.shape[0])
+    turn = np.exp(1j * angle)
+    w, *moved = critical_points_batch(np.stack([z, z[perm], turn * z, scale * z, z + shift]))
+    s = np.abs(z - z.mean()).max()
+    tol = 1e-7 * s
+    assert match_multisets(moved[0], w) <= tol
+    assert match_multisets(moved[1], turn * w) <= tol
+    assert match_multisets(moved[2], scale * w) <= tol * scale
+    assert match_multisets(moved[3], w + shift) <= tol + 1e-13 * abs(shift)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_batch_equals_single_bit_for_bit(n, rows, seed):
+    z = gaussian_configs(seed, rows, n, 1.0)
+    z[0, -1] = z[0, 0]  # a repeated zero
+    w = critical_points_batch(z)
+    np.testing.assert_array_equal(critical_points_batch(z, chunk=1), w)
+    for i in range(rows):
+        np.testing.assert_array_equal(critical_points(z[i]), w[i])
 
 
 def test_moduli_critical_points_examples():

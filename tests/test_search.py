@@ -194,48 +194,25 @@ def test_batched_search_equals_single_ascents(objective, kind, n):
         assert rec.reports == one.reports
 
 
-def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch):
-    # Warm starts that are exact for rows 0, 1 and 3 and far off for row 2;
-    # with a two-iteration budget only row 2 fails, warm and again cold.
+def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch, nan_eigvals):
+    # The eigenvalues of row 2 come back NaN, so only that row fails the
+    # solver's gate; one call scores it -inf and its batch mates as alone.
     rng = np.random.default_rng(43)
     z = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
-    warm = critical_points_batch(z)
-    warm[2] = 3.0 * warm[2] + 1.0
-    obj = search._Objective("S", 7, RootSolverSettings(max_iterations=2))
+    obj = search._Objective("S", 7, RootSolverSettings())
+    solo = [obj.score(z[i : i + 1], *obj.solve(z[i : i + 1]))[0] for i in range(4)]
     calls = []
 
-    def counting(zs, settings, initial=None):
-        calls.append((len(zs), initial is None))
-        return critical_points_batch(zs, settings, initial=initial)
+    def counting(zs, settings):
+        calls.append(len(zs))
+        return critical_points_batch(zs, settings)
 
     monkeypatch.setattr(search, "critical_points_batch", counting)
-    w, ok = obj.solve(z, warm)
-    assert calls == [(4, False), (1, True)]  # only the failed row is retried, cold
+    nan_eigvals(2)
+    w, ok = obj.solve(z)
+    assert calls == [4]
     np.testing.assert_array_equal(ok, [True, True, False, True])
     values = obj.score(z, w, ok)
     assert values[2] == -np.inf and np.isfinite(values[[0, 1, 3]]).all()
     for i in (0, 1, 3):
-        w_i, ok_i = obj.solve(z[i : i + 1], warm[i : i + 1])
-        assert obj.score(z[i : i + 1], w_i, ok_i)[0] == values[i]
-
-
-def test_row_that_passes_cold_is_scored_when_a_batch_mate_fails_again():
-    # n = 24: row 2 at |z| ~ 10 overflows the Horner evaluation from any
-    # start, and its NaN warm start fails too.  Row 1 has coincident warm
-    # estimates, which fail, but its cold retry (in the same call as row 2's)
-    # passes: it must keep its solo value, not inherit row 2's -inf.
-    rng = np.random.default_rng(5)
-    z = (rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))) / np.sqrt(2)
-    z[2] *= 10.0
-    warm = np.full((4, 23), 0.5, dtype=complex)
-    warm[[0, 3]] = critical_points_batch(z[[0, 3]])
-    warm[2] = np.nan
-    obj = search._Objective("S", 24, RootSolverSettings())
-    with np.errstate(all="ignore"):
-        w, ok = obj.solve(z, warm)
-        np.testing.assert_array_equal(ok, [True, True, False, True])
-        values = obj.score(z, w, ok)
-        assert values[2] == -np.inf and np.isfinite(values[[0, 1, 3]]).all()
-        for i in range(4):
-            w_i, ok_i = obj.solve(z[i : i + 1], warm[i : i + 1])
-            assert obj.score(z[i : i + 1], w_i, ok_i)[0] == values[i]
+        assert values[i] == solo[i]
