@@ -195,6 +195,14 @@ def _load_config_file(path: str) -> tuple[np.ndarray, float | None]:
     return zeros, a
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol-eq`` value: a finite, nonnegative float."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schoenberg",
@@ -202,24 +210,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)")
-        p.add_argument("--tol-root", type=float, default=TOL_ROOT)
-        p.add_argument("--tol-eq", type=float, default=TOL_EQ)
-        p.add_argument("--out", type=str, default=None, help="output path (basename for sweep/search)")
-        p.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
+    shared = {
+        "--seed": dict(type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)"),
+        "--tol-root": dict(type=float, default=TOL_ROOT),
+        "--tol-eq": dict(type=_tolerance, default=TOL_EQ),
+        "--out": dict(type=str, default=None, help="output path (basename for sweep/search)"),
+        "--format": dict(choices=("table", "csv", "jsonl"), default="table"),
+    }
+
+    def common(p, *flags):
+        """Add the shared flags that the subcommand's handler reads."""
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("verify", help="evaluate every inequality on one configuration")
     p.add_argument("--zeros", type=str, default=None, help="space-separated re,im pairs")
     p.add_argument("--config", type=str, default=None, help="JSON file with {zeros, a?}")
     p.add_argument("--a", type=float, default=None, help="distinguished Sendov zero; --zeros then hold the others")
     p.add_argument("--recenter", action="store_true", help="evaluate centered-only forms after recentering")
-    common(p)
+    common(p, "--seed", "--tol-root", "--tol-eq", "--out", "--format")
 
     p = sub.add_parser("oracle", help="closed forms vs brute-force traces and spectra")
     p.add_argument("--n", type=int, required=True, help="degree, 2..10")
     p.add_argument("--samples", type=int, default=1000)
-    common(p)
+    common(p, "--seed", "--tol-root")
 
     p = sub.add_parser("sweep", help="evaluate an ensemble and archive per-sample records")
     p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, required=True)
@@ -229,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.1, help="perturbation scale for roots-of-unity-perturbed")
     p.add_argument("--hypothesis-filter", action="store_true",
                    help="sendov-boundary: keep only instances satisfying the centroid hypothesis")
-    common(p)
+    common(p, "--seed", "--tol-root", "--tol-eq", "--out")
 
     p = sub.add_parser("search", help="derivative-free ascent of a slack ratio or M_-2")
     p.add_argument("--objective", type=str, required=True,
@@ -241,11 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--raw-starts", action="store_true",
                    help="use sampled starts as-is; centered-form objectives then fail with exit 2")
-    common(p)
+    common(p, "--seed", "--tol-root", "--out")
 
     p = sub.add_parser("report", help="summarize a JSONL archive as the CSV table")
     p.add_argument("--input", type=str, required=True, nargs="+")
-    common(p)
+    common(p, "--out", "--format")
 
     return parser
 
@@ -284,7 +298,7 @@ def cmd_verify(args) -> int:
     else:
         zeros = _parse_zeros(args.zeros)
 
-    settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
+    settings = RootSolverSettings(tol_root=args.tol_root)
     extra = []
     sendov_reports = []
     if a is not None:
@@ -337,7 +351,7 @@ def cmd_oracle(args) -> int:
         return EXIT_USAGE
     zs = _normalized_centered_batch(args.n, args.samples, args.seed)
     star_closed, starstar_closed = order6_bounds(zs)
-    settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
+    settings = RootSolverSettings(tol_root=args.tol_root)
     trace_dev = np.maximum(
         np.abs(star_trace_oracle(zs) - star_closed), np.abs(starstar_trace_oracle(zs) - starstar_closed)
     )
@@ -363,7 +377,7 @@ def _sweep_root_records(args) -> list[dict]:
         recenter=args.recenter, scale=args.scale,
     )
     zs = np.array([sample_one(ens, i) for i in range(args.count)])
-    settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
+    settings = RootSolverSettings(tol_root=args.tol_root)
     table, _mask = evaluate_ensemble(zs, settings, recenter_centered=True)
     sides = [(iid, col.lhs.tolist(), col.rhs.tolist(), col.centered_required) for iid, col in table.items()]
     return [
@@ -390,7 +404,7 @@ def _sweep_sendov_records(args) -> list[dict]:
         raise InvalidInputError("hypothesis filter rejected too many samples")
     a = np.array([inst.a for inst in instances])
     others = np.array([inst.other_zeros for inst in instances])
-    settings = RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed)
+    settings = RootSolverSettings(tol_root=args.tol_root)
     special = special_case_batch(a, others, settings)
     side = float(args.n - 1)
     records = []
@@ -438,7 +452,7 @@ def cmd_search(args) -> int:
     objective = args.objective
     settings = SearchSettings(
         max_iterations=args.max_iterations,
-        solver=RootSolverSettings(tol_root=args.tol_root, rng_seed=args.seed),
+        solver=RootSolverSettings(tol_root=args.tol_root),
     )
     if objective == "M_MINUS2":
         kind = args.ensemble or "sendov-boundary"

@@ -13,8 +13,9 @@ the backward error |f(w)| / sum |w - u_j|^-2, which must pass ``tol_root``.
 :func:`find_roots_batch` solves general polynomials, and is the
 independent side of ``matrices.verify_spectrum``, by Aberth-Ehrlich
 iteration on all roots at once: initialized on a circle just outside the
-Cauchy root bound with a seeded angular offset (to break the symmetry of
-configurations like roots of unity), followed by a short Newton polish.
+Cauchy root bound, turned by a fixed angular offset drawn from
+``DEFAULT_SEED`` (to break the symmetry of configurations like roots of
+unity), followed by a short Newton polish.
 A cluster of m roots gets the usual reduced accuracy tol**(1/m); an
 exactly zero low-order coefficient block is split off first (lossless).
 
@@ -24,7 +25,7 @@ bit-identical results to the same row solved alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,29 +49,30 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
+# Aberth iteration budget, and the start radius over the Cauchy bound.
+_MAX_ITERATIONS = 250
+_INITIAL_RADIUS_FACTOR = 0.25
+# Rows per eigenvalue solve: bounds the (chunk, n - 1, n) work arrays.
+_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class RootSolverSettings:
-    """Knobs of the root solvers.
+    """Acceptance tolerance of the root solvers.
 
-    ``tol_root`` gates both solvers; the others steer only the Aberth
-    iteration of :func:`find_roots_batch`.
+    ``tol_root`` is the backward-error gate of :func:`critical_points_batch`
+    and the scaled-residual gate of :func:`find_roots_batch`.
     """
 
-    max_iterations: int = 250
     tol_root: float = TOL_ROOT
-    initial_radius_factor: float = 0.25
-    rng_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
-        if self.tol_root <= 0:
-            raise InvalidInputError("tol_root must be positive")
+        if not 0 < self.tol_root < np.inf:
+            raise InvalidInputError(f"tol_root must be positive and finite, got {self.tol_root!r}")
 
-    def tightened(self, factor: float = 100.0) -> "RootSolverSettings":
-        """Same settings with tol_root divided by ``factor`` (re-verification)."""
-        return replace(self, max_iterations=2 * self.max_iterations, tol_root=self.tol_root / factor)
+    def tightened(self) -> "RootSolverSettings":
+        """The gate tightened 100x, for re-verifying counterexample candidates."""
+        return RootSolverSettings(tol_root=self.tol_root / 100.0)
 
 
 DEFAULT_SETTINGS = RootSolverSettings()
@@ -124,20 +126,17 @@ def residual_scale(coeffs):
     return np.abs(c[..., -1]) * np.maximum(1.0, _cauchy_bound(c)) ** d
 
 
-def _initial_estimates(coeffs, settings):
-    b, d1 = coeffs.shape
-    d = d1 - 1
-    radius = (1.0 + settings.initial_radius_factor) * np.maximum(
-        _cauchy_bound(coeffs), 1e-3
-    )
-    rng = np.random.Generator(np.random.PCG64(settings.rng_seed))
-    # One global offset: independent of batch size, so batch == single.
-    offset = rng.uniform(0.0, 2.0 * np.pi)
+def _initial_estimates(coeffs):
+    d = coeffs.shape[1] - 1
+    radius = (1.0 + _INITIAL_RADIUS_FACTOR) * np.maximum(_cauchy_bound(coeffs), 1e-3)
+    # One global start angle, independent of the batch: batch == single.
+    # (Drawn here, not at import, which would load numpy.random eagerly.)
+    offset = np.random.Generator(np.random.PCG64(DEFAULT_SEED)).uniform(0.0, 2.0 * np.pi)
     angles = 2.0 * np.pi * np.arange(d) / d + offset
     return radius[:, np.newaxis] * np.exp(1j * angles)[np.newaxis, :]
 
 
-def _aberth_iterate(coeffs, x, settings):
+def _aberth_iterate(coeffs, x):
     """Run the simultaneous iteration; returns the final estimates.
 
     A polynomial leaves the iteration once all its estimates are at the
@@ -148,7 +147,7 @@ def _aberth_iterate(coeffs, x, settings):
     out = np.empty_like(x)
     active = np.arange(x.shape[0])
     stalled_prev = np.zeros(x.shape, dtype=bool)
-    for _ in range(settings.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         p, dp, e = _eval_with_bound(coeffs, x)
         at_floor = np.abs(p) <= 4.0 * _EPS * e
         done = at_floor.all(axis=1)
@@ -199,16 +198,14 @@ def _newton_polish(coeffs, x, steps: int = 2):
     return best_x
 
 
-def _solve_uniform(coeffs, settings, initial=None):
+def _solve_uniform(coeffs):
     """Roots of a batch of same-degree polynomials, no residual enforcement."""
     if coeffs.shape[1] == 2:
         return (-coeffs[:, :1] / coeffs[:, 1:]).astype(complex)
-    x = _initial_estimates(coeffs, settings) if initial is None else np.array(initial, dtype=complex)
-    x = _aberth_iterate(coeffs, x, settings)
-    return _newton_polish(coeffs, x)
+    return _newton_polish(coeffs, _aberth_iterate(coeffs, _initial_estimates(coeffs)))
 
 
-def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial=None):
+def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
     """Roots (with multiplicity) of a batch of same-degree polynomials.
 
     ``coeffs`` has shape (b, d+1), ascending order; returns shape (b, d).
@@ -216,7 +213,8 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial
     test ``|p(r)| <= tol_root * residual_scale``; the error carries the
     best iterates of every row, the worst scaled residual and the indices
     of the failed rows.  A row whose evaluation overflows fails that test
-    and is reported only through the error, never by a numpy warning.
+    with residual inf, and is reported only through the error, never by a
+    numpy warning.
     """
     settings = settings or DEFAULT_SETTINGS
     c = _as_coeff_batch(coeffs)
@@ -226,24 +224,22 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial
     if d == 0:
         return roots
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if initial is not None:
-            roots = _solve_uniform(c, settings, initial=np.atleast_2d(initial))
-        else:
-            # Split off exact roots at the origin (zero low-order coefficients).
-            first_nz = np.argmax(c != 0, axis=1)
-            for m in np.unique(first_nz):
-                rows = np.flatnonzero(first_nz == m)
-                sub = c[rows][:, m:]
-                if sub.shape[1] > 1:
-                    roots[rows[:, np.newaxis], np.arange(d - m)] = _solve_uniform(sub, settings)
+        # Split off exact roots at the origin (zero low-order coefficients).
+        first_nz = np.argmax(c != 0, axis=1)
+        for m in np.unique(first_nz):
+            rows = np.flatnonzero(first_nz == m)
+            sub = c[rows][:, m:]
+            if sub.shape[1] > 1:
+                roots[rows[:, np.newaxis], np.arange(d - m)] = _solve_uniform(sub)
         p, _, _ = _eval_with_bound(c, roots)
-        scaled = np.max(np.abs(p), axis=1) / residual_scale(c)
+        # inf / inf where the evaluation overflows: the residual is unbounded.
+        scaled = np.nan_to_num(np.max(np.abs(p), axis=1) / residual_scale(c), nan=np.inf)
     failed = np.flatnonzero(~(scaled <= settings.tol_root))
     if failed.size:
         worst = float(np.max(scaled))
         raise ConvergenceError(
             f"root iteration residual {worst:.3e} above tol_root {settings.tol_root:.1e} "
-            f"after {settings.max_iterations} iterations in {failed.size} of {b} rows",
+            f"after {_MAX_ITERATIONS} iterations in {failed.size} of {b} rows",
             best=roots,
             residual=worst,
             rows=failed,
@@ -251,18 +247,17 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None, initial
     return roots
 
 
-def find_roots(coeffs, settings: RootSolverSettings | None = None, initial=None):
+def find_roots(coeffs, settings: RootSolverSettings | None = None):
     """Roots of a single polynomial given by ascending coefficients."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1:
         raise InvalidInputError("find_roots expects a single coefficient vector")
     if c.shape[0] < 2:
         raise InvalidInputError("need degree >= 1 to have roots")
-    init = None if initial is None else np.asarray(initial, dtype=complex)[np.newaxis, :]
-    return find_roots_batch(c[np.newaxis, :], settings, initial=init)[0]
+    return find_roots_batch(c[np.newaxis, :], settings)[0]
 
 
-def critical_points(zeros, settings: RootSolverSettings | None = None, initial=None):
+def critical_points(zeros, settings: RootSolverSettings | None = None):
     """Critical points (zeros of p') of the monic polynomial with given zeros.
 
     Returns exactly n - 1 points with multiplicity.  With u = (z - c) / s
@@ -270,7 +265,7 @@ def critical_points(zeros, settings: RootSolverSettings | None = None, initial=N
     point w passes the backward-error gate ``|f(w)| / sum |w - u_j|**-2 <=
     tol_root``: to first order, w is a critical point of zeros within
     ``tol_root * s`` of z.  The error is 0 where w equals a zero, then a
-    repeated one.  ``initial`` is ignored: the eigenvalue solve needs none.
+    repeated one.  This is :func:`critical_points_batch` on a batch of one.
     """
     settings = settings or DEFAULT_SETTINGS
     z = as_zeros(zeros)
@@ -279,10 +274,10 @@ def critical_points(zeros, settings: RootSolverSettings | None = None, initial=N
     return critical_points_batch(z[np.newaxis, :], settings)[0]
 
 
-def critical_points_batch(zs, settings: RootSolverSettings | None = None, chunk: int = 1024):
+def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     """Critical points of a (b, n) stack of configurations; returns (b, n-1).
 
-    Rows are solved ``chunk`` at a time, which bounds the work arrays.  If
+    Rows are solved 1024 at a time, which bounds the work arrays.  If
     any row fails the gate of :func:`critical_points`, the
     :class:`ConvergenceError` carries all b rows of points, the worst
     backward error and the indices of the failed rows.
@@ -294,8 +289,8 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None, chunk:
     b, n = z.shape
     out = np.empty((b, n - 1), dtype=complex)
     error = np.empty(b)
-    for lo in range(0, b, chunk):
-        out[lo : lo + chunk], error[lo : lo + chunk] = _compression_eigenvalues(z[lo : lo + chunk], settings.tol_root)
+    for lo in range(0, b, _CHUNK):
+        out[lo : lo + _CHUNK], error[lo : lo + _CHUNK] = _compression_eigenvalues(z[lo : lo + _CHUNK], settings.tol_root)
     failed = np.flatnonzero(~(error <= settings.tol_root))
     if failed.size:
         worst = float(np.max(error))
@@ -375,7 +370,7 @@ def _compression_eigenvalues(z, tol):
     return np.where(on_zero, np.take_along_axis(z, j, axis=1), c + s * w), error
 
 
-def moduli_critical_points(zeros, settings: RootSolverSettings | None = None):
+def moduli_critical_points(zeros):
     """Critical points of the moduli polynomial q(z) = prod (z - |z_j|).
 
     They are the eigenvalues of the real symmetric compression

@@ -17,8 +17,8 @@ points and treats each row on its own; a row it cannot solve is scored
 -inf.  Each row stops on its own, when its simplex spread falls below
 ``step_tol`` or its round budget is spent, so a start's record does not
 depend on the other starts of its batch.  Any objective value above
-1 + 1e-6 is a counterexample candidate and must be re-verified at
-tightened root tolerance before being believed.
+1 + 1e-6 is a counterexample candidate, believed only if
+:func:`verify_candidate` confirms it.
 """
 
 from __future__ import annotations
@@ -410,10 +410,13 @@ def maximize(objective_id: str, start, settings: SearchSettings | None = None, *
 
 
 def verify_candidate(record: SearchRecord, settings: SearchSettings | None = None) -> float:
-    """Recompute a record's objective at 100x tighter root tolerance.
+    """Re-score a record's objective with the solver's gate tightened 100x.
 
     Counterexample protocol: a value above ``1 + COUNTEREXAMPLE_MARGIN`` is
-    only believed if it survives this re-verification.
+    only believed if this re-score still exceeds it.  The eigenvalue
+    solver is deterministic, so the re-score equals the untightened score
+    of the record's zeros, or is -inf where they fail the tightened gate:
+    a stricter acceptance test, not an independent method.
     """
     settings = settings or SearchSettings()
     obj = _Objective(record.objective_id, len(record.zeros), settings.solver.tightened())

@@ -19,6 +19,7 @@ M_{-2}, M_2, C1, C2, the minimum distance and the exact-hit flag are
 computed in one place, :func:`distance_columns`, from a batch of critical
 points: :func:`special_case_batch` applies it after one batched solve, and
 :func:`check_special_case` and the search objective to a batch of one.
+:func:`probe_m_minus2` is :func:`special_case_batch` on a batch of one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .config import TOL_DISK
 from .errors import InvalidInputError
 from .poly import as_zeros
-from .rootfind import RootSolverSettings, critical_points, critical_points_batch
+from .rootfind import DEFAULT_SETTINGS, RootSolverSettings, critical_points, critical_points_batch
 
 __all__ = [
     "SendovInstance",
@@ -44,7 +45,6 @@ __all__ = [
     "distance_columns",
     "special_case_batch",
     "probe_m_minus2",
-    "probe_m_minus2_batch",
     "CRITICAL_HIT_TOL",
 ]
 
@@ -197,49 +197,35 @@ def check_special_case(inst: SendovInstance, settings: RootSolverSettings | None
 
 
 def probe_m_minus2(inst: SendovInstance, settings: RootSolverSettings | None = None) -> float:
-    """M_{-2} of the critical-point distances; candidates are re-verified.
+    """M_{-2} of the critical-point distances of one instance.
 
     Returns 0.0 (by convention) when some critical point hits a exactly.
-    A value above 1 would be a counterexample candidate for the open
-    question, so it is recomputed at 100x tighter root tolerance before
-    being reported.
+    This is :func:`special_case_batch` on a batch of one, so a value above
+    1 has passed the tightened re-solve described there.
     """
-    settings = settings or RootSolverSettings()
-    report = check_special_case(inst, settings)
-    if report.critical_hit:
-        return 0.0
-    value = report.values[1]
-    if value > 1.0:
-        refined = check_special_case(inst, settings.tightened())
-        value = 0.0 if refined.critical_hit else refined.values[1]
-    return value
+    return float(special_case_batch([inst.a], inst.other_zeros[np.newaxis], settings).m_minus2[0])
 
 
 def special_case_batch(a_values, other_zeros, settings: RootSolverSettings | None = None) -> SpecialCaseColumns:
     """Special-case columns of instances sharing one degree, from one batched solve.
 
     ``a_values`` has shape (b,), ``other_zeros`` shape (b, n-1).  An
-    ``m_minus2`` above 1 is a counterexample candidate and is replaced by
-    its individually re-verified :func:`probe_m_minus2` value; the other
-    columns are as solved.
+    ``m_minus2`` above 1 is a counterexample candidate: every candidate
+    row is solved again, all in one batch, with the solver's gate
+    tightened 100x (``settings.tightened()``), and its columns are
+    replaced by that solve's.  The eigenvalue solver is deterministic, so
+    this re-solve is a stricter acceptance test, not an independent
+    method; a candidate that fails the tightened gate raises
+    :class:`ConvergenceError`.
     """
-    settings = settings or RootSolverSettings()
+    settings = settings or DEFAULT_SETTINGS
     a = np.asarray(a_values, dtype=float)
     others = np.asarray(other_zeros, dtype=complex)
     full = np.concatenate([a[:, np.newaxis].astype(complex), others], axis=1)
     columns = distance_columns(a, others, critical_points_batch(full, settings))
-    for i in np.flatnonzero(columns.m_minus2 > 1.0):
-        columns.m_minus2[i] = probe_m_minus2(SendovInstance(float(a[i]), others[i]), settings)
+    candidates = np.flatnonzero(columns.m_minus2 > 1.0)
+    if candidates.size:
+        refined = critical_points_batch(full[candidates], settings.tightened())
+        for column, value in zip(columns, distance_columns(a[candidates], others[candidates], refined)):
+            column[candidates] = value
     return columns
-
-
-def probe_m_minus2_batch(a_values, other_zeros, settings: RootSolverSettings | None = None):
-    """Vectorized M_{-2} over instances sharing one degree.
-
-    ``a_values`` has shape (b,), ``other_zeros`` shape (b, n-1).  Returns
-    ``(values, hits)`` where hits marks exact critical hits (value 0 by
-    convention).  Candidates above 1 are individually re-verified at
-    tightened tolerance.
-    """
-    columns = special_case_batch(a_values, other_zeros, settings)
-    return columns.m_minus2, columns.hit

@@ -28,7 +28,7 @@ from schoenberg.rootfind import (
     match_multisets,
 )
 from schoenberg.search import Ensemble, SearchSettings, maximize_batch, sample, verify_candidate
-from schoenberg.sendov import SendovInstance, check_special_case, probe_m_minus2_batch
+from schoenberg.sendov import SendovInstance, check_special_case, special_case_batch
 from schoenberg import cli
 
 SEED = 20260810
@@ -325,8 +325,8 @@ def test_criterion_9_m_minus2_probe():
         disk = np.sqrt(rng.uniform(0, 1, (per_degree - half, n - 1))) * np.exp(
             1j * rng.uniform(0, 2 * np.pi, (per_degree - half, n - 1))
         )
-        vals1, _ = probe_m_minus2_batch(a1, boundary)
-        vals2, _ = probe_m_minus2_batch(a2, disk)
+        vals1 = special_case_batch(a1, boundary).m_minus2
+        vals2 = special_case_batch(a2, disk).m_minus2
         worst = max(worst, float(vals1.max()), float(vals2.max()))
     assert worst <= 1.0 + 1e-6, f"M_-2 candidate {worst!r} survived re-verification"
 

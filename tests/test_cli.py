@@ -9,7 +9,6 @@ import pytest
 from schoenberg import cli
 from schoenberg.cli import main
 from schoenberg.inequalities import full_report
-from schoenberg.rootfind import RootSolverSettings
 from schoenberg.sendov import SendovInstance, check_special_case
 
 
@@ -194,11 +193,10 @@ def test_sweep_sendov_c1_c2_equal_check_special_case(tmp_path, capsys):
         "sweep", "--ensemble", "sendov-boundary", "--n", "6", "--count", "60",
         "--seed", "29", "--out", str(base),
     ]) == 0
-    settings = RootSolverSettings(rng_seed=29)
     checked = 0
     for rec in read_jsonl(tmp_path / "sb.jsonl"):
         zeros = [complex(re, im) for re, im in rec["zeros"]]
-        pm = check_special_case(SendovInstance(rec["a"], np.array(zeros[1:])), settings)
+        pm = check_special_case(SendovInstance(rec["a"], np.array(zeros[1:])))
         by_id = {r["id"]: r for r in rec["reports"]}
         assert bool(by_id) == pm.condition_holds
         if by_id:
@@ -281,3 +279,55 @@ def test_record_roundtrip_reproduces_reports(tmp_path, capsys):
             got = fresh[rep["id"]]
             assert got.lhs == pytest.approx(rep["lhs"], rel=1e-12, abs=1e-12)
             assert got.rhs == pytest.approx(rep["rhs"], rel=1e-12, abs=1e-12)
+
+
+def _flags(parser):
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {name: sorted(o for a in p._actions if a.dest != "help" for o in a.option_strings)
+            for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    flags = _flags(cli._build_parser())
+    assert {name: len(opts) for name, opts in flags.items()} == {
+        "verify": 9, "oracle": 4, "sweep": 10, "search": 9, "report": 3,
+    }
+    assert flags["oracle"] == ["--n", "--samples", "--seed", "--tol-root"]
+    assert flags["report"] == ["--format", "--input", "--out"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "4", "--out", "x"],
+    ["oracle", "--n", "4", "--tol-eq", "1e-3"],
+    ["oracle", "--n", "4", "--format", "csv"],
+    ["sweep", "--ensemble", "gaussian", "--n", "4", "--format", "csv"],
+    ["search", "--objective", "KT", "--n", "4", "--tol-eq", "1e-3"],
+    ["search", "--objective", "KT", "--n", "4", "--format", "csv"],
+    ["report", "--input", "x.jsonl", "--seed", "3"],
+    ["report", "--input", "x.jsonl", "--tol-root", "1e-9"],
+    ["report", "--input", "x.jsonl", "--tol-eq", "1e-3"],
+])
+def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tol_eq_is_usage_error(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "5",
+              "--tol-eq", value, "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert "error: argument --tol-eq" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
+def test_bad_tol_root_is_usage_error(value, capsys):
+    assert main(["verify", "--zeros", "1,0 -1,0 0,1", f"--tol-root={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tol_root" in err

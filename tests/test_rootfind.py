@@ -1,6 +1,7 @@
 """Root solver, critical points, moduli polynomial, multiset matching."""
 
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
+from schoenberg import rootfind
 from schoenberg.errors import ConvergenceError, InvalidInputError
 from schoenberg.matrices import verify_spectrum
 from schoenberg.poly import derivative, elementary_symmetric_all, from_roots, polyval
@@ -86,11 +88,11 @@ def test_find_roots_residual_bound_random():
 
 
 def test_find_roots_non_convergence_carries_best_iterate():
-    settings = RootSolverSettings(max_iterations=1, tol_root=1e-14)
+    # z^2 + 1e300: the Horner evaluation and the residual scale overflow.
     with pytest.raises(ConvergenceError) as err:
-        find_roots(from_roots([0.9, -0.3 + 0.8j, -0.6 - 0.7j, 0.2j, 0.5]), settings)
-    assert err.value.best is not None
-    assert err.value.residual > 0
+        find_roots([1e300, 0.0, 1.0])
+    assert err.value.best.shape == (1, 2)
+    assert err.value.residual == np.inf
 
 
 def mp_critical_points(z, dps=60):
@@ -109,20 +111,8 @@ def gaussian_configs(seed, count, n, scale):
     return scale * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2)
 
 
-def _one_failing_row():
-    """Four n=7 configurations and starting roots for their p': exact for rows 0, 1, 3, far off for row 2.
-
-    With a two-iteration budget, rows 0, 1 and 3 pass the residual gate at
-    once and row 2 cannot.
-    """
-    z = random_configs(np.random.default_rng(43), 4, 7)
-    warm = critical_points_batch(z)
-    warm[2] = 3.0 * warm[2] + 1.0
-    return z, warm, RootSolverSettings(max_iterations=2)
-
-
 def test_convergence_error_names_the_failed_rows(nan_eigvals):
-    z, warm, settings = _one_failing_row()
+    z = random_configs(np.random.default_rng(43), 4, 7)
     solo = [critical_points(row) for row in z]
     nan_eigvals(2)
     with pytest.raises(ConvergenceError) as err:
@@ -131,11 +121,6 @@ def test_convergence_error_names_the_failed_rows(nan_eigvals):
     assert err.value.best.shape == (4, 6) and np.isnan(err.value.best[2]).all()
     for i in (0, 1, 3):
         np.testing.assert_array_equal(err.value.best[i], solo[i])
-
-    coeffs = derivative(from_roots(z))
-    with pytest.raises(ConvergenceError) as err:
-        find_roots_batch(coeffs, settings, initial=warm)
-    np.testing.assert_array_equal(err.value.rows, [2])
 
 
 def test_large_scale_row_solves_and_matches_mpmath():
@@ -156,6 +141,7 @@ def test_overflowing_coefficient_row_fails_alone_without_warnings():
         with pytest.raises(ConvergenceError) as err:
             find_roots_batch(coeffs)
     np.testing.assert_array_equal(err.value.rows, [1])
+    assert err.value.residual > 0
     for i in (0, 2):
         np.testing.assert_array_equal(err.value.best[i], find_roots(coeffs[i]))
 
@@ -171,16 +157,26 @@ def test_find_roots_deterministic_and_batch_consistent():
         np.testing.assert_array_equal(find_roots(coeffs[i]), a[i])
 
 
-def test_finished_rows_leave_the_batch():
-    # Row 0 starts exactly on its roots, a double one included: alone it stops
-    # at once.  Row 1 still iterates, but must not move row 0 (for instance by
-    # spreading its coincident estimates).
-    coeffs = np.array([from_roots(np.array([1, 1, 2])), from_roots(np.array([0.3 + 0.2j, -1.1, 0.7j]))])
-    initial = np.array([[1, 1, 2], [3, 3j, -3]], dtype=complex)
-    batch = find_roots_batch(coeffs, initial=initial)
-    np.testing.assert_array_equal(batch[0], [1, 1, 2])
-    for i in range(2):
-        np.testing.assert_array_equal(find_roots(coeffs[i], initial=initial[i]), batch[i])
+def test_finished_rows_leave_the_batch(monkeypatch):
+    # The separated roots of rows 1 and 2 converge fast, the triple root of
+    # row 0 slowly: the rows stop in different iterations, and each must
+    # equal its solo solve, however long the others still iterate.
+    coeffs = np.array(
+        [from_roots(np.array(r)) for r in ([0.4, 0.4, 0.4, -1.0], [0.3 + 0.2j, -1.1, 0.7j, 1.5], [2, -2, 2j, -2j])]
+    )
+    solo = [find_roots(row) for row in coeffs]
+    rows_seen = []
+    evaluate = rootfind._eval_with_bound
+
+    def spy(c, x):
+        rows_seen.append(x.shape[0])
+        return evaluate(c, x)
+
+    monkeypatch.setattr(rootfind, "_eval_with_bound", spy)
+    batch = find_roots_batch(coeffs)
+    assert {1, 2, 3} <= set(rows_seen)
+    for i in range(3):
+        np.testing.assert_array_equal(batch[i], solo[i])
 
 
 def test_critical_points_examples():
@@ -312,7 +308,8 @@ def test_batch_equals_single_bit_for_bit(n, rows, seed):
     z = gaussian_configs(seed, rows, n, 1.0)
     z[0, -1] = z[0, 0]  # a repeated zero
     w = critical_points_batch(z)
-    np.testing.assert_array_equal(critical_points_batch(z, chunk=1), w)
+    with mock.patch.object(rootfind, "_CHUNK", 1):
+        np.testing.assert_array_equal(critical_points_batch(z), w)
     for i in range(rows):
         np.testing.assert_array_equal(critical_points(z[i]), w[i])
 
@@ -392,7 +389,7 @@ def test_cluster_sizes():
 
 
 def test_settings_validation():
-    with pytest.raises(InvalidInputError):
-        RootSolverSettings(max_iterations=0)
-    with pytest.raises(InvalidInputError):
-        RootSolverSettings(tol_root=0.0)
+    for tol in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            RootSolverSettings(tol_root=tol)
+    assert RootSolverSettings(tol_root=1e-9).tightened() == RootSolverSettings(tol_root=1e-9 / 100)

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from schoenberg.errors import InvalidInputError
+from schoenberg import sendov
+from schoenberg.errors import ConvergenceError, InvalidInputError
 from schoenberg.inequalities import eval_order2
-from schoenberg.rootfind import critical_points
+from schoenberg.rootfind import RootSolverSettings, critical_points, critical_points_batch
 from schoenberg.sendov import (
     SendovInstance,
     check_special_case,
     normalized_instance,
     power_mean,
     probe_m_minus2,
-    probe_m_minus2_batch,
+    special_case_batch,
 )
 
 
@@ -154,12 +155,47 @@ def test_probe_examples():
     assert probe_m_minus2(hit) == 0.0
 
 
+def disk_instances(seed, count, n):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0, 1, count)
+    others = np.sqrt(rng.uniform(0, 1, (count, n - 1))) * np.exp(1j * rng.uniform(0, 2 * np.pi, (count, n - 1)))
+    return a, others
+
+
 def test_probe_batch_matches_single():
-    rng = np.random.default_rng(163)
-    a = rng.uniform(0, 1, 12)
-    others = np.sqrt(rng.uniform(0, 1, (12, 4))) * np.exp(1j * rng.uniform(0, 2 * np.pi, (12, 4)))
-    vals, hits = probe_m_minus2_batch(a, others)
-    assert not hits.any()
+    a, others = disk_instances(163, 12, 5)
+    columns = special_case_batch(a, others)
+    assert not columns.hit.any()
     for i in range(12):
         single = probe_m_minus2(SendovInstance(a[i], others[i]))
-        assert vals[i] == pytest.approx(single, rel=1e-12)
+        assert columns.m_minus2[i] == single
+
+
+def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eigvals):
+    # No natural input has M_-2 > 1: the first solve is faked so that rows
+    # 1 and 4 read it (every distance 2), and later solves are real.
+    a, others = disk_instances(167, 6, 5)
+    settings = RootSolverSettings()
+    want = special_case_batch(a, others, settings)
+    full = np.concatenate([a[:, np.newaxis], others], axis=1)
+    first = critical_points_batch(full, settings)
+    first[[1, 4]] = a[[1, 4], np.newaxis] + 2.0
+    calls = []
+
+    def solve(zs, s):
+        calls.append((zs, s))
+        return first if len(calls) == 1 else critical_points_batch(zs, s)
+
+    monkeypatch.setattr(sendov, "critical_points_batch", solve)
+    got = special_case_batch(a, others, settings)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1][0], full[[1, 4]])
+    assert calls[1][1] == settings.tightened() and calls[1][1].tol_root == settings.tol_root / 100
+    for got_column, want_column in zip(got, want):
+        np.testing.assert_array_equal(got_column, want_column)
+
+    calls.clear()
+    nan_eigvals(1)  # the second candidate fails the tightened gate
+    with pytest.raises(ConvergenceError):
+        special_case_batch(a, others, settings)
+    assert len(calls) == 2
