@@ -9,7 +9,10 @@ atomically (temp file + rename).
 
 JSONL record fields: ``{kind, seed, n, zeros: [[re, im], ...], a?,
 reports: [{id, lhs, rhs, slack, holds, equality}], objective?,
-objective_value?}``.  Non-finite numbers are serialized as null.
+objective_value?}``, as compact JSON.  Each line is written straight
+from the inequality reports, and a sweep builds its lines and CSV summary
+in one pass over them; non-finite numbers are written as null (and count
+as an inf slack in the summary).
 """
 
 from __future__ import annotations
@@ -66,35 +69,37 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 # small I/O helpers
 
-def _num(x) -> float | None:
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
 def _pairs(zeros) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(zeros, dtype=complex)]
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "id": rep.inequality_id,
-        "lhs": _num(rep.lhs),
-        "rhs": _num(rep.rhs),
-        "slack": _num(rep.slack),
-        "holds": bool(rep.holds),
-        "equality": bool(rep.equality),
-    }
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else "null"
 
 
-def _record(kind, seed, zeros, reports, a=None, objective=None, objective_value=None) -> dict:
-    rec = {"kind": kind, "seed": int(seed), "n": int(len(zeros)), "zeros": _pairs(zeros)}
+def _record_line(kind, seed, zeros, reports, a=None, objective=None, objective_value=None) -> str:
+    """One JSONL record, written straight from the reports.
+
+    The text is the compact ``json.dumps`` of ``{kind, seed, n, zeros, a?,
+    reports, objective?, objective_value?}``.  ``zeros`` are [re, im]
+    pairs of floats, finite as every command validates them, so their list
+    repr without spaces is their JSON; report sides are floats too
+    (``make_report`` converts them).  Kinds, ids and objectives are table
+    names that need no escaping.
+    """
+    head = f'{{"kind":"{kind}","seed":{int(seed)},"n":{len(zeros)},"zeros":{str(zeros).replace(" ", "")}'
     if a is not None:
-        rec["a"] = float(a)
-    rec["reports"] = [_report_dict(r) for r in reports]
+        head += f',"a":{float(a)!r}'
+    body = ",".join(
+        f'{{"id":"{r.inequality_id}","lhs":{_json_float(r.lhs)},"rhs":{_json_float(r.rhs)},'
+        f'"slack":{_json_float(r.slack)},"holds":{"true" if r.holds else "false"},'
+        f'"equality":{"true" if r.equality else "false"}}}'
+        for r in reports
+    )
+    line = f'{head},"reports":[{body}]'
     if objective is not None:
-        rec["objective"] = objective
-        rec["objective_value"] = _num(objective_value)
-    return rec
+        line += f',"objective":"{objective}","objective_value":{_json_float(float(objective_value))}'
+    return line + "}\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -104,55 +109,59 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    _atomic_write(path, "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
-
-
 SUMMARY_COLUMNS = ("inequality_id", "n", "samples", "violations", "min_slack", "equality_count")
 
 
-def _summary_rows(records: list[dict]) -> list[dict]:
-    """Aggregate JSONL records into the CSV summary rows, keyed by (id, n)."""
-    acc: dict[tuple, dict] = {}
-    for rec in records:
-        for rep in rec.get("reports", []):
-            key = (rep["id"], rec["n"])
-            row = acc.setdefault(
-                key,
-                {
-                    "inequality_id": rep["id"],
-                    "n": rec["n"],
-                    "samples": 0,
-                    "violations": 0,
-                    "min_slack": math.inf,
-                    "equality_count": 0,
-                },
-            )
-            row["samples"] += 1
-            slack = rep["slack"] if rep["slack"] is not None else math.inf
-            row["min_slack"] = min(row["min_slack"], slack)
-            row["violations"] += 0 if rep["holds"] else 1
-            row["equality_count"] += 1 if rep["equality"] else 0
-    return [acc[k] for k in sorted(acc, key=lambda t: (t[1], t[0]))]
+class _Summary:
+    """The CSV summary rows, one per (id, n), aggregated from ``(id, n, slack, holds, equality)`` items.
+
+    A missing or non-finite slack counts as inf.
+    """
+
+    def __init__(self, items=()):
+        self._acc: dict[tuple, list] = {}
+        self.update(items)
+
+    def update(self, items) -> None:
+        acc = self._acc
+        for iid, n, slack, holds, equality in items:
+            row = acc.get((n, iid))
+            if row is None:
+                row = acc[n, iid] = [iid, n, 0, 0, math.inf, 0]
+            row[2] += 1
+            row[3] += 0 if holds else 1
+            if slack is not None and math.isfinite(slack) and slack < row[4]:
+                row[4] = slack
+            row[5] += 1 if equality else 0
+
+    def rows(self) -> list[list]:
+        """``SUMMARY_COLUMNS`` rows, sorted by (n, id)."""
+        return [self._acc[key] for key in sorted(self._acc)]
 
 
-def _summary_csv(rows: list[dict]) -> str:
+def _report_items(n, reports):
+    return ((r.inequality_id, n, r.slack, r.holds, r.equality) for r in reports)
+
+
+def _record_items(records):
+    return (
+        (rep["id"], rec["n"], rep["slack"], rep["holds"], rep["equality"])
+        for rec in records
+        for rep in rec.get("reports", [])
+    )
+
+
+def _summary_csv(rows: list[list]) -> str:
     lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        lines.append(
-            f"{row['inequality_id']},{row['n']},{row['samples']},{row['violations']},"
-            f"{row['min_slack']:.12g},{row['equality_count']}"
-        )
+    for iid, n, samples, violations, min_slack, equality_count in rows:
+        lines.append(f"{iid},{n},{samples},{violations},{min_slack:.12g},{equality_count}")
     return "\n".join(lines) + "\n"
 
 
-def _print_summary(rows: list[dict]) -> None:
+def _print_summary(rows: list[list]) -> None:
     print(f"{'inequality':>12} {'n':>3} {'samples':>8} {'violations':>10} {'min_slack':>14} {'equality':>9}")
-    for row in rows:
-        print(
-            f"{row['inequality_id']:>12} {row['n']:>3} {row['samples']:>8} "
-            f"{row['violations']:>10} {row['min_slack']:>14.6e} {row['equality_count']:>9}"
-        )
+    for iid, n, samples, violations, min_slack, equality_count in rows:
+        print(f"{iid:>12} {n:>3} {samples:>8} {violations:>10} {min_slack:>14.6e} {equality_count:>9}")
 
 
 def _out_paths(base: str) -> tuple[Path, Path]:
@@ -259,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize a JSONL archive as the CSV table")
     p.add_argument("--input", type=str, required=True, nargs="+")
-    common(p, "--out", "--format")
+    p.add_argument("--format", choices=("table", "csv"), default="table")
+    common(p, "--out")
 
     return parser
 
@@ -277,11 +287,11 @@ def _verify_reports_output(args, zeros, reports, extra_lines):
             f"{str(rep.holds):>5} {str(rep.equality):>8} {str(rep.applicable):>10}"
         )
     if args.out:
-        record = _record("verify", args.seed, zeros, reports)
+        line = _record_line("verify", args.seed, _pairs(zeros), reports)
         if args.format == "jsonl":
-            _write_jsonl(Path(args.out), [record])
+            _atomic_write(Path(args.out), line)
         elif args.format == "csv":
-            _atomic_write(Path(args.out), _summary_csv(_summary_rows([record])))
+            _atomic_write(Path(args.out), _summary_csv(_Summary(_record_items([json.loads(line)])).rows()))
         else:
             _atomic_write(Path(args.out), "\n".join(
                 f"{r.inequality_id},{r.lhs!r},{r.rhs!r},{r.slack!r},{r.holds},{r.equality}" for r in reports
@@ -371,7 +381,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_root_records(args) -> list[dict]:
+def _sweep_root(args, summary: _Summary) -> list[str]:
     ens = Ensemble(
         kind=args.ensemble, n=args.n, count=args.count, seed=args.seed,
         recenter=args.recenter, scale=args.scale,
@@ -380,16 +390,17 @@ def _sweep_root_records(args) -> list[dict]:
     settings = RootSolverSettings(tol_root=args.tol_root)
     table, _mask = evaluate_ensemble(zs, settings, recenter_centered=True)
     sides = [(iid, col.lhs.tolist(), col.rhs.tolist(), col.centered_required) for iid, col in table.items()]
-    return [
-        _record(
-            "sample", sample_seed(args.seed, i), zs[i],
-            [make_report(iid, lhs[i], rhs[i], args.tol_eq, required) for iid, lhs, rhs, required in sides],
-        )
-        for i in range(args.count)
-    ]
+    pairs = np.stack([zs.real, zs.imag], axis=-1).tolist()
+    lines = []
+    for i in range(args.count):
+        reports = [make_report(iid, lhs[i], rhs[i], args.tol_eq, required) for iid, lhs, rhs, required in sides]
+        summary.update(_report_items(args.n, reports))
+        lines.append(_record_line("sample", sample_seed(args.seed, i), pairs[i], reports))
+    return lines
 
 
-def _sweep_sendov_records(args) -> list[dict]:
+def _sweep_sendov(args, summary: _Summary) -> tuple[list[str], int]:
+    """The archive lines, and the count of M_MINUS2 values above 1."""
     ens = Ensemble(kind="sendov-boundary", n=args.n, count=args.count, seed=args.seed)
     instances, seeds = [], []
     index = 0
@@ -406,45 +417,41 @@ def _sweep_sendov_records(args) -> list[dict]:
     others = np.array([inst.other_zeros for inst in instances])
     settings = RootSolverSettings(tol_root=args.tol_root)
     special = special_case_batch(a, others, settings)
+    c1, c2, m_minus2 = special.c1.tolist(), special.c2.tolist(), special.m_minus2.tolist()
+    full = np.concatenate([a[:, np.newaxis], others], axis=1)
+    pairs = np.stack([full.real, full.imag], axis=-1).tolist()
     side = float(args.n - 1)
-    records = []
+    lines = []
     for i, inst in enumerate(instances):
         reports = []
         # C1/C2 are theorems only under the centroid hypothesis.
         if inst.hypothesis_margin() >= 0.0:
             reports = [
-                make_report("C1", side, special.c1[i], args.tol_eq),
-                make_report("C2", special.c2[i], side, args.tol_eq),
+                make_report("C1", side, c1[i], args.tol_eq),
+                make_report("C2", c2[i], side, args.tol_eq),
             ]
-        records.append(
-            _record(
-                "sample", seeds[i], inst.zeros(), reports, a=inst.a,
-                objective="M_MINUS2", objective_value=special.m_minus2[i],
-            )
-        )
-    return records
+            summary.update(_report_items(args.n, reports))
+        lines.append(_record_line("sample", seeds[i], pairs[i], reports, a=inst.a,
+                                  objective="M_MINUS2", objective_value=m_minus2[i]))
+    m2_bad = sum(1 for value in m_minus2 if 1.0 + COUNTEREXAMPLE_MARGIN < value < math.inf)
+    return lines, m2_bad
 
 
 def cmd_sweep(args) -> int:
+    summary = _Summary()
     if args.ensemble == "sendov-boundary":
-        records = _sweep_sendov_records(args)
+        lines, m2_bad = _sweep_sendov(args, summary)
     else:
-        records = _sweep_root_records(args)
-    rows = _summary_rows(records)
+        lines, m2_bad = _sweep_root(args, summary), 0
+    rows = summary.rows()
     jsonl_path, csv_path = _out_paths(args.out or "sweep")
-    _write_jsonl(jsonl_path, records)
+    _atomic_write(jsonl_path, "".join(lines))
     _atomic_write(csv_path, _summary_csv(rows))
     _print_summary(rows)
-    violations = sum(row["violations"] for row in rows)
-    m2_bad = sum(
-        1 for rec in records
-        if rec.get("objective") == "M_MINUS2"
-        and rec.get("objective_value") is not None
-        and rec["objective_value"] > 1.0 + COUNTEREXAMPLE_MARGIN
-    )
+    violations = sum(row[3] for row in rows)
     if m2_bad:
         print(f"M_MINUS2 candidates above 1: {m2_bad}", file=sys.stderr)
-    print(f"records: {len(records)} -> {jsonl_path} / {csv_path}")
+    print(f"records: {len(lines)} -> {jsonl_path} / {csv_path}")
     return EXIT_OK if violations == 0 and m2_bad == 0 else EXIT_VIOLATION
 
 
@@ -465,7 +472,7 @@ def cmd_search(args) -> int:
     needs_center = objective in CENTERED_IDS and not args.raw_starts
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=needs_center)
     seeds = [sample_seed(args.seed, i) for i in range(args.starts)]
-    records, verified_counterexample = [], False
+    lines, values, verified_counterexample = [], [], False
     for rec in maximize_batch(objective, sample(ens), settings, sample_seeds=seeds):
         if rec is None:
             continue
@@ -480,16 +487,13 @@ def cmd_search(args) -> int:
                     f"zeros {_pairs(rec.zeros)}",
                     file=sys.stderr,
                 )
-        records.append(
-            _record(
-                kind_tag, rec.sample_seed, rec.zeros, rec.reports, a=rec.a,
-                objective=objective, objective_value=rec.objective_value,
-            )
-        )
+        lines.append(_record_line(kind_tag, rec.sample_seed, _pairs(rec.zeros), rec.reports, a=rec.a,
+                                  objective=objective, objective_value=rec.objective_value))
+        values.append(float(rec.objective_value))
     jsonl_path, _csv = _out_paths(args.out or "search")
-    _write_jsonl(jsonl_path, records)
-    best = max((r["objective_value"] for r in records if r["objective_value"] is not None), default=None)
-    print(f"{len(records)} ascents, best {objective} = {best}")
+    _atomic_write(jsonl_path, "".join(lines))
+    best = max((value for value in values if math.isfinite(value)), default=None)
+    print(f"{len(lines)} ascents, best {objective} = {best}")
     print(f"records -> {jsonl_path}")
     return EXIT_VIOLATION if verified_counterexample else EXIT_OK
 
@@ -509,7 +513,7 @@ def _read_records(paths) -> list[dict]:
 
 def cmd_report(args) -> int:
     try:
-        rows = _summary_rows(_read_records(args.input))
+        rows = _Summary(_record_items(_read_records(args.input))).rows()
     except (AttributeError, KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed record: {exc!r}") from None
     if args.format == "csv" or args.out:
@@ -520,7 +524,7 @@ def cmd_report(args) -> int:
             sys.stdout.write(text)
     if args.format != "csv":
         _print_summary(rows)
-    violations = sum(row["violations"] for row in rows)
+    violations = sum(row[3] for row in rows)
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL_DISK
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 from .poly import as_zeros
 from .rootfind import DEFAULT_SETTINGS, RootSolverSettings, critical_points, critical_points_batch
 
@@ -216,16 +216,22 @@ def special_case_batch(a_values, other_zeros, settings: RootSolverSettings | Non
     replaced by that solve's.  The eigenvalue solver is deterministic, so
     this re-solve is a stricter acceptance test, not an independent
     method; a candidate that fails the tightened gate raises
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`, whose ``rows`` and ``best`` index the
+    caller's batch.
     """
     settings = settings or DEFAULT_SETTINGS
     a = np.asarray(a_values, dtype=float)
     others = np.asarray(other_zeros, dtype=complex)
     full = np.concatenate([a[:, np.newaxis].astype(complex), others], axis=1)
-    columns = distance_columns(a, others, critical_points_batch(full, settings))
+    critical = critical_points_batch(full, settings)
+    columns = distance_columns(a, others, critical)
     candidates = np.flatnonzero(columns.m_minus2 > 1.0)
     if candidates.size:
-        refined = critical_points_batch(full[candidates], settings.tightened())
+        try:
+            refined = critical_points_batch(full[candidates], settings.tightened())
+        except ConvergenceError as err:
+            critical[candidates] = err.best
+            raise ConvergenceError(str(err), best=critical, residual=err.residual, rows=candidates[err.rows]) from None
         for column, value in zip(columns, distance_columns(a[candidates], others[candidates], refined)):
             column[candidates] = value
     return columns

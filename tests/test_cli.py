@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSONL/CSV formats, reproducibility."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -8,13 +9,24 @@ import pytest
 
 from schoenberg import cli
 from schoenberg.cli import main
-from schoenberg.inequalities import full_report
+from schoenberg.inequalities import full_report, make_report
+from schoenberg.search import Ensemble, SearchSettings, maximize, sample_one, sample_seed
 from schoenberg.sendov import SendovInstance, check_special_case
 
 
+def canonical(record):
+    return json.dumps(record, separators=(",", ":"))
+
+
 def read_jsonl(path):
+    """The records of an archive, each line checked to be its compact JSON."""
+    records = []
     with open(path) as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+        for line in handle:
+            if line.strip():
+                records.append(json.loads(line))
+                assert line.rstrip("\n") == canonical(records[-1])
+    return records
 
 
 def read_csv_rows(path):
@@ -251,13 +263,97 @@ def test_search_negative_budget_is_usage_error(tmp_path, capsys):
 
 
 def test_report_roundtrip(tmp_path, capsys):
+    for ensemble in ("gaussian", "sendov-boundary", "uniform-disk"):
+        base = tmp_path / ensemble
+        main(["sweep", "--ensemble", ensemble, "--n", "4", "--count", "25", "--seed", "3",
+              "--out", str(base)])
+        out_csv = tmp_path / f"{ensemble}-summary.csv"
+        code = main(["report", "--input", str(tmp_path / f"{ensemble}.jsonl"), "--out", str(out_csv)])
+        assert code == 0
+        assert out_csv.read_text() == (tmp_path / f"{ensemble}.csv").read_text()
+
+
+def test_report_has_no_jsonl_format(tmp_path, capsys):
     base = tmp_path / "sw"
-    main(["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "25", "--seed", "3",
-          "--out", str(base)])
-    out_csv = tmp_path / "summary.csv"
-    code = main(["report", "--input", str(tmp_path / "sw.jsonl"), "--out", str(out_csv)])
-    assert code == 0
-    assert out_csv.read_text() == (tmp_path / "sw.csv").read_text()
+    assert main(["sweep", "--ensemble", "gaussian", "--n", "3", "--count", "4", "--out", str(base)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--input", str(tmp_path / "sw.jsonl"), "--format", "jsonl"])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'jsonl'" in capsys.readouterr().err
+
+
+def test_summary_counts_missing_and_non_finite_slack_as_inf():
+    items = [("KT", 4, slack, True, False) for slack in (None, math.nan, -math.inf, math.inf)]
+    summary = cli._Summary(items)
+    assert summary.rows() == [["KT", 4, 4, 0, math.inf, 0]]
+    summary.update([("KT", 4, -0.5, False, True), ("S0", 3, 0.25, True, True)])
+    assert summary.rows() == [["S0", 3, 1, 0, 0.25, 1], ["KT", 4, 5, 1, -0.5, 1]]
+
+
+def _record_dict(kind, seed, zeros, reports, a=None, objective=None, objective_value=None):
+    """A record as a dict, non-finite numbers as None: the form the JSONL lines encode."""
+
+    def num(x):
+        x = float(x)
+        return x if math.isfinite(x) else None
+
+    rec = {"kind": kind, "seed": int(seed), "n": len(zeros),
+           "zeros": [[float(z.real), float(z.imag)] for z in np.asarray(zeros, dtype=complex)]}
+    if a is not None:
+        rec["a"] = float(a)
+    rec["reports"] = [
+        {"id": r.inequality_id, "lhs": num(r.lhs), "rhs": num(r.rhs), "slack": num(r.slack),
+         "holds": bool(r.holds), "equality": bool(r.equality)}
+        for r in reports
+    ]
+    if objective is not None:
+        rec["objective"] = objective
+        rec["objective_value"] = num(objective_value)
+    return rec
+
+
+def _sendov_reports(inst):
+    pm = check_special_case(inst)
+    side = float(inst.n - 1)
+    reports = [make_report("C1", side, pm.c1_value), make_report("C2", pm.c2_value, side)]
+    return pm, reports
+
+
+def _sample_record():
+    zeros = sample_one(Ensemble(kind="uniform-disk", n=6, count=1, seed=5), 0)
+    return ("sample", sample_seed(5, 0), zeros, full_report(zeros, recenter_centered=True)), {}
+
+
+def _sendov_record():
+    inst = sample_one(Ensemble(kind="sendov-boundary", n=5, count=1, seed=77), 0)
+    pm, reports = _sendov_reports(inst)
+    return ("sample", sample_seed(77, 0), inst.zeros(), reports), dict(
+        a=inst.a, objective="M_MINUS2", objective_value=pm.values[1])
+
+
+def _search_record():
+    start = sample_one(Ensemble(kind="uniform-disk", n=4, count=1, seed=9, recenter=True), 0)
+    rec = maximize("KT", start, SearchSettings(max_iterations=10), sample_seed=11)
+    return ("search", rec.sample_seed, rec.zeros, rec.reports), dict(
+        a=rec.a, objective="KT", objective_value=rec.objective_value)
+
+
+def _nonfinite_verify_record():
+    # verify --a 0.5 --zeros "0.5,0 0.5,0": a triple zero, whose C1 side is inf.
+    inst = SendovInstance(a=0.5, other_zeros=np.array([0.5, 0.5], dtype=complex))
+    _pm, sendov_reports = _sendov_reports(inst)
+    reports = full_report(inst.zeros()) + sendov_reports
+    assert not all(math.isfinite(x) for r in reports for x in (r.lhs, r.rhs, r.slack))
+    return ("verify", 1729, inst.zeros(), reports), {}
+
+
+@pytest.mark.parametrize("build", [_sample_record, _sendov_record, _search_record, _nonfinite_verify_record],
+                         ids=["sample", "sendov", "search", "verify-nonfinite"])
+def test_record_line_is_the_compact_json_of_the_record(build):
+    (kind, seed, zeros, reports), extra = build()
+    line = cli._record_line(kind, seed, cli._pairs(zeros), reports, **extra)
+    assert line == canonical(_record_dict(kind, seed, zeros, reports, **extra)) + "\n"
 
 
 def test_jsonl_reproducible_across_runs(tmp_path, capsys):

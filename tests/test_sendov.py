@@ -179,6 +179,7 @@ def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eig
     want = special_case_batch(a, others, settings)
     full = np.concatenate([a[:, np.newaxis], others], axis=1)
     first = critical_points_batch(full, settings)
+    real = first.copy()
     first[[1, 4]] = a[[1, 4], np.newaxis] + 2.0
     calls = []
 
@@ -196,6 +197,12 @@ def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eig
 
     calls.clear()
     nan_eigvals(1)  # the second candidate fails the tightened gate
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as exc:
         special_case_batch(a, others, settings)
     assert len(calls) == 2
+    # The error names the caller's row 4, and its points are the caller's
+    # batch, with the candidate rows from the re-solve.
+    err = exc.value
+    assert err.rows.tolist() == [4]
+    assert err.best.shape == real.shape == (6, 4)
+    np.testing.assert_array_equal(np.delete(err.best, 4, axis=0), np.delete(real, 4, axis=0))
