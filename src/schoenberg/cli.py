@@ -36,8 +36,8 @@ from .inequalities import (
     CENTERED_IDS,
     evaluate_ensemble,
     full_report,
-    make_report,
     order6_bounds,
+    row_reports,
     star_trace_oracle,
     starstar_trace_oracle,
 )
@@ -56,7 +56,7 @@ from .search import (
     sample_seed,
     verify_candidate,
 )
-from .sendov import SendovInstance, check_special_case, special_case_batch
+from .sendov import SendovInstance, check_special_case, special_case_batch, special_case_reports
 
 TRACE_ORACLE_TOL = 1e-10
 SPECTRUM_TOL = 1e-7
@@ -277,25 +277,24 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # commands
 
-def _verify_reports_output(args, zeros, reports, extra_lines):
-    for line in extra_lines:
-        print(line)
-    print(f"{'inequality':>12} {'lhs':>14} {'rhs':>14} {'slack':>14}  holds equality applicable")
-    for rep in reports:
-        print(
-            f"{rep.inequality_id:>12} {rep.lhs:>14.6e} {rep.rhs:>14.6e} {rep.slack:>14.6e}  "
-            f"{str(rep.holds):>5} {str(rep.equality):>8} {str(rep.applicable):>10}"
-        )
+def _verify_output(args, zeros, reports, extra_lines):
+    """Print the verify table; ``--out`` writes it, or the JSONL record, or the CSV summary."""
+    lines = [*extra_lines, f"{'inequality':>12} {'lhs':>14} {'rhs':>14} {'slack':>14}  holds equality applicable"]
+    lines += [
+        f"{rep.inequality_id:>12} {rep.lhs:>14.6e} {rep.rhs:>14.6e} {rep.slack:>14.6e}  "
+        f"{str(rep.holds):>5} {str(rep.equality):>8} {str(rep.applicable):>10}"
+        for rep in reports
+    ]
+    table = "\n".join(lines) + "\n"
+    sys.stdout.write(table)
     if args.out:
-        line = _record_line("verify", args.seed, _pairs(zeros), reports)
         if args.format == "jsonl":
-            _atomic_write(Path(args.out), line)
+            text = _record_line("verify", args.seed, _pairs(zeros), reports)
         elif args.format == "csv":
-            _atomic_write(Path(args.out), _summary_csv(_Summary(_record_items([json.loads(line)])).rows()))
+            text = _summary_csv(_Summary(_report_items(len(zeros), reports)).rows())
         else:
-            _atomic_write(Path(args.out), "\n".join(
-                f"{r.inequality_id},{r.lhs!r},{r.rhs!r},{r.slack!r},{r.holds},{r.equality}" for r in reports
-            ) + "\n")
+            text = table
+        _atomic_write(Path(args.out), text)
 
 
 def cmd_verify(args) -> int:
@@ -315,12 +314,7 @@ def cmd_verify(args) -> int:
         inst = SendovInstance(a=float(a), other_zeros=zeros)
         zeros = inst.zeros()
         pm = check_special_case(inst, settings)
-        # C1/C2 are theorems only under the centroid hypothesis.
-        if pm.condition_holds:
-            sendov_reports = [
-                make_report("C1", float(inst.n - 1), pm.c1_value, args.tol_eq),
-                make_report("C2", pm.c2_value, float(inst.n - 1), args.tol_eq),
-            ]
+        sendov_reports = special_case_reports(inst, pm.c1_value, pm.c2_value, args.tol_eq)
         extra.append(
             f"sendov: condition_holds={pm.condition_holds} min|w-a|={pm.min_distance:.6f} "
             f"M2={pm.values[2]:.6f} M-2={pm.values[1]:.6f}"
@@ -340,7 +334,7 @@ def cmd_verify(args) -> int:
         f"centroid residual {centroid_residual(zeros):.3e}; "
         f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(zeros))}"
     )
-    _verify_reports_output(args, zeros, reports, extra)
+    _verify_output(args, zeros, reports, extra)
     if spectrum.max_pair_distance > spectrum_tol:
         print("numeric-consistency failure: companion spectrum mismatch", file=sys.stderr)
         return EXIT_USAGE
@@ -389,11 +383,9 @@ def _sweep_root(args, summary: _Summary) -> list[str]:
     zs = np.array([sample_one(ens, i) for i in range(args.count)])
     settings = RootSolverSettings(tol_root=args.tol_root)
     table, _mask = evaluate_ensemble(zs, settings, recenter_centered=True)
-    sides = [(iid, col.lhs.tolist(), col.rhs.tolist(), col.centered_required) for iid, col in table.items()]
     pairs = np.stack([zs.real, zs.imag], axis=-1).tolist()
     lines = []
-    for i in range(args.count):
-        reports = [make_report(iid, lhs[i], rhs[i], args.tol_eq, required) for iid, lhs, rhs, required in sides]
+    for i, reports in enumerate(row_reports(table, args.tol_eq)):
         summary.update(_report_items(args.n, reports))
         lines.append(_record_line("sample", sample_seed(args.seed, i), pairs[i], reports))
     return lines
@@ -420,17 +412,10 @@ def _sweep_sendov(args, summary: _Summary) -> tuple[list[str], int]:
     c1, c2, m_minus2 = special.c1.tolist(), special.c2.tolist(), special.m_minus2.tolist()
     full = np.concatenate([a[:, np.newaxis], others], axis=1)
     pairs = np.stack([full.real, full.imag], axis=-1).tolist()
-    side = float(args.n - 1)
     lines = []
     for i, inst in enumerate(instances):
-        reports = []
-        # C1/C2 are theorems only under the centroid hypothesis.
-        if inst.hypothesis_margin() >= 0.0:
-            reports = [
-                make_report("C1", side, c1[i], args.tol_eq),
-                make_report("C2", c2[i], side, args.tol_eq),
-            ]
-            summary.update(_report_items(args.n, reports))
+        reports = special_case_reports(inst, c1[i], c2[i], args.tol_eq)
+        summary.update(_report_items(args.n, reports))
         lines.append(_record_line("sample", seeds[i], pairs[i], reports, a=inst.a,
                                   objective="M_MINUS2", objective_value=m_minus2[i]))
     m2_bad = sum(1 for value in m_minus2 if 1.0 + COUNTEREXAMPLE_MARGIN < value < math.inf)

@@ -1,8 +1,9 @@
 """Library-wide numerical tolerances and the default RNG seed.
 
 All tolerances are relative to the scale factors documented at their point
-of use.  They can be overridden per call; these module constants are only
-the defaults.
+of use.  Two are set per call, and these constants are only their defaults:
+``tol_root`` through ``RootSolverSettings``, and the reports' ``tol_eq``.
+``TOL_CENTER`` and ``TOL_DISK`` are constants.
 """
 
 # Acceptance tolerance of the solvers: the backward error of a critical point

@@ -13,11 +13,13 @@ Every evaluator selects from the table over a (b, n) batch:
 :func:`evaluate_ensemble` evaluates every entry into one :class:`Column`
 per id, :func:`full_report` is that on a batch of one, the ``eval_*``
 functions evaluate a few entries on one configuration, and :func:`lookup`
-resolves one id for the search objective.  Reports carry both sides, the
-slack ``rhs - lhs`` and holds/equality flags; centered-only forms carry
-gating flags instead of silently recentering.  Where a caller asks for
-recentering, the centered-only forms see the recentered zeros and the
-critical points solved from that recentered copy.
+resolves one id for the search objective.  :func:`row_reports` is the one
+builder of the suite's reports: it turns a column table into each row's.
+Reports carry both sides, the slack ``rhs - lhs`` and holds/equality
+flags; centered-only forms carry gating flags instead of silently
+recentering.  Where a caller asks for recentering, the centered-only forms
+see the recentered zeros and the critical points solved from that
+recentered copy.
 
 Inequality identifiers
 ----------------------
@@ -45,8 +47,8 @@ independent verification of the closed forms.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .rootfind import (
 __all__ = [
     "InequalityReport",
     "make_report",
+    "row_reports",
     "Column",
     "Inequality",
     "lookup",
@@ -83,12 +86,11 @@ __all__ = [
     "CENTERED_IDS",
 ]
 
-# r exponents used by default for the general-order forms.
+# r exponents of the general-order forms in the suite.
 DEFAULT_ORDERS = (2.0, 2.5, 3.0, 4.0, 6.0)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """One evaluated inequality instance.
 
     ``slack = rhs - lhs``; ``holds`` allows slack down to
@@ -107,7 +109,7 @@ class InequalityReport:
     equality: bool
     centered_required: bool = False
     centered_satisfied: bool = True
-    aux: dict = field(default=None, repr=False)
+    aux: dict | None = None
 
     @property
     def applicable(self) -> bool:
@@ -121,14 +123,13 @@ def make_report(
     tol_eq: float = TOL_EQ,
     centered_required: bool = False,
     centered_satisfied: bool = True,
-    aux: dict | None = None,
 ) -> InequalityReport:
     """Assemble a report from the two sides, deriving slack and flags."""
     lhs, rhs = float(lhs), float(rhs)
     slack = rhs - lhs
     margin = tol_eq * max(1.0, abs(rhs))
     return InequalityReport(
-        iid, lhs, rhs, slack, slack >= -margin, abs(slack) <= margin, centered_required, centered_satisfied, aux
+        iid, lhs, rhs, slack, slack >= -margin, abs(slack) <= margin, centered_required, centered_satisfied
     )
 
 
@@ -317,11 +318,11 @@ def lookup(iid: str, n: int) -> Inequality:
     return entry.bind(value, n)
 
 
-def _suite(n: int, orders) -> list[Inequality]:
+def _suite(n: int) -> list[Inequality]:
     """Every inequality at degree n, in report order."""
     fixed = [entry for entry in _TABLE if entry.param is None]
     by_k = [entry.bind(k, n) for entry in _TABLE if entry.param == "k" for k in range(1, n)]
-    by_r = [entry.bind(r, n) for r in orders for entry in _TABLE if entry.param == "r"]
+    by_r = [entry.bind(r, n) for r in DEFAULT_ORDERS for entry in _TABLE if entry.param == "r"]
     return fixed + by_k + by_r
 
 
@@ -336,12 +337,19 @@ def _columns(z, w, forms, *, centered=None, xi=None) -> dict[str, Column]:
     return {form.iid: Column(*form.sides(centered if form.centered else raw), form.centered) for form in forms}
 
 
-def _reports(table: dict[str, Column], tol_eq: float, centered: bool) -> list[InequalityReport]:
-    """Reports of a batch-of-one table; ``centered``: did centered-only forms see a centered configuration."""
-    return [
-        make_report(iid, lhs[0], rhs[0], tol_eq, required, centered or not required)
+def row_reports(table: dict[str, Column], tol_eq: float = TOL_EQ, centered: bool = True):
+    """Each configuration's reports of a column table, one list per row, in table order.
+
+    ``centered`` says whether the centered-only forms saw centered
+    configurations.  A generator, so a caller holds one row's reports at a
+    time.
+    """
+    columns = [
+        (iid, lhs.tolist(), rhs.tolist(), required, centered or not required)
         for iid, (lhs, rhs, required) in table.items()
     ]
+    for i in range(len(columns[0][1])):
+        yield [make_report(iid, lhs[i], rhs[i], tol_eq, required, ok) for iid, lhs, rhs, required, ok in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -359,37 +367,37 @@ def _checked_pair(zeros, critical):
     return z, w
 
 
-def _single(zeros, critical, families, value=None, *, tol_eq, tol_center=TOL_CENTER, xi=None):
+def _single(zeros, critical, families, value=None, *, tol_eq, xi=None):
     """Reports of the given families (bound to ``value``) on one configuration, as is."""
     z, w = _checked_pair(zeros, critical)
     forms = [_BY_FAMILY[family].bind(value, z.shape[0]) for family in families]
     table = _columns(z[np.newaxis], w[np.newaxis], forms, xi=xi)
-    return _reports(table, tol_eq, centroid_residual(z) <= tol_center)
+    return next(row_reports(table, tol_eq, bool(centroid_residual(z) <= TOL_CENTER)))
 
 
-def eval_order2(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
+def eval_order2(zeros, critical, *, tol_eq: float = TOL_EQ):
     """Order-2 reports (S0 centered form, S general form)."""
-    return tuple(_single(zeros, critical, ("S0", "S"), tol_eq=tol_eq, tol_center=tol_center))
+    return tuple(_single(zeros, critical, ("S0", "S"), tol_eq=tol_eq))
 
 
-def eval_order4(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
+def eval_order4(zeros, critical, *, tol_eq: float = TOL_EQ):
     """Order-4 reports (BS, KT); both assume a centered configuration."""
-    return tuple(_single(zeros, critical, ("BS", "KT"), tol_eq=tol_eq, tol_center=tol_center))
+    return tuple(_single(zeros, critical, ("BS", "KT"), tol_eq=tol_eq))
 
 
-def eval_order6(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
+def eval_order6(zeros, critical, *, tol_eq: float = TOL_EQ):
     """Order-6 reports (STAR, STARSTAR); both assume a centered configuration.
 
     STARSTAR is the tighter but more complicated bound; STARSTAR rhs <=
     STAR rhs always (a trace-inequality consequence), and both coincide
     with the left side exactly when the zeros are collinear.
     """
-    return tuple(_single(zeros, critical, ("STAR", "STARSTAR"), tol_eq=tol_eq, tol_center=tol_center))
+    return tuple(_single(zeros, critical, ("STAR", "STARSTAR"), tol_eq=tol_eq))
 
 
-def eval_order1(zeros, critical, *, tol_eq: float = TOL_EQ, tol_center: float = TOL_CENTER):
+def eval_order1(zeros, critical, *, tol_eq: float = TOL_EQ):
     """Order-1 reports (BSEN general, ST1 centered)."""
-    return tuple(_single(zeros, critical, ("BSEN", "ST1"), tol_eq=tol_eq, tol_center=tol_center))
+    return tuple(_single(zeros, critical, ("BSEN", "ST1"), tol_eq=tol_eq))
 
 
 def eval_symmetric(zeros, critical, k: int, *, tol_eq: float = TOL_EQ):
@@ -397,7 +405,7 @@ def eval_symmetric(zeros, critical, k: int, *, tol_eq: float = TOL_EQ):
     return _single(zeros, critical, ("EK",), k, tol_eq=tol_eq)[0]
 
 
-def eval_logmaj(zeros, critical, k: int, xi=None, *, tol_eq: float = TOL_EQ):
+def eval_logmaj(zeros, critical, k: int, *, tol_eq: float = TOL_EQ):
     """Weak log-majorization report LOGMAJ(k).
 
     Compares the product of the k largest critical-point moduli against
@@ -406,13 +414,13 @@ def eval_logmaj(zeros, critical, k: int, xi=None, *, tol_eq: float = TOL_EQ):
     elementary-symmetric consequence e_k(|w|) <= e_k(xi).
     """
     z, w = _checked_pair(zeros, critical)
-    xi = moduli_critical_points(z) if xi is None else np.asarray(xi, dtype=float)
+    xi = moduli_critical_points(z)
     (rep,) = _single(z, w, ("LOGMAJ",), k, tol_eq=tol_eq, xi=xi[np.newaxis])
     aux = {
         "esf_lhs": float(elementary_symmetric_all(np.abs(w))[k]),
         "esf_rhs": float(elementary_symmetric_all(xi)[k]),
     }
-    return replace(rep, aux=aux)
+    return rep._replace(aux=aux)
 
 
 def eval_general(zeros, critical, r: float, *, tol_eq: float = TOL_EQ):
@@ -427,15 +435,6 @@ def eval_general(zeros, critical, r: float, *, tol_eq: float = TOL_EQ):
 # ---------------------------------------------------------------------------
 # brute-force trace oracles for the order-6 right-hand sides
 
-def _oracle_config(zeros, tol_center):
-    z = as_zeros(zeros)
-    if z.ndim > 2:
-        raise InvalidInputError("trace oracles take a configuration or a (b, n) stack")
-    if np.any(centroid_residual(z) > tol_center):
-        raise InvalidInputError("trace oracles require centered configurations")
-    return z
-
-
 def _real_trace(t, z):
     """Real part of the traces ``t`` of words of degree 6 in the zeros ``z``."""
     imag = np.abs(np.imag(t))
@@ -447,27 +446,31 @@ def _real_trace(t, z):
     return t.real
 
 
-def _word_factors(zeros, tol_center):
-    z = _oracle_config(zeros, tol_center)
+def _word_factors(zeros):
+    z = as_zeros(zeros)
+    if z.ndim > 2:
+        raise InvalidInputError("trace oracles take a configuration or a (b, n) stack")
+    if np.any(centroid_residual(z) > TOL_CENTER):
+        raise InvalidInputError("trace oracles require centered configurations")
     d = build_D(z)
     return z, build_S(z.shape[-1]), d, d.conj().swapaxes(-1, -2)
 
 
-def star_trace_oracle(zeros, *, tol_center: float = TOL_CENTER):
+def star_trace_oracle(zeros):
     """tr((S D* S D)^3) by explicit matrix products: the STAR right side.
 
     A float for one configuration, a (b,) array for a (b, n) stack.
     """
-    z, s, d, dh = _word_factors(zeros, tol_center)
+    z, s, d, dh = _word_factors(zeros)
     return _real_trace(trace_word([s, dh, s, d] * 3), z)
 
 
-def starstar_trace_oracle(zeros, *, tol_center: float = TOL_CENTER):
+def starstar_trace_oracle(zeros):
     """tr((A*)^3 A^3) with A = SDS by explicit products: the STARSTAR right side.
 
     A float for one configuration, a (b,) array for a (b, n) stack.
     """
-    z, s, d, dh = _word_factors(zeros, tol_center)
+    z, s, d, dh = _word_factors(zeros)
     return _real_trace(trace_word([s, dh, s, dh, s, dh, s, d, s, d, s, d]), z)
 
 
@@ -486,14 +489,7 @@ def order6_bounds(zs):
 # ---------------------------------------------------------------------------
 # whole-suite evaluation
 
-def evaluate_ensemble(
-    zs,
-    settings: RootSolverSettings | None = None,
-    *,
-    orders=DEFAULT_ORDERS,
-    recenter_centered: bool = True,
-    tol_center: float = TOL_CENTER,
-):
+def evaluate_ensemble(zs, settings: RootSolverSettings | None = None, *, recenter_centered: bool = True):
     """Every inequality of the table over a (b, n) stack of configurations.
 
     Returns ``(table, centered_mask)`` where ``table`` maps each inequality
@@ -509,12 +505,12 @@ def evaluate_ensemble(
     if z.ndim == 1:
         z = z[np.newaxis, :]
     w = critical_points_batch(z, settings)
-    centered_mask = np.asarray(centroid_residual(z) <= tol_center)
+    centered_mask = np.asarray(centroid_residual(z) <= TOL_CENTER)
     centered = None
     if recenter_centered:
         zc = recenter(z)
         centered = (zc, critical_points_batch(zc, settings))
-    table = _columns(z, w, _suite(z.shape[-1], orders), centered=centered)
+    table = _columns(z, w, _suite(z.shape[-1]), centered=centered)
     return table, centered_mask
 
 
@@ -522,10 +518,8 @@ def full_report(
     zeros,
     settings: RootSolverSettings | None = None,
     *,
-    orders=DEFAULT_ORDERS,
     recenter_centered: bool = False,
     tol_eq: float = TOL_EQ,
-    tol_center: float = TOL_CENTER,
 ) -> list[InequalityReport]:
     """Every inequality report for one configuration, in report order.
 
@@ -537,7 +531,5 @@ def full_report(
     z = as_zeros(zeros)
     if z.ndim != 1:
         raise InvalidInputError("full_report takes a single configuration")
-    table, centered_mask = evaluate_ensemble(
-        z, settings, orders=orders, recenter_centered=recenter_centered, tol_center=tol_center
-    )
-    return _reports(table, tol_eq, recenter_centered or bool(centered_mask[0]))
+    table, centered_mask = evaluate_ensemble(z, settings, recenter_centered=recenter_centered)
+    return next(row_reports(table, tol_eq, recenter_centered or bool(centered_mask[0])))

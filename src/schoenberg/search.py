@@ -29,10 +29,10 @@ import numpy as np
 
 from .config import DEFAULT_SEED, TOL_CENTER
 from .errors import ConvergenceError, InvalidInputError, RejectedStartError
-from .inequalities import CENTERED_IDS, evaluate_ensemble, lookup, make_report
+from .inequalities import CENTERED_IDS, evaluate_ensemble, lookup, row_reports
 from .poly import as_zeros, centroid_residual, recenter
 from .rootfind import RootSolverSettings, critical_points, critical_points_batch  # noqa: F401 (perfbench wraps search.critical_points)
-from .sendov import SendovInstance, distance_columns
+from .sendov import SendovInstance, distance_columns, special_case_reports
 
 __all__ = [
     "ENSEMBLE_KINDS",
@@ -201,17 +201,16 @@ class _Objective:
                 value = np.where(np.isfinite(rhs) & (rhs > 1e-150) & np.isfinite(lhs), lhs / rhs, -np.inf)
         return np.where(ok, value, -np.inf)
 
-    def reports(self, zs) -> list:
-        """Report lists of a zeros stack, from one batched evaluation."""
+    def reports(self, zs):
+        """The report list of each row of a zeros stack, from one batched evaluation."""
         if self.sendov:
             columns = distance_columns(zs[:, 0].real, zs[:, 1:], critical_points_batch(zs, self.solver))
-            side = float(self.n - 1)
-            return [[make_report("C1", side, c1), make_report("C2", c2, side)] for c1, c2 in zip(columns.c1, columns.c2)]
+            return [
+                special_case_reports(SendovInstance(a=z[0].real, other_zeros=z[1:]), c1, c2)
+                for z, c1, c2 in zip(zs, columns.c1.tolist(), columns.c2.tolist())
+            ]
         table, _ = evaluate_ensemble(zs, self.solver, recenter_centered=True)
-        return [
-            [make_report(iid, lhs[i], rhs[i], centered_required=required) for iid, (lhs, rhs, required) in table.items()]
-            for i in range(zs.shape[0])
-        ]
+        return row_reports(table)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ computed in one place, :func:`distance_columns`, from a batch of critical
 points: :func:`special_case_batch` applies it after one batched solve, and
 :func:`check_special_case` and the search objective to a batch of one.
 :func:`probe_m_minus2` is :func:`special_case_batch` on a batch of one.
+:func:`special_case_reports` is the one place C1 and C2 become reports,
+and the one place the hypothesis gates them.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_DISK
+from .config import TOL_DISK, TOL_EQ
 from .errors import ConvergenceError, InvalidInputError
+from .inequalities import InequalityReport, make_report
 from .poly import as_zeros
 from .rootfind import DEFAULT_SETTINGS, RootSolverSettings, critical_points, critical_points_batch
 
@@ -45,6 +48,7 @@ __all__ = [
     "distance_columns",
     "special_case_batch",
     "probe_m_minus2",
+    "special_case_reports",
     "CRITICAL_HIT_TOL",
 ]
 
@@ -235,3 +239,15 @@ def special_case_batch(a_values, other_zeros, settings: RootSolverSettings | Non
         for column, value in zip(columns, distance_columns(a[candidates], others[candidates], refined)):
             column[candidates] = value
     return columns
+
+
+def special_case_reports(inst: SendovInstance, c1: float, c2: float, tol_eq: float = TOL_EQ) -> list[InequalityReport]:
+    """The C1 report (n - 1 <= c1) and C2 report (c2 <= n - 1) of an instance.
+
+    C1 and C2 are theorems only under the centroid hypothesis, so an
+    instance outside it (margin below 0) gets no reports.
+    """
+    if not inst.hypothesis_margin() >= 0.0:
+        return []
+    side = float(inst.n - 1)
+    return [make_report("C1", side, c1, tol_eq), make_report("C2", c2, side, tol_eq)]

@@ -109,6 +109,24 @@ def test_verify_noncentered_recenter_flag(capsys):
     assert main(["verify", "--zeros", "1,0 2,0 3,0", "--recenter"]) == 0
 
 
+@pytest.mark.parametrize("zeros, extra", [
+    ("0.3,0.2 -0.7,0.1 0.4,-0.5 0.2,0.9", []),
+    ("0.3,0.2 -0.7,0.1 0.4,-0.5 0.2,0.9", ["--recenter"]),
+    ("0.3,0.2 0.7,0.1 0.4,-0.5 0.2,0.9", ["--a", "0.5"]),
+    ("0.5,0 0.5,0", ["--a", "0.5"]),  # a triple zero: C1's side is inf
+], ids=["plain", "recenter", "sendov", "sendov-nonfinite"])
+def test_verify_out_writes_the_printed_table_and_the_report_csv(zeros, extra, tmp_path, capsys):
+    argv = ["verify", "--zeros", zeros, *extra, "--out"]
+    code = main([*argv, str(tmp_path / "v.txt"), "--format", "table"])
+    assert code in (0, 1)
+    assert (tmp_path / "v.txt").read_text() == capsys.readouterr().out
+    assert main([*argv, str(tmp_path / "v.jsonl"), "--format", "jsonl"]) == code
+    assert main([*argv, str(tmp_path / "v.csv"), "--format", "csv"]) == code
+    capsys.readouterr()
+    main(["report", "--format", "csv", "--input", str(tmp_path / "v.jsonl")])
+    assert (tmp_path / "v.csv").read_text() == capsys.readouterr().out
+
+
 def test_verify_sendov_instance(capsys):
     assert main(["verify", "--zeros", "0,1", "--a", "1.0"]) == 0
     text = capsys.readouterr().out
@@ -230,6 +248,21 @@ def test_search_m_minus2(tmp_path, capsys):
     for rec in records:
         assert rec["kind"] == "search"
         assert rec["objective_value"] <= 1 + 1e-6
+
+
+def test_search_m_minus2_reports_c1_c2_only_under_the_hypothesis(tmp_path, capsys):
+    # C1/C2 are theorems only under the centroid hypothesis: a record outside
+    # it carries no reports, so the archive's report finds no violation.
+    base = tmp_path / "m2"
+    assert main(["search", "--objective", "M_MINUS2", "--n", "5", "--starts", "6", "--out", str(base)]) == 0
+    records = read_jsonl(tmp_path / "m2.jsonl")
+    margins = [
+        SendovInstance(rec["a"], np.array([complex(re, im) for re, im in rec["zeros"][1:]])).hypothesis_margin()
+        for rec in records
+    ]
+    assert any(margin < 0 for margin in margins)
+    assert [bool(rec["reports"]) for rec in records] == [margin >= 0 for margin in margins]
+    assert main(["report", "--input", str(tmp_path / "m2.jsonl")]) == 0
 
 
 def test_search_ratio_objective(tmp_path, capsys):

@@ -20,6 +20,7 @@ from schoenberg.inequalities import (
     lookup,
     make_report,
     order6_bounds,
+    row_reports,
     star_trace_oracle,
     starstar_trace_oracle,
 )
@@ -362,6 +363,8 @@ def test_evaluate_ensemble_matches_single_reports():
                 assert (lhs[i], rhs[i]) == (rep.lhs, rep.rhs)
                 assert make_report(rep.inequality_id, lhs[i], rhs[i], centered_required=required) == rep
                 assert rep.applicable
+        # The one row builder gives every row's reports exactly as the single evaluation does.
+        assert list(row_reports(table)) == [full_report(zi, recenter_centered=True) for zi in z]
 
 
 def test_single_evaluators_match_the_suite():

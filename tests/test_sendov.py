@@ -7,7 +7,7 @@ import pytest
 
 from schoenberg import sendov
 from schoenberg.errors import ConvergenceError, InvalidInputError
-from schoenberg.inequalities import eval_order2
+from schoenberg.inequalities import eval_order2, make_report
 from schoenberg.rootfind import RootSolverSettings, critical_points, critical_points_batch
 from schoenberg.sendov import (
     SendovInstance,
@@ -16,6 +16,7 @@ from schoenberg.sendov import (
     power_mean,
     probe_m_minus2,
     special_case_batch,
+    special_case_reports,
 )
 
 
@@ -124,6 +125,16 @@ def test_special_case_random_hypothesis_instances():
             assert rep.min_distance < 1 - 1e-10
             # power-mean sandwich
             assert rep.values[0] <= rep.values[1] + 1e-12 <= rep.values[2] + 1e-12
+
+
+@pytest.mark.parametrize("re_sum, margin_sign", [(0.3, 1.0), (0.25, 0.0), (0.2, -1.0)])
+def test_special_case_reports_only_under_the_hypothesis(re_sum, margin_sign):
+    # n = 3 and a = 0.5: the hypothesis is Re(z_1 + z_2) >= 0.25, margin exactly 0 included.
+    inst = SendovInstance(a=0.5, other_zeros=np.array([0.125 + 0.5j, re_sum - 0.125 - 0.5j]))
+    assert np.sign(inst.hypothesis_margin()) == margin_sign
+    reports = special_case_reports(inst, 3.0, 1.5, tol_eq=1e-6)
+    inside = [make_report("C1", 2.0, 3.0, 1e-6), make_report("C2", 1.5, 2.0, 1e-6)]
+    assert reports == (inside if margin_sign >= 0 else [])
 
 
 def test_shifted_order2_bound_chain():
