@@ -42,7 +42,7 @@ from .inequalities import (
     starstar_trace_oracle,
 )
 from .matrices import is_normal, sds_matrix, verify_spectrum
-from .poly import centroid_residual, is_collinear, recenter
+from .poly import centroid_residual, is_collinear
 from .rootfind import RootSolverSettings, cluster_sizes
 from .search import (
     COUNTEREXAMPLE_MARGIN,
@@ -236,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeros", type=str, default=None, help="space-separated re,im pairs")
     p.add_argument("--config", type=str, default=None, help="JSON file with {zeros, a?}")
     p.add_argument("--a", type=float, default=None, help="distinguished Sendov zero; --zeros then hold the others")
-    p.add_argument("--recenter", action="store_true", help="evaluate centered-only forms after recentering")
     common(p, "--seed", "--tol-root", "--tol-eq", "--out", "--format")
 
     p = sub.add_parser("oracle", help="closed forms vs brute-force traces and spectra")
@@ -262,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default=None,
                    help="start sampler (default: by objective)")
     p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--raw-starts", action="store_true",
-                   help="use sampled starts as-is; centered-form objectives then fail with exit 2")
     common(p, "--seed", "--tol-root", "--out")
 
     p = sub.add_parser("report", help="summarize a JSONL archive as the CSV table")
@@ -320,7 +317,7 @@ def cmd_verify(args) -> int:
             f"M2={pm.values[2]:.6f} M-2={pm.values[1]:.6f}"
         )
 
-    reports = full_report(zeros, settings, recenter_centered=args.recenter, tol_eq=args.tol_eq) + sendov_reports
+    reports = full_report(zeros, settings, tol_eq=args.tol_eq) + sendov_reports
 
     spectrum = verify_spectrum(zeros, settings)
     scale = max(1.0, float(np.max(np.abs(zeros))))
@@ -338,8 +335,7 @@ def cmd_verify(args) -> int:
     if spectrum.max_pair_distance > spectrum_tol:
         print("numeric-consistency failure: companion spectrum mismatch", file=sys.stderr)
         return EXIT_USAGE
-    applicable = [r for r in reports if r.applicable]
-    return EXIT_OK if all(r.holds for r in applicable) else EXIT_VIOLATION
+    return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
 
 
 def _normalized_centered_batch(n, count, seed):
@@ -382,7 +378,7 @@ def _sweep_root(args, summary: _Summary) -> list[str]:
     )
     zs = np.array([sample_one(ens, i) for i in range(args.count)])
     settings = RootSolverSettings(tol_root=args.tol_root)
-    table, _mask = evaluate_ensemble(zs, settings, recenter_centered=True)
+    table = evaluate_ensemble(zs, settings)
     pairs = np.stack([zs.real, zs.imag], axis=-1).tolist()
     lines = []
     for i, reports in enumerate(row_reports(table, args.tol_eq)):
@@ -454,8 +450,7 @@ def cmd_search(args) -> int:
         kind = args.ensemble or "uniform-disk"
         if kind == "sendov-boundary":
             raise InvalidInputError(f"objective {objective} needs a root-configuration ensemble")
-    needs_center = objective in CENTERED_IDS and not args.raw_starts
-    ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=needs_center)
+    ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=objective in CENTERED_IDS)
     seeds = [sample_seed(args.seed, i) for i in range(args.starts)]
     lines, values, verified_counterexample = [], [], False
     for rec in maximize_batch(objective, sample(ens), settings, sample_seeds=seeds):

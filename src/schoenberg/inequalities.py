@@ -16,10 +16,16 @@ functions evaluate a few entries on one configuration, and :func:`lookup`
 resolves one id for the search objective.  :func:`row_reports` is the one
 builder of the suite's reports: it turns a column table into each row's.
 Reports carry both sides, the slack ``rhs - lhs`` and holds/equality
-flags; centered-only forms carry gating flags instead of silently
-recentering.  Where a caller asks for recentering, the centered-only forms
-see the recentered zeros and the critical points solved from that
-recentered copy.
+flags.
+
+The centered-only forms (``CENTERED_IDS``) bound polynomials whose zeros
+have their centroid at the origin, and the suite has one rule for them:
+:func:`evaluate_ensemble` (so :func:`full_report`, sweeps and search)
+evaluates them on the recentered zeros and the critical points solved from
+that copy, and the general forms on the zeros as given.  Every suite report
+is therefore applicable.  Only the ``eval_*`` functions, which take the
+caller's critical points as they are, can flag a centered-only form as not
+applicable, when the caller's configuration is off center.
 
 Inequality identifiers
 ----------------------
@@ -489,47 +495,32 @@ def order6_bounds(zs):
 # ---------------------------------------------------------------------------
 # whole-suite evaluation
 
-def evaluate_ensemble(zs, settings: RootSolverSettings | None = None, *, recenter_centered: bool = True):
+def evaluate_ensemble(zs, settings: RootSolverSettings | None = None) -> dict[str, Column]:
     """Every inequality of the table over a (b, n) stack of configurations.
 
-    Returns ``(table, centered_mask)`` where ``table`` maps each inequality
-    id, in report order, to a :class:`Column` ``(lhs, rhs,
-    centered_required)`` of length-b arrays, and ``centered_mask`` marks
-    samples whose *original* configuration was centered.  With
-    ``recenter_centered`` (the default) the centered-only forms are
-    evaluated on recentered copies and are therefore valid for every
-    sample; otherwise they use the raw configurations and are only
-    meaningful where ``centered_mask`` holds.
+    Returns a dict mapping each inequality id, in report order, to a
+    :class:`Column` ``(lhs, rhs, centered_required)`` of length-b arrays.
+    The centered-only forms are evaluated on the recentered configurations
+    and their own critical points, the general forms on the configurations
+    as given, so every entry is valid for every sample.
     """
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
     w = critical_points_batch(z, settings)
-    centered_mask = np.asarray(centroid_residual(z) <= TOL_CENTER)
-    centered = None
-    if recenter_centered:
-        zc = recenter(z)
-        centered = (zc, critical_points_batch(zc, settings))
-    table = _columns(z, w, _suite(z.shape[-1]), centered=centered)
-    return table, centered_mask
+    zc = recenter(z)
+    return _columns(z, w, _suite(z.shape[-1]), centered=(zc, critical_points_batch(zc, settings)))
 
 
 def full_report(
-    zeros,
-    settings: RootSolverSettings | None = None,
-    *,
-    recenter_centered: bool = False,
-    tol_eq: float = TOL_EQ,
+    zeros, settings: RootSolverSettings | None = None, *, tol_eq: float = TOL_EQ
 ) -> list[InequalityReport]:
     """Every inequality report for one configuration, in report order.
 
-    This is :func:`evaluate_ensemble` on a batch of one.  With
-    ``recenter_centered`` the centered-only forms are evaluated on the
-    recentered configuration; otherwise they are evaluated as-is and
-    flagged when the centroid is off origin.
+    This is :func:`evaluate_ensemble` on a batch of one, so the centered-only
+    forms are evaluated on the recentered configuration.
     """
     z = as_zeros(zeros)
     if z.ndim != 1:
         raise InvalidInputError("full_report takes a single configuration")
-    table, centered_mask = evaluate_ensemble(z, settings, recenter_centered=recenter_centered)
-    return next(row_reports(table, tol_eq, recenter_centered or bool(centered_mask[0])))
+    return next(row_reports(evaluate_ensemble(z, settings), tol_eq))

@@ -52,23 +52,13 @@ def as_zeros(zeros, min_length: int = 2) -> np.ndarray:
 def from_roots(zeros) -> np.ndarray:
     """Ascending coefficients of the monic polynomial with the given zeros.
 
-    Multiplies the linear factors in input order (no sorting), so the
-    result is deterministic; reordering the zeros changes the rounding by
-    at most a few ulps.  The coefficient of ``x**(n-k)`` equals
-    ``(-1)**k e_k(zeros)``.
+    The coefficient of ``x**(n-k)`` is ``(-1)**k e_k(zeros) = e_k(-zeros)``,
+    so this is :func:`elementary_symmetric_all` of the negated zeros,
+    reversed: the linear factors are multiplied in input order (no
+    sorting), so the result is deterministic; reordering the zeros changes
+    the rounding by at most a few ulps.
     """
-    z = as_zeros(zeros)
-    n = z.shape[-1]
-    batch = z.shape[:-1]
-    coeffs = np.zeros(batch + (n + 1,), dtype=complex)
-    coeffs[..., 0] = 1.0
-    for j in range(n):
-        prev = coeffs[..., : j + 1].copy()
-        root = z[..., j, np.newaxis]
-        coeffs[..., 1 : j + 2] = prev
-        coeffs[..., 0] = 0.0
-        coeffs[..., : j + 1] -= root * prev
-    return coeffs
+    return elementary_symmetric_all(-as_zeros(zeros))[..., ::-1]
 
 
 def derivative(coeffs) -> np.ndarray:

@@ -209,8 +209,7 @@ class _Objective:
                 special_case_reports(SendovInstance(a=z[0].real, other_zeros=z[1:]), c1, c2)
                 for z, c1, c2 in zip(zs, columns.c1.tolist(), columns.c2.tolist())
             ]
-        table, _ = evaluate_ensemble(zs, self.solver, recenter_centered=True)
-        return row_reports(table)
+        return row_reports(evaluate_ensemble(zs, self.solver))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ critical points to the distinguished zero:
 M_{-2}, M_2, C1, C2, the minimum distance and the exact-hit flag are
 computed in one place, :func:`distance_columns`, from a batch of critical
 points: :func:`special_case_batch` applies it after one batched solve, and
-:func:`check_special_case` and the search objective to a batch of one.
-:func:`probe_m_minus2` is :func:`special_case_batch` on a batch of one.
+the search objective to its own solves.  :func:`check_special_case` and
+:func:`probe_m_minus2` are :func:`special_case_batch` on a batch of one.
 :func:`special_case_reports` is the one place C1 and C2 become reports,
 and the one place the hypothesis gates them.
 """
@@ -36,7 +36,7 @@ from .config import TOL_DISK, TOL_EQ
 from .errors import ConvergenceError, InvalidInputError
 from .inequalities import InequalityReport, make_report
 from .poly import as_zeros
-from .rootfind import DEFAULT_SETTINGS, RootSolverSettings, critical_points, critical_points_batch
+from .rootfind import DEFAULT_SETTINGS, RootSolverSettings, critical_points_batch
 
 __all__ = [
     "SendovInstance",
@@ -184,10 +184,10 @@ def check_special_case(inst: SendovInstance, settings: RootSolverSettings | None
     When ``condition_holds`` the report should satisfy C1 strictly
     (c1_value > n - 1), C2 strictly (c2_value < n - 1) and
     min_distance < 1; an exact critical hit settles the instance
-    immediately.
+    immediately.  This is :func:`special_case_batch` on a batch of one, so
+    an M_{-2} above 1 has passed the tightened re-solve described there.
     """
-    w = critical_points(inst.zeros(), settings)
-    columns = distance_columns([inst.a], inst.other_zeros[np.newaxis], w[np.newaxis])
+    columns = special_case_batch([inst.a], inst.other_zeros[np.newaxis], settings)
     hit, m_minus2, m2, c1, c2, min_distance = (column[0].item() for column in columns)
     return PowerMeanReport(
         exponents=(-math.inf, -2.0, 2.0),

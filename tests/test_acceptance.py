@@ -162,7 +162,7 @@ def test_criterion_3_inequality_suite(criterion3_samples):
     violations = 0
     worst_margin = np.inf
     for n, z in criterion3_samples.items():
-        table, _mask = evaluate_ensemble(z, recenter_centered=True)
+        table = evaluate_ensemble(z)
         total += z.shape[0]
         for iid, (lhs, rhs, _creq) in table.items():
             margin = (rhs - lhs) + 1e-8 * np.maximum(1.0, np.abs(rhs))

@@ -9,7 +9,7 @@ import pytest
 
 from schoenberg import cli
 from schoenberg.cli import main
-from schoenberg.inequalities import full_report, make_report
+from schoenberg.inequalities import CENTERED_IDS, full_report, make_report
 from schoenberg.search import Ensemble, SearchSettings, maximize, sample_one, sample_seed
 from schoenberg.sendov import SendovInstance, check_special_case
 
@@ -103,18 +103,22 @@ def test_verify_roots_of_unity(capsys):
     assert main(["verify", "--zeros", "1,0 0,1 -1,0 0,-1"]) == 0
 
 
-def test_verify_noncentered_recenter_flag(capsys):
-    # off-center configuration: centered forms not applicable unless --recenter
-    assert main(["verify", "--zeros", "1,0 2,0 3,0"]) == 0
-    assert main(["verify", "--zeros", "1,0 2,0 3,0", "--recenter"]) == 0
+def test_verify_judges_centered_forms_on_the_recentered_zeros(capsys):
+    # 1, 2, 3 recentered is exactly -1, 0, 1: the centered-only rows of the two tables agree.
+    tables = []
+    for zeros in ("1,0 2,0 3,0", "-1,0 0,0 1,0"):
+        assert main(["verify", "--zeros", zeros]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.split()[0] in CENTERED_IDS]
+        assert len(rows) == len(CENTERED_IDS) and all(row[-1] == "True" for row in rows)
+        tables.append(rows)
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("zeros, extra", [
     ("0.3,0.2 -0.7,0.1 0.4,-0.5 0.2,0.9", []),
-    ("0.3,0.2 -0.7,0.1 0.4,-0.5 0.2,0.9", ["--recenter"]),
     ("0.3,0.2 0.7,0.1 0.4,-0.5 0.2,0.9", ["--a", "0.5"]),
     ("0.5,0 0.5,0", ["--a", "0.5"]),  # a triple zero: C1's side is inf
-], ids=["plain", "recenter", "sendov", "sendov-nonfinite"])
+], ids=["plain", "sendov", "sendov-nonfinite"])
 def test_verify_out_writes_the_printed_table_and_the_report_csv(zeros, extra, tmp_path, capsys):
     argv = ["verify", "--zeros", zeros, *extra, "--out"]
     code = main([*argv, str(tmp_path / "v.txt"), "--format", "table"])
@@ -123,7 +127,7 @@ def test_verify_out_writes_the_printed_table_and_the_report_csv(zeros, extra, tm
     assert main([*argv, str(tmp_path / "v.jsonl"), "--format", "jsonl"]) == code
     assert main([*argv, str(tmp_path / "v.csv"), "--format", "csv"]) == code
     capsys.readouterr()
-    main(["report", "--format", "csv", "--input", str(tmp_path / "v.jsonl")])
+    assert main(["report", "--format", "csv", "--input", str(tmp_path / "v.jsonl")]) == code
     assert (tmp_path / "v.csv").read_text() == capsys.readouterr().out
 
 
@@ -276,14 +280,6 @@ def test_search_ratio_objective(tmp_path, capsys):
     assert all(rec["objective_value"] <= 1 + 1e-6 for rec in records)
 
 
-def test_search_centered_objective_with_raw_starts_is_usage_error(tmp_path, capsys):
-    code = main([
-        "search", "--objective", "KT", "--n", "4", "--starts", "2",
-        "--raw-starts", "--out", str(tmp_path / "x"),
-    ])
-    assert code == 2
-
-
 def test_search_negative_budget_is_usage_error(tmp_path, capsys):
     code = main([
         "search", "--objective", "KT", "--n", "4", "--starts", "2",
@@ -355,7 +351,7 @@ def _sendov_reports(inst):
 
 def _sample_record():
     zeros = sample_one(Ensemble(kind="uniform-disk", n=6, count=1, seed=5), 0)
-    return ("sample", sample_seed(5, 0), zeros, full_report(zeros, recenter_centered=True)), {}
+    return ("sample", sample_seed(5, 0), zeros, full_report(zeros)), {}
 
 
 def _sendov_record():
@@ -403,7 +399,7 @@ def test_record_roundtrip_reproduces_reports(tmp_path, capsys):
           "--out", str(base)])
     for rec in read_jsonl(tmp_path / "rt.jsonl")[:3]:
         zeros = np.array([complex(re, im) for re, im in rec["zeros"]])
-        fresh = {r.inequality_id: r for r in full_report(zeros, recenter_centered=True)}
+        fresh = {r.inequality_id: r for r in full_report(zeros)}
         for rep in rec["reports"]:
             got = fresh[rep["id"]]
             assert got.lhs == pytest.approx(rep["lhs"], rel=1e-12, abs=1e-12)
@@ -419,7 +415,7 @@ def _flags(parser):
 def test_each_subcommand_declares_only_the_flags_it_reads():
     flags = _flags(cli._build_parser())
     assert {name: len(opts) for name, opts in flags.items()} == {
-        "verify": 9, "oracle": 4, "sweep": 10, "search": 9, "report": 3,
+        "verify": 8, "oracle": 4, "sweep": 10, "search": 8, "report": 3,
     }
     assert flags["oracle"] == ["--n", "--samples", "--seed", "--tol-root"]
     assert flags["report"] == ["--format", "--input", "--out"]
@@ -435,6 +431,8 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     ["report", "--input", "x.jsonl", "--seed", "3"],
     ["report", "--input", "x.jsonl", "--tol-root", "1e-9"],
     ["report", "--input", "x.jsonl", "--tol-eq", "1e-3"],
+    ["verify", "--zeros", "1,0 -1,0", "--recenter"],
+    ["search", "--objective", "KT", "--n", "4", "--raw-starts"],
 ])
 def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

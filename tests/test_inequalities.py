@@ -339,12 +339,9 @@ def test_full_report_ids_and_flags():
     ids = [r.inequality_id for r in reports]
     assert ids[:8] == ["S0", "S", "BS", "KT", "STAR", "STARSTAR", "BSEN", "ST1"]
     assert "EK(1)" in ids and "LOGMAJ(2)" in ids and "LXZ(2.5)" in ids and "IMPRO(6)" in ids
-    s0 = reports[0]
-    assert not s0.applicable  # not centered, not recentered
-
-    recentered = full_report(np.array([1.0, 2.0, 3.0]), recenter_centered=True)
-    assert all(r.applicable for r in recentered)
-    assert all(r.holds for r in recentered)
+    # The centered-only forms are judged on the recentered zeros, so every report applies.
+    assert all(r.applicable for r in reports)
+    assert all(r.holds for r in reports)
 
 
 def test_evaluate_ensemble_matches_single_reports():
@@ -352,11 +349,10 @@ def test_evaluate_ensemble_matches_single_reports():
     # batch gives bit-identical sides and flags to it evaluated alone.
     rng = np.random.default_rng(137)
     raw = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-    for z, centered in ((centered_batch(rng, 8, 5), True), (raw, False)):
-        table, mask = evaluate_ensemble(z)
-        assert (mask == centered).all()
+    for z in (centered_batch(rng, 8, 5), raw):
+        table = evaluate_ensemble(z)
         for i in (0, 3, 7):
-            reports = full_report(z[i], recenter_centered=True)
+            reports = full_report(z[i])
             assert [rep.inequality_id for rep in reports] == list(table)
             for rep in reports:
                 lhs, rhs, required = table[rep.inequality_id]
@@ -364,25 +360,29 @@ def test_evaluate_ensemble_matches_single_reports():
                 assert make_report(rep.inequality_id, lhs[i], rhs[i], centered_required=required) == rep
                 assert rep.applicable
         # The one row builder gives every row's reports exactly as the single evaluation does.
-        assert list(row_reports(table)) == [full_report(zi, recenter_centered=True) for zi in z]
+        assert list(row_reports(table)) == [full_report(zi) for zi in z]
 
 
 def test_single_evaluators_match_the_suite():
     rng = np.random.default_rng(139)
     z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    w = critical_points(z)
-    suite = {rep.inequality_id: rep for rep in full_report(z)}
-    singles = [
-        *eval_order2(z, w), *eval_order4(z, w), *eval_order6(z, w), *eval_order1(z, w),
-        *(eval_symmetric(z, w, k) for k in range(1, 6)),
-        *(eval_logmaj(z, w, k) for k in range(1, 6)),
-        *(rep for r in (2.0, 2.5, 3.0, 4.0, 6.0) for rep in eval_general(z, w, r)),
-    ]
-    assert sorted(rep.inequality_id for rep in singles) == sorted(suite)
-    for rep in singles:
-        want = suite[rep.inequality_id]
-        assert (rep.lhs, rep.rhs, rep.holds, rep.equality) == (want.lhs, want.rhs, want.holds, want.equality)
-        assert rep.applicable == want.applicable
+
+    def singles(z):
+        w = critical_points(z)
+        return {rep.inequality_id: rep for rep in (
+            *eval_order2(z, w), *eval_order4(z, w), *eval_order6(z, w), *eval_order1(z, w),
+            *(eval_symmetric(z, w, k) for k in range(1, 6)),
+            *(eval_logmaj(z, w, k)._replace(aux=None) for k in range(1, 6)),
+            *(rep for r in (2.0, 2.5, 3.0, 4.0, 6.0) for rep in eval_general(z, w, r)),
+        )}
+
+    # The suite judges the general forms on z and the centered-only forms on recenter(z).
+    general, centered = singles(z), singles(recenter(z))
+    suite = full_report(z)
+    assert sorted(general) == sorted(rep.inequality_id for rep in suite)
+    for want in suite:
+        iid = want.inequality_id
+        assert (centered if iid in CENTERED_IDS else general)[iid] == want
 
 
 def test_lookup_resolves_every_id_and_rejects_others():
@@ -419,12 +419,10 @@ def separated_configs(draw):
 )
 def test_every_entry_invariant_under_permutation_rotation_scaling(z, seed, angle, scale):
     perm = np.random.default_rng(seed).permutation(z.shape[0])
-    # Centered entries are judged on the centered input, the others on the raw one.
-    for centered, zz in ((False, z), (True, recenter(z))):
-        variants = np.stack([zz, zz[perm], np.exp(1j * angle) * zz, scale * zz])
-        table, _ = evaluate_ensemble(variants, recenter_centered=False)
-        for iid, (lhs, rhs, _required) in table.items():
-            if (iid in CENTERED_IDS) != centered or rhs[0] <= 1e-6:
-                continue
-            ratio = lhs / rhs
-            assert np.abs(ratio - ratio[0]).max() <= 1e-7, (iid, ratio)
+    # Centered entries are judged on the recentered variants, the others on the variants as given.
+    variants = np.stack([z, z[perm], np.exp(1j * angle) * z, scale * z])
+    for iid, (lhs, rhs, _required) in evaluate_ensemble(variants).items():
+        if rhs[0] <= 1e-6:
+            continue
+        ratio = lhs / rhs
+        assert np.abs(ratio - ratio[0]).max() <= 1e-7, (iid, ratio)

@@ -178,8 +178,14 @@ def test_probe_batch_matches_single():
     columns = special_case_batch(a, others)
     assert not columns.hit.any()
     for i in range(12):
-        single = probe_m_minus2(SendovInstance(a[i], others[i]))
-        assert columns.m_minus2[i] == single
+        inst = SendovInstance(a[i], others[i])
+        assert columns.m_minus2[i] == probe_m_minus2(inst)
+        # check_special_case is special_case_batch on a batch of one: every field is the batch row.
+        rep = check_special_case(inst)
+        hit, m_minus2, m2, c1, c2, min_distance = (column[i] for column in columns)
+        assert rep.values == (min_distance, m_minus2, m2)
+        assert (rep.c1_value, rep.c2_value, rep.min_distance, rep.critical_hit) == (c1, c2, min_distance, hit)
+        assert rep.condition_holds == (inst.hypothesis_margin() >= 0)
 
 
 def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eigvals):
