@@ -9,6 +9,8 @@ returns c + s w.  It forms no coefficients of p', so nothing overflows,
 and needs no starting points or retries.  One Newton step on
 f(x) = sum 1/(x - u_j) = p'(x)/p(x) polishes each point where it lowers
 the backward error |f(w)| / sum |w - u_j|^-2, which must pass ``tol_root``.
+One pass over the w - u_j gives the error, the step and that denominator,
+from which the snap onto repeated zeros bounds each point's distance to them.
 
 :func:`find_roots_batch` solves general polynomials, and is the
 independent side of ``matrices.verify_spectrum``, by Aberth-Ehrlich
@@ -287,10 +289,8 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     if z.ndim == 1:
         z = z[np.newaxis, :]
     b, n = z.shape
-    out = np.empty((b, n - 1), dtype=complex)
-    error = np.empty(b)
-    for lo in range(0, b, _CHUNK):
-        out[lo : lo + _CHUNK], error[lo : lo + _CHUNK] = _compression_eigenvalues(z[lo : lo + _CHUNK], settings.tol_root)
+    chunks = [_compression_eigenvalues(z[lo : lo + _CHUNK], settings.tol_root) for lo in range(0, max(b, 1), _CHUNK)]
+    out, error = (np.concatenate(part) for part in zip(*chunks))
     failed = np.flatnonzero(~(error <= settings.tol_root))
     if failed.size:
         worst = float(np.max(error))
@@ -319,26 +319,31 @@ def _complement_basis(n: int) -> np.ndarray:
 
 def _normalize(z):
     """Centroid c, radius s = max |z - c| (1 if 0) and u = (z - c) / s of a (b, n) stack."""
-    c = z.mean(axis=1, keepdims=True)
-    s = np.max(np.abs(z - c), axis=1, keepdims=True)
-    s[s == 0] = 1.0
-    return c, s, (z - c) / s
+    c = z.sum(axis=1, keepdims=True) / z.shape[1]
+    d = z - c
+    s = np.max(np.abs(d), axis=1, keepdims=True)
+    if not s.all():
+        s[s == 0] = 1.0
+    return c, s, d / s
 
 
 def _backward_error(u, w):
-    """Backward error of each point w as a critical point of the zeros u, and its Newton step.
+    """Backward error of each point w as a critical point of the zeros u, its Newton step and its weight.
 
     With f(x) = sum 1/(x - u_j), the error is |f(w)| / sum |w - u_j|**-2,
-    its limit 0 where w equals a zero.  The step f/f' is 0 there.
+    its limit 0 where w equals a zero.  The step f/f' is 0 there.  The weight is
+    that denominator, NaN at a zero; below d**-2, w is farther than d from all zeros.
     """
     inv = w[..., np.newaxis] - u[..., np.newaxis, :]
-    on_zero = (inv == 0).any(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.reciprocal(inv, out=inv)
-        f = inv.sum(axis=-1)
-        error = np.abs(f) / (inv.real**2 + inv.imag**2).sum(axis=-1)
-        step = -f / (inv * inv).sum(axis=-1)
-    return np.where(on_zero, 0.0, error), np.where(on_zero, 0.0, step)
+    np.reciprocal(inv, out=inv)
+    f = inv.sum(axis=-1)
+    weight = (inv.real**2 + inv.imag**2).sum(axis=-1)
+    error = np.abs(f) / weight
+    step = -f / (inv * inv).sum(axis=-1)
+    if np.isnan(weight).any():  # 1/0 is NaN: some w equals a zero, or w is NaN
+        on_zero = (w[..., np.newaxis] == u[..., np.newaxis, :]).any(axis=-1)
+        error[on_zero], step[on_zero] = 0.0, 0.0
+    return error, step, weight
 
 
 def _compression_eigenvalues(z, tol):
@@ -347,27 +352,37 @@ def _compression_eigenvalues(z, tol):
     c, s, u = _normalize(z)
     q = _complement_basis(n)
     w = np.linalg.eigvals((q.T * u[:, np.newaxis, :]) @ q)
-    error, step = _backward_error(u, w)
-    polished, _ = _backward_error(u, w - step)
-    better = polished < error
-    w, error = np.where(better, w - step, w), np.where(better, polished, error).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        error, step, weight = _backward_error(u, w)
+        polished = w - step
+        polished_error, _, polished_weight = _backward_error(u, polished)
+    better = polished_error < error
+    w, error = np.where(better, polished, w), np.where(better, polished_error, error).max(axis=1)
+    weight = np.where(better, polished_weight, weight)
     # An (n-1)-fold eigenvalue is resolved only to about eps**(1/(n-1)).
     # Points that close to the centroid are read as c itself, n - 1 times,
     # when the power sums sum u_j**k, k < n, vanish to tol: c is then the
     # (n-1)-fold critical point of a regular n-gon that close to u.
-    near = np.flatnonzero(np.max(np.abs(w), axis=1) <= 2.0 * (n * _EPS) ** (1.0 / (n - 1)))
+    near = np.flatnonzero(np.abs(w).max(axis=1) <= 2.0 * (n * _EPS) ** (1.0 / (n - 1)))
     if near.size:
         powers = np.cumprod(np.repeat(u[near, np.newaxis, :], n - 1, axis=1), axis=1)
         moment = np.max(np.abs(powers.sum(axis=2)), axis=1) / n
         polygon = moment <= tol
         w[near[polygon]] = 0.0
         error[near[polygon]] = moment[polygon]
+        weight[near[polygon]] = np.inf
     # A zero of multiplicity m is a critical point m - 1 times, which the
     # eigenvalues find to round-off: a point within 8 n eps of a zero is it.
-    gap = np.abs(w[:, :, np.newaxis] - u[:, np.newaxis, :])
-    j = np.argmin(gap, axis=2)
-    on_zero = np.take_along_axis(gap, j[:, :, np.newaxis], axis=2)[:, :, 0] <= 8 * n * _EPS
-    return np.where(on_zero, np.take_along_axis(z, j, axis=1), c + s * w), error
+    # Only a point whose weight allows a zero within twice that is measured.
+    out = c + s * w
+    snap = 8 * n * _EPS
+    i, k = np.nonzero(~(weight < (2.0 * snap) ** -2))
+    if i.size:
+        gap = np.abs(w[i, k, np.newaxis] - u[i])
+        j = np.argmin(gap, axis=1)
+        on_zero = gap[np.arange(i.size), j] <= snap
+        out[i[on_zero], k[on_zero]] = z[i[on_zero], j[on_zero]]
+    return out, error
 
 
 def moduli_critical_points(zeros):

@@ -194,12 +194,10 @@ class _Objective:
     def score(self, zs, w, ok=True) -> np.ndarray:
         """Objective values of a zeros stack from its critical points; -inf where undefined or unsolved."""
         if self.sendov:
-            value = distance_columns(zs[:, 0].real, zs[:, 1:], w).m_minus2
-        else:
-            lhs, rhs = self.inequality.evaluate(zs, w)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = np.where(np.isfinite(rhs) & (rhs > 1e-150) & np.isfinite(lhs), lhs / rhs, -np.inf)
-        return np.where(ok, value, -np.inf)
+            return np.where(ok, distance_columns(zs[:, 0].real, zs[:, 1:], w).m_minus2, -np.inf)
+        lhs, rhs = self.inequality.evaluate(zs, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(ok & np.isfinite(rhs) & (rhs > 1e-150) & np.isfinite(lhs), lhs / rhs, -np.inf)
 
     def reports(self, zs):
         """The report list of each row of a zeros stack, from one batched evaluation."""
@@ -233,7 +231,7 @@ class _Ascent:
         zs = self.obj.decode(x)
         w, ok = self.obj.solve(zs)
         f = -self.obj.score(zs, w, ok).reshape(m, k)
-        j = np.argmin(f, axis=1)
+        j = f.argmin(axis=1)
         i = np.arange(m)
         fj = f[i, j]
         better = fj < self.best_f[rows]
@@ -258,31 +256,33 @@ def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
     values[:, 0] = ascent.best_f  # the start values, as nothing else is evaluated yet
     rows = np.arange(b)
     values[:, 1:] = ascent.evaluate(simplex[:, 1:], rows)
-    rounds = np.zeros(b, dtype=int)
+    rounds = np.full(b, settings.max_iterations)
+    trials = np.empty((b, 3, dim))
     for it in range(1, settings.max_iterations + 1):
         order = np.argsort(values[rows], axis=1, kind="stable")
-        s = np.take_along_axis(simplex[rows], order[:, :, np.newaxis], axis=1)
-        v = np.take_along_axis(values[rows], order, axis=1)
-        rounds[rows] = it
-        going = ~(np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) < settings.step_tol)
-        rows, s, v = rows[going], s[going], v[going]
-        if rows.size == 0:
-            break
-        centroid = s[:, :-1].mean(axis=1)
-        worst = s[:, -1]
-        trial = np.stack(
-            [centroid + (centroid - worst), centroid + 2.0 * (centroid - worst), centroid + 0.5 * (worst - centroid)],
-            axis=1,
-        )
+        s = simplex[rows[:, np.newaxis], order]
+        v = values[rows[:, np.newaxis], order]
+        going = ~(np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) < settings.step_tol)
+        if not going.all():
+            rounds[rows[~going]] = it
+            rows, s, v = rows[going], s[going], v[going]
+            if rows.size == 0:
+                break
+        centroid = s[:, :-1].sum(axis=1) / dim
+        step = centroid - s[:, -1]
+        trial = trials[: rows.size]
+        np.add(centroid, step, out=trial[:, 0])
+        np.add(centroid, 2.0 * step, out=trial[:, 1])
+        np.subtract(centroid, 0.5 * step, out=trial[:, 2])
         fr, fe, fc = ascent.evaluate(trial, rows).T
         improved = fr < v[:, 0]
         expand = improved & (fe < fr)
         reflect = (improved & ~expand) | (~improved & (fr < v[:, -2]))
         contract = ~improved & ~reflect & (fc < v[:, -1])
-        pick = np.where(expand, 1, np.where(contract, 2, 0))
         accept = expand | reflect | contract
-        s[accept, -1] = trial[accept, pick[accept]]
-        v[accept, -1] = np.choose(pick, (fr, fe, fc))[accept]
+        pick = expand + 2 * contract
+        np.copyto(s[:, -1], trial[np.arange(rows.size), pick], where=accept[:, np.newaxis])
+        v[:, -1] = np.choose(pick, (fr, fe, fc))  # a shrinking row re-evaluates it below
         shrink = np.flatnonzero(~accept)
         if shrink.size:
             best = s[shrink, :1]

@@ -6,7 +6,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
@@ -312,6 +312,143 @@ def test_batch_equals_single_bit_for_bit(n, rows, seed):
         np.testing.assert_array_equal(critical_points_batch(z), w)
     for i in range(rows):
         np.testing.assert_array_equal(critical_points(z[i]), w[i])
+
+
+# The kernel as it stood before its one-pass rewrite: the executable spec
+# that critical_points_batch must reproduce bit for bit.
+
+def _spec_normalize(z):
+    c = z.mean(axis=1, keepdims=True)
+    s = np.max(np.abs(z - c), axis=1, keepdims=True)
+    s[s == 0] = 1.0
+    return c, s, (z - c) / s
+
+
+def _spec_backward_error(u, w):
+    inv = w[..., np.newaxis] - u[..., np.newaxis, :]
+    on_zero = (inv == 0).any(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.reciprocal(inv, out=inv)
+        f = inv.sum(axis=-1)
+        error = np.abs(f) / (inv.real**2 + inv.imag**2).sum(axis=-1)
+        step = -f / (inv * inv).sum(axis=-1)
+    return np.where(on_zero, 0.0, error), np.where(on_zero, 0.0, step)
+
+
+def _spec_compression_eigenvalues(z, tol):
+    eps = np.finfo(float).eps
+    n = z.shape[1]
+    c, s, u = _spec_normalize(z)
+    q = rootfind._complement_basis(n)
+    w = np.linalg.eigvals((q.T * u[:, np.newaxis, :]) @ q)
+    error, step = _spec_backward_error(u, w)
+    polished, _ = _spec_backward_error(u, w - step)
+    better = polished < error
+    w, error = np.where(better, w - step, w), np.where(better, polished, error).max(axis=1)
+    near = np.flatnonzero(np.max(np.abs(w), axis=1) <= 2.0 * (n * eps) ** (1.0 / (n - 1)))
+    if near.size:
+        powers = np.cumprod(np.repeat(u[near, np.newaxis, :], n - 1, axis=1), axis=1)
+        moment = np.max(np.abs(powers.sum(axis=2)), axis=1) / n
+        polygon = moment <= tol
+        w[near[polygon]] = 0.0
+        error[near[polygon]] = moment[polygon]
+    gap = np.abs(w[:, :, np.newaxis] - u[:, np.newaxis, :])
+    j = np.argmin(gap, axis=2)
+    on_zero = np.take_along_axis(gap, j[:, :, np.newaxis], axis=2)[:, :, 0] <= 8 * n * eps
+    return np.where(on_zero, np.take_along_axis(z, j, axis=1), c + s * w), error
+
+
+def _solved(solve, z, tol):
+    """Points, failed rows and worst backward error of a solve that may raise ConvergenceError."""
+    try:
+        return solve(z, tol), np.array([], dtype=int), np.nan
+    except ConvergenceError as err:
+        return err.best, err.rows, err.residual
+
+
+def _spec_critical_points_batch(z, tol):
+    w, error = _spec_compression_eigenvalues(z, tol)
+    failed = np.flatnonzero(~(error <= tol))
+    if failed.size:
+        raise ConvergenceError("spec", best=w, residual=float(np.max(error)), rows=failed)
+    return w
+
+
+@st.composite
+def kernel_batches(draw):
+    """Up to 8 rows of one degree: generic, repeated or triple zeros, regular n-gons, collinear; any scale.
+
+    A ``pair`` row has two zeros 1 to 2 snap distances (8 n eps of the
+    normalized zeros) apart, so a critical point lies about half that
+    distance from each.
+    """
+    n = draw(st.integers(2, 20))
+    kinds = draw(st.lists(st.sampled_from(["generic", "repeated", "triple", "pair", "polygon", "collinear"]), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        centre = complex(*rng.standard_normal(2))
+        turn = np.exp(2j * np.pi * rng.uniform())
+        if kind == "polygon":
+            z = centre + turn * np.exp(2j * np.pi * np.arange(n) / n)
+        elif kind == "collinear":
+            z = centre + turn * rng.standard_normal(n)
+        else:
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            z[1 : {"repeated": 2, "triple": 3}.get(kind, 1)] = z[0]
+            if kind == "pair":
+                gap = rng.uniform(1.0, 2.0) * 8 * n * np.finfo(float).eps * np.abs(z - z.mean()).max()
+                z[1] = z[0] + gap * np.exp(2j * np.pi * rng.uniform())
+            z = rng.permutation(z)
+        rows.append(10.0 ** rng.uniform(-6, 6) * z)
+    return np.array(rows)
+
+
+# A regular 47-gon plus its centre, under a loose gate: the polygon rule
+# puts all 47 points on the centroid, a rounding away from the centre
+# zero, and the snap must then move them onto that zero.
+_GON_AND_CENTRE = np.append(np.exp(2j * np.pi * np.arange(47) / 47), 0.0) + (0.3 + 0.7j)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(z=kernel_batches(), tol=st.sampled_from([1e-9, 1e-11]), poisoned=st.integers(0, 8))
+@example(z=_GON_AND_CENTRE[np.newaxis], tol=10.0, poisoned=8)
+def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned):
+    eigvals = np.linalg.eigvals
+
+    def poison(a):
+        out = eigvals(a)
+        if out.shape[0] > poisoned:  # a stack of more than `poisoned` rows gets NaN in that row
+            out[poisoned] = np.nan
+        return out
+
+    settings = RootSolverSettings(tol_root=tol)
+    with mock.patch.object(np.linalg, "eigvals", poison):
+        w, rows, residual = _solved(critical_points_batch, z, settings)
+        want, want_rows, want_residual = _solved(_spec_critical_points_batch, z, tol)
+    np.testing.assert_array_equal(w.view(float), want.view(float))  # NaN equals NaN here
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(residual, want_residual)
+
+
+def test_special_rows_in_one_batch_are_solved_as_alone(nan_eigvals):
+    rng = np.random.default_rng(61)
+    polygon = (0.5 - 2j) + 3.0 * np.exp(2j * np.pi * (np.arange(7) / 7 + 0.1))
+    triple = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    triple[1:3] = triple[0]
+    generic = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    z = np.stack([polygon, triple, generic[0], generic[1], generic[2]])
+    solo = [critical_points(row) for row in z]
+    nan_eigvals(3)
+    with pytest.raises(ConvergenceError) as err:
+        critical_points_batch(z)
+    np.testing.assert_array_equal(err.value.rows, [3])
+    w = err.value.best
+    assert np.isnan(w[3]).all()
+    for i in (0, 1, 2, 4):
+        np.testing.assert_array_equal(w[i], solo[i])
+    np.testing.assert_array_equal(w[0], np.full(6, polygon.mean()))
+    assert (w[1] == triple[0]).sum() == 2
 
 
 def test_moduli_critical_points_examples():

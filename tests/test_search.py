@@ -166,21 +166,36 @@ def test_search_settings_zero_budget_scores_the_start_simplex():
 
 @pytest.mark.parametrize(
     "objective, kind, n",
-    [("KT", "uniform-disk", 5), ("S", "gaussian", 4), ("M_MINUS2", "sendov-boundary", 4)],
+    [("KT", "uniform-disk", 5), ("S", "gaussian", 4), ("M_MINUS2", "sendov-boundary", 4), ("M_MINUS2", "sendov-boundary", 3)],
 )
-def test_batched_search_equals_single_ascents(objective, kind, n):
+def test_batched_search_equals_single_ascents(monkeypatch, objective, kind, n):
     ens = Ensemble(kind=kind, n=n, count=3, seed=404, recenter=objective == "KT")
     starts = list(sample(ens))
     seeds = [sample_seed(404, i) for i in range(3)]
     if objective != "M_MINUS2":  # the objective is undefined at all-zeros
         starts.insert(1, np.zeros(n, dtype=complex))
         seeds.insert(1, 7)
+    calls = []  # (rows, points per row) of each batched evaluation
+    evaluate = search._Ascent.evaluate
+
+    def counting(self, points, rows):
+        calls.append(points.shape[:2])
+        return evaluate(self, points, rows)
+
+    monkeypatch.setattr(search._Ascent, "evaluate", counting)
     # A loose step_tol lets the rows stop in different rounds.
     settings = SearchSettings(max_iterations=150, step_tol=1e-3)
     batch = maximize_batch(objective, starts, settings, sample_seeds=seeds)
     assert len(batch) == len(starts)
     assert sum(rec is None for rec in batch) == (objective != "M_MINUS2")
     assert len({rec.iterations for rec in batch if rec is not None}) > 1
+    # Call 0 scores the start simplices; then each round makes a trial call (3
+    # points per row) and, if some row shrinks, a shrink call (dim points per row).
+    dim = calls[0][1]
+    trials = [call for call in calls[1:] if call[1] == 3]
+    assert any(0 < after[0] < before[0] for before, after in zip(trials, trials[1:]))  # a row retires, one goes on
+    if objective == "M_MINUS2":  # the projection onto the constraints makes rows shrink
+        assert any(shrink[1] == dim and shrink[0] < trial[0] for trial, shrink in zip(calls[1:], calls[2:]))
     for start, seed, rec in zip(starts, seeds, batch):
         if rec is None:
             with pytest.raises(RejectedStartError):
