@@ -69,8 +69,10 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 # small I/O helpers
 
-def _pairs(zeros) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(zeros, dtype=complex)]
+def _pairs(zeros) -> list:
+    """[re, im] float pairs of a configuration, or a list of them per row of a stack."""
+    z = np.asarray(zeros, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 def _json_float(x: float) -> str:
@@ -371,15 +373,10 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_root(args, summary: _Summary) -> list[str]:
-    ens = Ensemble(
-        kind=args.ensemble, n=args.n, count=args.count, seed=args.seed,
-        recenter=args.recenter, scale=args.scale,
-    )
-    zs = np.array([sample_one(ens, i) for i in range(args.count)])
-    settings = RootSolverSettings(tol_root=args.tol_root)
-    table = evaluate_ensemble(zs, settings)
-    pairs = np.stack([zs.real, zs.imag], axis=-1).tolist()
+def _sweep_root(args, ens: Ensemble, summary: _Summary) -> list[str]:
+    zs = sample_array(ens)
+    table = evaluate_ensemble(zs, RootSolverSettings(tol_root=args.tol_root))
+    pairs = _pairs(zs)
     lines = []
     for i, reports in enumerate(row_reports(table, args.tol_eq)):
         summary.update(_report_items(args.n, reports))
@@ -387,9 +384,8 @@ def _sweep_root(args, summary: _Summary) -> list[str]:
     return lines
 
 
-def _sweep_sendov(args, summary: _Summary) -> tuple[list[str], int]:
+def _sweep_sendov(args, ens: Ensemble, summary: _Summary) -> tuple[list[str], int]:
     """The archive lines, and the count of M_MINUS2 values above 1."""
-    ens = Ensemble(kind="sendov-boundary", n=args.n, count=args.count, seed=args.seed)
     instances, seeds = [], []
     index = 0
     # Rejection keeps the per-sample seeds aligned with their sample index.
@@ -401,13 +397,11 @@ def _sweep_sendov(args, summary: _Summary) -> tuple[list[str], int]:
         index += 1
     if len(instances) < args.count:
         raise InvalidInputError("hypothesis filter rejected too many samples")
-    a = np.array([inst.a for inst in instances])
-    others = np.array([inst.other_zeros for inst in instances])
-    settings = RootSolverSettings(tol_root=args.tol_root)
-    special = special_case_batch(a, others, settings)
+    # The a-first stack of the instances' zeros(), built in one call, not one concatenation per row.
+    zs = np.column_stack([[inst.a for inst in instances], [inst.other_zeros for inst in instances]])
+    special = special_case_batch(zs, RootSolverSettings(tol_root=args.tol_root))
     c1, c2, m_minus2 = special.c1.tolist(), special.c2.tolist(), special.m_minus2.tolist()
-    full = np.concatenate([a[:, np.newaxis], others], axis=1)
-    pairs = np.stack([full.real, full.imag], axis=-1).tolist()
+    pairs = _pairs(zs)
     lines = []
     for i, inst in enumerate(instances):
         reports = special_case_reports(inst, c1[i], c2[i], args.tol_eq)
@@ -419,11 +413,15 @@ def _sweep_sendov(args, summary: _Summary) -> tuple[list[str], int]:
 
 
 def cmd_sweep(args) -> int:
+    if args.hypothesis_filter and args.ensemble != "sendov-boundary":
+        raise InvalidInputError("--hypothesis-filter applies to the sendov-boundary ensemble only")
+    ens = Ensemble(kind=args.ensemble, n=args.n, count=args.count, seed=args.seed,
+                   recenter=args.recenter, scale=args.scale)
     summary = _Summary()
-    if args.ensemble == "sendov-boundary":
-        lines, m2_bad = _sweep_sendov(args, summary)
+    if ens.kind == "sendov-boundary":
+        lines, m2_bad = _sweep_sendov(args, ens, summary)
     else:
-        lines, m2_bad = _sweep_root(args, summary), 0
+        lines, m2_bad = _sweep_root(args, ens, summary), 0
     rows = summary.rows()
     jsonl_path, csv_path = _out_paths(args.out or "sweep")
     _atomic_write(jsonl_path, "".join(lines))

@@ -15,9 +15,9 @@ contraction of every active row with one batched critical-point solve;
 only the rows that shrink make a second.  The solver takes no starting
 points and treats each row on its own; a row it cannot solve is scored
 -inf.  Each row stops on its own, when its simplex spread falls below
-``step_tol`` or its round budget is spent, so a start's record does not
-depend on the other starts of its batch.  Any objective value above
-1 + 1e-6 is a counterexample candidate, believed only if
+the step tolerance or its round budget is spent, so a start's record
+does not depend on the other starts of its batch.  Any objective value
+above 1 + 1e-6 is a counterexample candidate, believed only if
 :func:`verify_candidate` confirms it.
 """
 
@@ -59,6 +59,10 @@ ENSEMBLE_KINDS = (
 
 # Objective values above 1 + this margin trigger the counterexample protocol.
 COUNTEREXAMPLE_MARGIN = 1e-6
+# A Nelder-Mead row retires when its simplex spread falls below the step
+# tolerance; its start simplex steps coordinate x by the initial step times max(1, |x|).
+_STEP_TOL = 1e-9
+_INITIAL_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -132,14 +136,12 @@ def sample(ensemble: Ensemble):
         yield sample_one(ensemble, i)
 
 
-def sample_array(ensemble: Ensemble):
-    """All samples stacked: a (count, n) array, or (a values, other zeros)."""
-    items = list(sample(ensemble))
+def sample_array(ensemble: Ensemble) -> np.ndarray:
+    """All samples stacked as a (count, n) zeros array; a Sendov instance's row is ``inst.zeros()``."""
+    items = sample(ensemble)
     if ensemble.kind == "sendov-boundary":
-        a = np.array([inst.a for inst in items])
-        others = np.array([inst.other_zeros for inst in items])
-        return a, others
-    return np.array(items)
+        items = (inst.zeros() for inst in items)
+    return np.array(list(items))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,6 @@ class _Objective:
     """
 
     def __init__(self, objective_id: str, n: int, solver: RootSolverSettings):
-        self.n = n
         self.solver = solver
         self.sendov = objective_id == "M_MINUS2"
         self.inequality = None if self.sendov else lookup(objective_id, n)
@@ -181,20 +182,16 @@ class _Objective:
             z = np.concatenate([z, -z.sum(axis=1, keepdims=True)], axis=1)
         return z
 
-    def solve(self, zs):
-        """Critical points of a zeros stack and the mask of rows that passed the solver's gate."""
+    def values(self, zs) -> np.ndarray:
+        """Objective values of a zeros stack from one solve; -inf where unsolved or undefined."""
         ok = np.ones(zs.shape[0], dtype=bool)
         try:
             w = critical_points_batch(zs, self.solver)
         except ConvergenceError as err:
             w = err.best
             ok[err.rows] = False
-        return w, ok
-
-    def score(self, zs, w, ok=True) -> np.ndarray:
-        """Objective values of a zeros stack from its critical points; -inf where undefined or unsolved."""
         if self.sendov:
-            return np.where(ok, distance_columns(zs[:, 0].real, zs[:, 1:], w).m_minus2, -np.inf)
+            return np.where(ok, distance_columns(zs, w).m_minus2, -np.inf)
         lhs, rhs = self.inequality.evaluate(zs, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(ok & np.isfinite(rhs) & (rhs > 1e-150) & np.isfinite(lhs), lhs / rhs, -np.inf)
@@ -202,7 +199,7 @@ class _Objective:
     def reports(self, zs):
         """The report list of each row of a zeros stack, from one batched evaluation."""
         if self.sendov:
-            columns = distance_columns(zs[:, 0].real, zs[:, 1:], critical_points_batch(zs, self.solver))
+            columns = distance_columns(zs, critical_points_batch(zs, self.solver))
             return [
                 special_case_reports(SendovInstance(a=z[0].real, other_zeros=z[1:]), c1, c2)
                 for z, c1, c2 in zip(zs, columns.c1.tolist(), columns.c2.tolist())
@@ -227,10 +224,7 @@ class _Ascent:
     def evaluate(self, points, rows):
         """Negated objective of ``points`` (m, k, dim), point j of row ``rows[i]`` at [i, j]; one solve."""
         m, k, dim = points.shape
-        x = points.reshape(m * k, dim)
-        zs = self.obj.decode(x)
-        w, ok = self.obj.solve(zs)
-        f = -self.obj.score(zs, w, ok).reshape(m, k)
+        f = -self.obj.values(self.obj.decode(points.reshape(m * k, dim))).reshape(m, k)
         j = f.argmin(axis=1)
         i = np.arange(m)
         fj = f[i, j]
@@ -244,14 +238,15 @@ def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
     """Run every row's Nelder-Mead in lockstep; returns the rounds each row took.
 
     One round sorts every active simplex, retires the rows whose spread is
-    below ``step_tol``, and evaluates the reflection, expansion and inside
-    contraction of all remaining rows in one call; only the rows that then
-    shrink make a second call.  Each row takes the steps it would take alone.
+    below the step tolerance, and evaluates the reflection, expansion and
+    inside contraction of all remaining rows in one call; only the rows
+    that then shrink make a second call.  Each row takes the steps it
+    would take alone.
     """
     b, dim = x0.shape
     simplex = np.repeat(x0[:, np.newaxis, :], dim + 1, axis=1)
     diag = np.arange(dim)
-    simplex[:, diag + 1, diag] += settings.initial_step * np.maximum(1.0, np.abs(x0))
+    simplex[:, diag + 1, diag] += _INITIAL_STEP * np.maximum(1.0, np.abs(x0))
     values = np.empty((b, dim + 1))
     values[:, 0] = ascent.best_f  # the start values, as nothing else is evaluated yet
     rows = np.arange(b)
@@ -262,7 +257,7 @@ def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
         order = np.argsort(values[rows], axis=1, kind="stable")
         s = simplex[rows[:, np.newaxis], order]
         v = values[rows[:, np.newaxis], order]
-        going = ~(np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) < settings.step_tol)
+        going = ~(np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) < _STEP_TOL)
         if not going.all():
             rounds[rows[~going]] = it
             rows, s, v = rows[going], s[going], v[going]
@@ -294,20 +289,14 @@ def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Search budget and termination of each ascent."""
+    """The round budget of each ascent and the solver settings of its solves."""
 
     max_iterations: int = 200
-    step_tol: float = 1e-9
-    initial_step: float = 0.1
     solver: RootSolverSettings = field(default_factory=RootSolverSettings)
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise InvalidInputError("max_iterations must be nonnegative")
-        if not self.step_tol > 0:
-            raise InvalidInputError("step_tol must be positive")
-        if not self.initial_step > 0:
-            raise InvalidInputError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -350,8 +339,8 @@ def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = 
     batched call, and the final reports of all ascents take one batched
     evaluation.  The solver treats each row on its own, a row it cannot
     solve is scored -inf, and each row stops on its own (simplex spread
-    below ``step_tol``, or the round budget), so every record equals that
-    of :func:`maximize` on its start alone, bit for bit.
+    below the step tolerance, or the round budget), so every record equals
+    that of :func:`maximize` on its start alone, bit for bit.
     """
     settings = settings or SearchSettings()
     starts = list(starts)
@@ -362,9 +351,7 @@ def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = 
     records = [None] * len(starts)
     obj = _Objective(objective_id, n, settings.solver)
     x0 = np.array([obj.encode(start) for start in starts])
-    zs = obj.decode(x0)
-    w, ok = obj.solve(zs)
-    start = -obj.score(zs, w, ok)
+    start = -obj.values(obj.decode(x0))
     kept = np.flatnonzero(np.isfinite(start))
     if kept.size == 0:
         return records
@@ -398,7 +385,7 @@ def maximize(objective_id: str, start, settings: SearchSettings | None = None, *
     The returned record's objective value is never below the start value.
 
     This is :func:`maximize_batch` on a batch of one: the ascent stops
-    when the simplex spread falls below ``step_tol`` or after
+    when the simplex spread falls below the step tolerance or after
     ``max_iterations`` rounds.
     """
     (record,) = maximize_batch(objective_id, [start], settings, sample_seeds=[sample_seed])
@@ -418,6 +405,4 @@ def verify_candidate(record: SearchRecord, settings: SearchSettings | None = Non
     """
     settings = settings or SearchSettings()
     obj = _Objective(record.objective_id, len(record.zeros), settings.solver.tightened())
-    zs = record.zeros[np.newaxis]
-    w, ok = obj.solve(zs)
-    return float(obj.score(zs, w, ok)[0])
+    return float(obj.values(record.zeros[np.newaxis])[0])

@@ -15,13 +15,16 @@ critical points to the distinguished zero:
   M_{-2} <= 1 always holds is open; the probe only reports candidates and
   asserts nothing.
 
-M_{-2}, M_2, C1, C2, the minimum distance and the exact-hit flag are
-computed in one place, :func:`distance_columns`, from a batch of critical
-points: :func:`special_case_batch` applies it after one batched solve, and
-the search objective to its own solves.  :func:`check_special_case` and
+Batched code holds b instances of degree n as the (b, n) stack of their
+zeros, each row :meth:`SendovInstance.zeros` with the real a first; the
+search decodes to this layout and the archives write it.  M_{-2}, M_2, C1,
+C2, the minimum distance and the exact-hit flag are computed in one place,
+:func:`distance_columns`, from such a stack and its critical points:
+:func:`special_case_batch` applies it after one batched solve, and the
+search objective to its own solves.  :func:`check_special_case` and
 :func:`probe_m_minus2` are :func:`special_case_batch` on a batch of one.
-:func:`special_case_reports` is the one place C1 and C2 become reports,
-and the one place the hypothesis gates them.
+:func:`special_case_reports` is the one place C1 and C2 become reports, and
+the one place the hypothesis gates them.
 """
 
 from __future__ import annotations
@@ -157,18 +160,19 @@ class SpecialCaseColumns(namedtuple("SpecialCaseColumns", "hit m_minus2 m2 c1 c2
     __slots__ = ()
 
 
-def distance_columns(a_values, other_zeros, critical) -> SpecialCaseColumns:
+def distance_columns(zs, critical) -> SpecialCaseColumns:
     """Special-case quantities of b instances from their critical points.
 
-    ``a_values`` has shape (b,), ``other_zeros`` and ``critical`` shape
+    ``zs`` is the (b, n) a-first zeros stack and ``critical`` has shape
     (b, n-1).  A critical point within ``CRITICAL_HIT_TOL`` of a, or a zero
     repeated at a (which forces a critical point there however much a
     root cluster smears the computed points), is an exact hit.
     """
-    a = np.asarray(a_values, dtype=float)[:, np.newaxis]
+    zs = np.asarray(zs)
+    a = zs[:, :1].real
     dist = np.abs(np.asarray(critical) - a)
     min_distance = dist.min(axis=1)
-    hit = (min_distance <= CRITICAL_HIT_TOL) | (np.abs(np.asarray(other_zeros) - a).min(axis=1) <= CRITICAL_HIT_TOL)
+    hit = (min_distance <= CRITICAL_HIT_TOL) | (np.abs(zs[:, 1:] - a).min(axis=1) <= CRITICAL_HIT_TOL)
     m = dist.shape[1]
     with np.errstate(divide="ignore"):
         c1 = np.sum(dist**-2.0, axis=1)
@@ -187,7 +191,7 @@ def check_special_case(inst: SendovInstance, settings: RootSolverSettings | None
     immediately.  This is :func:`special_case_batch` on a batch of one, so
     an M_{-2} above 1 has passed the tightened re-solve described there.
     """
-    columns = special_case_batch([inst.a], inst.other_zeros[np.newaxis], settings)
+    columns = special_case_batch(inst.zeros()[np.newaxis], settings)
     hit, m_minus2, m2, c1, c2, min_distance = (column[0].item() for column in columns)
     return PowerMeanReport(
         exponents=(-math.inf, -2.0, 2.0),
@@ -207,13 +211,13 @@ def probe_m_minus2(inst: SendovInstance, settings: RootSolverSettings | None = N
     This is :func:`special_case_batch` on a batch of one, so a value above
     1 has passed the tightened re-solve described there.
     """
-    return float(special_case_batch([inst.a], inst.other_zeros[np.newaxis], settings).m_minus2[0])
+    return float(special_case_batch(inst.zeros()[np.newaxis], settings).m_minus2[0])
 
 
-def special_case_batch(a_values, other_zeros, settings: RootSolverSettings | None = None) -> SpecialCaseColumns:
+def special_case_batch(zs, settings: RootSolverSettings | None = None) -> SpecialCaseColumns:
     """Special-case columns of instances sharing one degree, from one batched solve.
 
-    ``a_values`` has shape (b,), ``other_zeros`` shape (b, n-1).  An
+    ``zs`` is the (b, n) a-first zeros stack of the instances.  An
     ``m_minus2`` above 1 is a counterexample candidate: every candidate
     row is solved again, all in one batch, with the solver's gate
     tightened 100x (``settings.tightened()``), and its columns are
@@ -224,19 +228,17 @@ def special_case_batch(a_values, other_zeros, settings: RootSolverSettings | Non
     caller's batch.
     """
     settings = settings or DEFAULT_SETTINGS
-    a = np.asarray(a_values, dtype=float)
-    others = np.asarray(other_zeros, dtype=complex)
-    full = np.concatenate([a[:, np.newaxis].astype(complex), others], axis=1)
-    critical = critical_points_batch(full, settings)
-    columns = distance_columns(a, others, critical)
+    zs = np.asarray(zs, dtype=complex)
+    critical = critical_points_batch(zs, settings)
+    columns = distance_columns(zs, critical)
     candidates = np.flatnonzero(columns.m_minus2 > 1.0)
     if candidates.size:
         try:
-            refined = critical_points_batch(full[candidates], settings.tightened())
+            refined = critical_points_batch(zs[candidates], settings.tightened())
         except ConvergenceError as err:
             critical[candidates] = err.best
             raise ConvergenceError(str(err), best=critical, residual=err.residual, rows=candidates[err.rows]) from None
-        for column, value in zip(columns, distance_columns(a[candidates], others[candidates], refined)):
+        for column, value in zip(columns, distance_columns(zs[candidates], refined)):
             column[candidates] = value
     return columns
 

@@ -443,6 +443,18 @@ def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--ensemble", "sendov-boundary", "--recenter"], "sendov-boundary instances cannot be recentered"),
+    (["--ensemble", "sendov-boundary", "--scale", "-1"], "perturbation scale must be nonnegative"),
+    (["--ensemble", "gaussian", "--scale", "-1"], "perturbation scale must be nonnegative"),
+    (["--ensemble", "gaussian", "--hypothesis-filter"], "--hypothesis-filter applies to the sendov-boundary"),
+])
+def test_sweep_flags_the_ensemble_cannot_use_are_usage_errors(extra, message, tmp_path, capsys):
+    assert main(["sweep", "--n", "4", "--count", "5", *extra, "--out", str(tmp_path / "s")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_bad_tol_eq_is_usage_error(value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

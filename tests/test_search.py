@@ -78,8 +78,11 @@ def test_roots_of_unity_zero_perturbation_is_exact():
 
 def test_sendov_boundary_samples():
     ens = Ensemble(kind="sendov-boundary", n=5, count=20, seed=11)
-    a_vals, others = sample_array(ens)
-    assert ((0 <= a_vals) & (a_vals <= 1)).all()
+    zs = sample_array(ens)
+    # Each row is the a-first zeros of the sampled instance.
+    np.testing.assert_array_equal(zs, [inst.zeros() for inst in sample(ens)])
+    a_vals, others = zs[:, 0], zs[:, 1:]
+    assert (a_vals.imag == 0).all() and ((0 <= a_vals.real) & (a_vals.real <= 1)).all()
     np.testing.assert_allclose(np.abs(others), 1.0, atol=1e-14)
 
 
@@ -149,10 +152,7 @@ def test_verify_candidate_reproduces_value():
     assert refined == pytest.approx(rec.objective_value, rel=1e-6)
 
 
-@pytest.mark.parametrize(
-    "changes",
-    [{"max_iterations": -1}, {"step_tol": 0.0}, {"step_tol": -1e-9}, {"initial_step": 0.0}, {"initial_step": -0.1}],
-)
+@pytest.mark.parametrize("changes", [{"max_iterations": -1}])
 def test_search_settings_reject_bad_values(changes):
     with pytest.raises(InvalidInputError):
         SearchSettings(**changes)
@@ -183,8 +183,9 @@ def test_batched_search_equals_single_ascents(monkeypatch, objective, kind, n):
         return evaluate(self, points, rows)
 
     monkeypatch.setattr(search._Ascent, "evaluate", counting)
-    # A loose step_tol lets the rows stop in different rounds.
-    settings = SearchSettings(max_iterations=150, step_tol=1e-3)
+    # A loose step tolerance lets the rows stop in different rounds.
+    monkeypatch.setattr(search, "_STEP_TOL", 1e-3)
+    settings = SearchSettings(max_iterations=150)
     batch = maximize_batch(objective, starts, settings, sample_seeds=seeds)
     assert len(batch) == len(starts)
     assert sum(rec is None for rec in batch) == (objective != "M_MINUS2")
@@ -215,7 +216,7 @@ def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch, n
     rng = np.random.default_rng(43)
     z = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
     obj = search._Objective("S", 7, RootSolverSettings())
-    solo = [obj.score(z[i : i + 1], *obj.solve(z[i : i + 1]))[0] for i in range(4)]
+    solo = [obj.values(z[i : i + 1])[0] for i in range(4)]
     calls = []
 
     def counting(zs, settings):
@@ -224,10 +225,8 @@ def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch, n
 
     monkeypatch.setattr(search, "critical_points_batch", counting)
     nan_eigvals(2)
-    w, ok = obj.solve(z)
+    values = obj.values(z)
     assert calls == [4]
-    np.testing.assert_array_equal(ok, [True, True, False, True])
-    values = obj.score(z, w, ok)
     assert values[2] == -np.inf and np.isfinite(values[[0, 1, 3]]).all()
     for i in (0, 1, 3):
         assert values[i] == solo[i]

@@ -167,15 +167,16 @@ def test_probe_examples():
 
 
 def disk_instances(seed, count, n):
+    """a values, other zeros, and their (count, n) a-first zeros stack."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(0, 1, count)
     others = np.sqrt(rng.uniform(0, 1, (count, n - 1))) * np.exp(1j * rng.uniform(0, 2 * np.pi, (count, n - 1)))
-    return a, others
+    return a, others, np.concatenate([a[:, np.newaxis], others], axis=1)
 
 
 def test_probe_batch_matches_single():
-    a, others = disk_instances(163, 12, 5)
-    columns = special_case_batch(a, others)
+    a, others, zs = disk_instances(163, 12, 5)
+    columns = special_case_batch(zs)
     assert not columns.hit.any()
     for i in range(12):
         inst = SendovInstance(a[i], others[i])
@@ -191,10 +192,9 @@ def test_probe_batch_matches_single():
 def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eigvals):
     # No natural input has M_-2 > 1: the first solve is faked so that rows
     # 1 and 4 read it (every distance 2), and later solves are real.
-    a, others = disk_instances(167, 6, 5)
+    a, _, full = disk_instances(167, 6, 5)
     settings = RootSolverSettings()
-    want = special_case_batch(a, others, settings)
-    full = np.concatenate([a[:, np.newaxis], others], axis=1)
+    want = special_case_batch(full, settings)
     first = critical_points_batch(full, settings)
     real = first.copy()
     first[[1, 4]] = a[[1, 4], np.newaxis] + 2.0
@@ -205,7 +205,7 @@ def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eig
         return first if len(calls) == 1 else critical_points_batch(zs, s)
 
     monkeypatch.setattr(sendov, "critical_points_batch", solve)
-    got = special_case_batch(a, others, settings)
+    got = special_case_batch(full, settings)
     assert len(calls) == 2
     np.testing.assert_array_equal(calls[1][0], full[[1, 4]])
     assert calls[1][1] == settings.tightened() and calls[1][1].tol_root == settings.tol_root / 100
@@ -215,7 +215,7 @@ def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eig
     calls.clear()
     nan_eigvals(1)  # the second candidate fails the tightened gate
     with pytest.raises(ConvergenceError) as exc:
-        special_case_batch(a, others, settings)
+        special_case_batch(full, settings)
     assert len(calls) == 2
     # The error names the caller's row 4, and its points are the caller's
     # batch, with the candidate rows from the re-solve.

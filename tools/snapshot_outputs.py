@@ -1,0 +1,74 @@
+"""Write the outputs of a fixed list of CLI runs, for byte-for-byte comparison.
+
+    python3 tools/snapshot_outputs.py OUT_DIR
+
+Runs every command of ``COMMANDS`` at every seed of ``SEEDS`` with the
+package of this checkout (``PYTHONPATH=src``), one subprocess each, with
+``OUT_DIR`` as the working directory.  Run ``NAME`` at seed ``S`` leaves
+``NAME_S.stdout``, ``NAME_S.stderr`` and ``NAME_S.exit`` in ``OUT_DIR``,
+next to the JSONL and CSV files it writes as ``--out NAME_S``.  Output
+paths are relative, so two checkouts side by side give comparable trees:
+
+    (cd old && python3 tools/snapshot_outputs.py ../before)
+    (cd new && python3 tools/snapshot_outputs.py ../after)
+    diff -r before after
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SEEDS = (1729, 4242)
+
+# (name, argv after ``schoenberg``, whether the command writes to ``--out NAME_S``)
+COMMANDS = (
+    ("search_kt_n6", ("search", "--objective", "KT", "--n", "6", "--starts", "4"), True),
+    ("search_star_n5", ("search", "--objective", "STAR", "--n", "5", "--starts", "3"), True),
+    ("search_s_n5", ("search", "--objective", "S", "--n", "5", "--starts", "3"), True),
+    ("search_lxz_n5", ("search", "--objective", "LXZ(2.5)", "--n", "5", "--starts", "3"), True),
+    ("search_m2_n5", ("search", "--objective", "M_MINUS2", "--n", "5", "--starts", "6"), True),
+    ("search_m2_n3", ("search", "--objective", "M_MINUS2", "--n", "3", "--starts", "6"), True),
+    ("search_bsen_n7", ("search", "--objective", "BSEN", "--n", "7", "--starts", "3", "--ensemble", "gaussian"), True),
+    ("sweep_disk_n8", ("sweep", "--ensemble", "uniform-disk", "--n", "8", "--count", "800"), True),
+    ("sweep_collinear_n6", ("sweep", "--ensemble", "collinear", "--n", "6", "--count", "300"), True),
+    ("sweep_sendov_n6", ("sweep", "--ensemble", "sendov-boundary", "--n", "6", "--count", "300"), True),
+    ("sweep_sendov_filter_n5",
+     ("sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "200", "--hypothesis-filter"), True),
+    ("sweep_unity_n7",
+     ("sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "7", "--count", "200", "--scale", "0"), True),
+    ("oracle_n10", ("oracle", "--n", "10", "--samples", "300"), False),
+    ("verify_sendov", ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6"), False),
+    ("verify_collinear", ("verify", "--zeros", "-1.5,0 0.5,0 1,0"), False),
+    ("verify_square", ("verify", "--zeros", "1,0 0,1 -1,0 0,-1", "--format", "jsonl"), True),
+    ("verify_hit", ("verify", "--zeros", "-1,0 -1,0", "--a", "1.0"), False),
+)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, args, writes in COMMANDS:
+        for seed in SEEDS:
+            tag = f"{name}_{seed}"
+            cmd = [sys.executable, "-m", "schoenberg.cli", *args, "--seed", str(seed)]
+            if writes:
+                cmd += ["--out", tag + (".jsonl" if args[0] == "verify" else "")]
+            done = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
+            (out / f"{tag}.stdout").write_text(done.stdout)
+            (out / f"{tag}.stderr").write_text(done.stderr)
+            (out / f"{tag}.exit").write_text(f"{done.returncode}\n")
+            print(f"{tag}: exit {done.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
