@@ -49,14 +49,14 @@ from .search import (
     ENSEMBLE_KINDS,
     Ensemble,
     SearchSettings,
+    _draw,
     maximize_batch,
     sample,
     sample_array,
-    sample_one,
     sample_seed,
     verify_candidate,
 )
-from .sendov import SendovInstance, check_special_case, special_case_batch, special_case_reports
+from .sendov import SendovInstance, hypothesis_margins, special_case_batch, special_case_reports
 
 TRACE_ORACLE_TOL = 1e-10
 SPECTRUM_TOL = 1e-7
@@ -250,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--recenter", action="store_true", help="recenter sampled configurations")
-    p.add_argument("--scale", type=float, default=0.1, help="perturbation scale for roots-of-unity-perturbed")
+    p.add_argument("--scale", type=float, default=None,
+                   help="perturbation scale for roots-of-unity-perturbed (default 0.1)")
     p.add_argument("--hypothesis-filter", action="store_true",
                    help="sendov-boundary: keep only instances satisfying the centroid hypothesis")
     common(p, "--seed", "--tol-root", "--tol-eq", "--out")
@@ -310,13 +311,13 @@ def cmd_verify(args) -> int:
     extra = []
     sendov_reports = []
     if a is not None:
-        inst = SendovInstance(a=float(a), other_zeros=zeros)
-        zeros = inst.zeros()
-        pm = check_special_case(inst, settings)
-        sendov_reports = special_case_reports(inst, pm.c1_value, pm.c2_value, args.tol_eq)
+        zs = SendovInstance(a=float(a), other_zeros=zeros).zeros()[np.newaxis]
+        zeros = zs[0]
+        special = special_case_batch(zs, settings)
+        (sendov_reports,) = special_case_reports(zs, special, args.tol_eq)
         extra.append(
-            f"sendov: condition_holds={pm.condition_holds} min|w-a|={pm.min_distance:.6f} "
-            f"M2={pm.values[2]:.6f} M-2={pm.values[1]:.6f}"
+            f"sendov: condition_holds={bool(hypothesis_margins(zs)[0] >= 0.0)} "
+            f"min|w-a|={special.min_distance[0]:.6f} M2={special.m2[0]:.6f} M-2={special.m_minus2[0]:.6f}"
         )
 
     reports = full_report(zeros, settings, tol_eq=args.tol_eq) + sendov_reports
@@ -386,28 +387,29 @@ def _sweep_root(args, ens: Ensemble, summary: _Summary) -> list[str]:
 
 def _sweep_sendov(args, ens: Ensemble, summary: _Summary) -> tuple[list[str], int]:
     """The archive lines, and the count of M_MINUS2 values above 1."""
-    instances, seeds = [], []
+    rows, seeds = [], []
     index = 0
     # Rejection keeps the per-sample seeds aligned with their sample index.
-    while len(instances) < args.count and index < 1000 * args.count:
-        inst = sample_one(ens, index)
-        if not args.hypothesis_filter or inst.hypothesis_margin() >= 0:
-            instances.append(inst)
-            seeds.append(sample_seed(args.seed, index))
+    while len(rows) < args.count and index < 1000 * args.count:
+        seed = sample_seed(args.seed, index)
+        row = _draw(ens, seed)
+        if not args.hypothesis_filter or hypothesis_margins(row[np.newaxis])[0] >= 0:
+            rows.append(row)
+            seeds.append(seed)
         index += 1
-    if len(instances) < args.count:
+    if len(rows) < args.count:
         raise InvalidInputError("hypothesis filter rejected too many samples")
-    # The a-first stack of the instances' zeros(), built in one call, not one concatenation per row.
-    zs = np.column_stack([[inst.a for inst in instances], [inst.other_zeros for inst in instances]])
+    zs = np.array(rows)
     special = special_case_batch(zs, RootSolverSettings(tol_root=args.tol_root))
-    c1, c2, m_minus2 = special.c1.tolist(), special.c2.tolist(), special.m_minus2.tolist()
+    m_minus2 = special.m_minus2.tolist()
     pairs = _pairs(zs)
     lines = []
-    for i, inst in enumerate(instances):
-        reports = special_case_reports(inst, c1[i], c2[i], args.tol_eq)
+    for seed, row_pairs, a, reports, value in zip(
+        seeds, pairs, zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq), m_minus2
+    ):
         summary.update(_report_items(args.n, reports))
-        lines.append(_record_line("sample", seeds[i], pairs[i], reports, a=inst.a,
-                                  objective="M_MINUS2", objective_value=m_minus2[i]))
+        lines.append(_record_line("sample", seed, row_pairs, reports, a=a,
+                                  objective="M_MINUS2", objective_value=value))
     m2_bad = sum(1 for value in m_minus2 if 1.0 + COUNTEREXAMPLE_MARGIN < value < math.inf)
     return lines, m2_bad
 
@@ -416,7 +418,9 @@ def cmd_sweep(args) -> int:
     if args.hypothesis_filter and args.ensemble != "sendov-boundary":
         raise InvalidInputError("--hypothesis-filter applies to the sendov-boundary ensemble only")
     ens = Ensemble(kind=args.ensemble, n=args.n, count=args.count, seed=args.seed,
-                   recenter=args.recenter, scale=args.scale)
+                   recenter=args.recenter, scale=0.1 if args.scale is None else args.scale)
+    if args.scale is not None and ens.kind != "roots-of-unity-perturbed":
+        raise InvalidInputError("--scale applies to the roots-of-unity-perturbed ensemble only")
     summary = _Summary()
     if ens.kind == "sendov-boundary":
         lines, m2_bad = _sweep_sendov(args, ens, summary)

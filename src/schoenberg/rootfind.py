@@ -327,22 +327,25 @@ def _normalize(z):
     return c, s, d / s
 
 
-def _backward_error(u, w):
+def _backward_error(u, w, newton=True):
     """Backward error of each point w as a critical point of the zeros u, its Newton step and its weight.
 
     With f(x) = sum 1/(x - u_j), the error is |f(w)| / sum |w - u_j|**-2,
-    its limit 0 where w equals a zero.  The step f/f' is 0 there.  The weight is
-    that denominator, NaN at a zero; below d**-2, w is farther than d from all zeros.
+    its limit 0 where w equals a zero.  The step f/f' is 0 there, and None
+    unless ``newton``.  The weight is that denominator, NaN at a zero;
+    below d**-2, w is farther than d from all zeros.
     """
     inv = w[..., np.newaxis] - u[..., np.newaxis, :]
     np.reciprocal(inv, out=inv)
     f = inv.sum(axis=-1)
     weight = (inv.real**2 + inv.imag**2).sum(axis=-1)
     error = np.abs(f) / weight
-    step = -f / (inv * inv).sum(axis=-1)
+    step = -f / (inv * inv).sum(axis=-1) if newton else None
     if np.isnan(weight).any():  # 1/0 is NaN: some w equals a zero, or w is NaN
         on_zero = (w[..., np.newaxis] == u[..., np.newaxis, :]).any(axis=-1)
-        error[on_zero], step[on_zero] = 0.0, 0.0
+        error[on_zero] = 0.0
+        if newton:
+            step[on_zero] = 0.0
     return error, step, weight
 
 
@@ -355,7 +358,7 @@ def _compression_eigenvalues(z, tol):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         error, step, weight = _backward_error(u, w)
         polished = w - step
-        polished_error, _, polished_weight = _backward_error(u, polished)
+        polished_error, _, polished_weight = _backward_error(u, polished, newton=False)
     better = polished_error < error
     w, error = np.where(better, polished, w), np.where(better, polished_error, error).max(axis=1)
     weight = np.where(better, polished_weight, weight)

@@ -2,7 +2,9 @@
 
 Sampling is reproducible by construction: sample i of an ensemble is a
 pure function of ``(ensemble.seed, i)`` through a single derived 64-bit
-seed, so records can be regenerated from their seed alone.  The search
+seed, so records can be regenerated from their seed alone.  Its zeros
+row is ``_draw(ensemble, sample_seed(ensemble.seed, i))``, which a sweep
+that already holds the seed calls directly.  The search
 maximizes either an inequality slack ratio lhs/rhs (how close a
 configuration comes to saturating a bound) or the M_{-2} power mean of a
 Sendov instance, by Nelder-Mead (Nelder & Mead 1965) over the
@@ -102,9 +104,9 @@ def _complex_normal(rng, size):
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
-def sample_one(ensemble: Ensemble, index: int):
-    """Sample ``index`` of the ensemble: a zeros array, or a SendovInstance."""
-    rng = _rng(sample_seed(ensemble.seed, index))
+def _draw(ensemble: Ensemble, derived_seed: int) -> np.ndarray:
+    """The zeros row drawn from a derived seed; a sendov-boundary row is ``inst.zeros()``, a first."""
+    rng = _rng(derived_seed)
     n = ensemble.n
     kind = ensemble.kind
     if kind == "uniform-disk":
@@ -122,11 +124,19 @@ def sample_one(ensemble: Ensemble, index: int):
         offsets = rng.standard_normal(n)
         zeros = center + offsets * np.exp(1j * angle)
     else:  # sendov-boundary
-        a = rng.uniform(0.0, 1.0)
-        zeros = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n - 1))
-        return SendovInstance(a=a, other_zeros=zeros)
+        zeros = np.empty(n, dtype=complex)
+        zeros[0] = rng.uniform(0.0, 1.0)
+        zeros[1:] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n - 1))
     if ensemble.recenter:
         zeros = recenter(zeros)
+    return zeros
+
+
+def sample_one(ensemble: Ensemble, index: int):
+    """Sample ``index`` of the ensemble: a zeros array, or a SendovInstance."""
+    zeros = _draw(ensemble, sample_seed(ensemble.seed, index))
+    if ensemble.kind == "sendov-boundary":
+        return SendovInstance(a=float(zeros[0].real), other_zeros=zeros[1:])
     return zeros
 
 
@@ -199,11 +209,7 @@ class _Objective:
     def reports(self, zs):
         """The report list of each row of a zeros stack, from one batched evaluation."""
         if self.sendov:
-            columns = distance_columns(zs, critical_points_batch(zs, self.solver))
-            return [
-                special_case_reports(SendovInstance(a=z[0].real, other_zeros=z[1:]), c1, c2)
-                for z, c1, c2 in zip(zs, columns.c1.tolist(), columns.c2.tolist())
-            ]
+            return special_case_reports(zs, distance_columns(zs, critical_points_batch(zs, self.solver)))
         return row_reports(evaluate_ensemble(zs, self.solver))
 
 

@@ -23,8 +23,11 @@ C2, the minimum distance and the exact-hit flag are computed in one place,
 :func:`special_case_batch` applies it after one batched solve, and the
 search objective to its own solves.  :func:`check_special_case` and
 :func:`probe_m_minus2` are :func:`special_case_batch` on a batch of one.
-:func:`special_case_reports` is the one place C1 and C2 become reports, and
-the one place the hypothesis gates them.
+The hypothesis margin is written once, :func:`hypothesis_margins` of a
+stack; :meth:`SendovInstance.hypothesis_margin` is its row.
+:func:`special_case_reports` turns a stack and its columns into each row's
+C1 and C2 reports; it is the one place C1 and C2 become reports, and the
+one place the hypothesis gates them.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "special_case_batch",
     "probe_m_minus2",
     "special_case_reports",
+    "hypothesis_margins",
     "CRITICAL_HIT_TOL",
 ]
 
@@ -84,11 +88,20 @@ class SendovInstance:
 
     def zeros(self) -> np.ndarray:
         """Full configuration {a} union other_zeros."""
-        return np.concatenate([[complex(self.a)], self.other_zeros])
+        zeros = np.empty(self.n, dtype=complex)
+        zeros[0] = self.a
+        zeros[1:] = self.other_zeros
+        return zeros
 
     def hypothesis_margin(self) -> float:
         """Re sum z_j - ((n-2)/2) a; the special-case hypothesis is margin >= 0."""
-        return float(np.sum(self.other_zeros.real) - 0.5 * (self.n - 2) * self.a)
+        return float(hypothesis_margins(self.zeros()[np.newaxis])[0])
+
+
+def hypothesis_margins(zs) -> np.ndarray:
+    """Re sum z_j - ((n-2)/2) a of each row of an a-first (b, n) zeros stack; the hypothesis is margin >= 0."""
+    zs = np.asarray(zs)
+    return zs[:, 1:].real.sum(axis=1) - 0.5 * (zs.shape[1] - 2) * zs[:, 0].real
 
 
 def normalized_instance(a, other_zeros) -> SendovInstance:
@@ -243,13 +256,16 @@ def special_case_batch(zs, settings: RootSolverSettings | None = None) -> Specia
     return columns
 
 
-def special_case_reports(inst: SendovInstance, c1: float, c2: float, tol_eq: float = TOL_EQ) -> list[InequalityReport]:
-    """The C1 report (n - 1 <= c1) and C2 report (c2 <= n - 1) of an instance.
+def special_case_reports(zs, columns: SpecialCaseColumns, tol_eq: float = TOL_EQ) -> list[list[InequalityReport]]:
+    """The C1 report (n - 1 <= c1) and C2 report (c2 <= n - 1) of each row of an a-first zeros stack.
 
-    C1 and C2 are theorems only under the centroid hypothesis, so an
-    instance outside it (margin below 0) gets no reports.
+    ``columns`` are the rows' :class:`SpecialCaseColumns`.  C1 and C2 are
+    theorems only under the centroid hypothesis, so a row outside it
+    (margin below 0) gets no reports.
     """
-    if not inst.hypothesis_margin() >= 0.0:
-        return []
-    side = float(inst.n - 1)
-    return [make_report("C1", side, c1, tol_eq), make_report("C2", c2, side, tol_eq)]
+    zs = np.asarray(zs)
+    side = float(zs.shape[1] - 1)
+    return [
+        [make_report("C1", side, c1, tol_eq), make_report("C2", c2, side, tol_eq)] if inside else []
+        for inside, c1, c2 in zip((hypothesis_margins(zs) >= 0.0).tolist(), columns.c1.tolist(), columns.c2.tolist())
+    ]

@@ -211,6 +211,21 @@ def test_sweep_sendov_boundary_hypothesis_filter(tmp_path, capsys):
     assert all(rec["a"] is not None and rec["objective"] == "M_MINUS2" for rec in records)
 
 
+def test_filtered_sendov_sweep_records_the_kept_indices_in_order(tmp_path, capsys):
+    ens = Ensemble(kind="sendov-boundary", n=6, count=30, seed=21)
+    kept = [i for i in range(200) if sample_one(ens, i).hypothesis_margin() >= 0][: ens.count]
+    assert kept[-1] >= ens.count  # the filter rejected some samples
+    code = main(["sweep", "--ensemble", "sendov-boundary", "--n", "6", "--count", "30",
+                 "--seed", "21", "--hypothesis-filter", "--out", str(tmp_path / "sb")])
+    assert code == 0
+    records = read_jsonl(tmp_path / "sb.jsonl")
+    assert [rec["seed"] for rec in records] == [sample_seed(21, i) for i in kept]
+    for rec, i in zip(records, kept):
+        zeros = np.array([complex(re, im) for re, im in rec["zeros"]])
+        np.testing.assert_array_equal(zeros, sample_one(ens, i).zeros())
+        assert rec["a"] == sample_one(ens, i).a
+
+
 def test_sweep_dotted_basenames_do_not_collide(tmp_path, capsys):
     argv = ["sweep", "--ensemble", "gaussian", "--n", "3", "--count", "5"]
     assert main(argv + ["--seed", "1", "--out", str(tmp_path / "run.v2")]) == 0
@@ -452,6 +467,14 @@ def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
 def test_sweep_flags_the_ensemble_cannot_use_are_usage_errors(extra, message, tmp_path, capsys):
     assert main(["sweep", "--n", "4", "--count", "5", *extra, "--out", str(tmp_path / "s")]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "uniform-disk", "collinear", "sendov-boundary"])
+def test_sweep_scale_on_an_unperturbed_ensemble_is_a_usage_error(ensemble, tmp_path, capsys):
+    argv = ["sweep", "--ensemble", ensemble, "--n", "4", "--count", "5", "--scale", "5", "--out", str(tmp_path / "s")]
+    assert main(argv) == 2
+    assert "--scale applies to the roots-of-unity-perturbed ensemble only" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -55,6 +55,21 @@ def test_sample_seed_is_index_stable():
     assert sample_seed(18, 7) != sample_seed(17, 7)
 
 
+@pytest.mark.parametrize("kind, recenter", [
+    *((kind, False) for kind in ENSEMBLE_KINDS),
+    *((kind, True) for kind in ENSEMBLE_KINDS if kind != "sendov-boundary"),
+])
+def test_draw_from_the_derived_seed_is_sample_one(kind, recenter):
+    ens = Ensemble(kind=kind, n=6, count=5, seed=2024, recenter=recenter)
+    for i in range(ens.count):
+        row = search._draw(ens, sample_seed(ens.seed, i))
+        one = sample_one(ens, i)
+        if kind == "sendov-boundary":
+            assert type(one.a) is float
+            one = one.zeros()
+        assert row.dtype == one.dtype and row.tobytes() == one.tobytes()
+
+
 def test_uniform_disk_stays_in_disk():
     ens = Ensemble(kind="uniform-disk", n=8, count=50, seed=3)
     zs = sample_array(ens)

@@ -132,9 +132,39 @@ def test_special_case_reports_only_under_the_hypothesis(re_sum, margin_sign):
     # n = 3 and a = 0.5: the hypothesis is Re(z_1 + z_2) >= 0.25, margin exactly 0 included.
     inst = SendovInstance(a=0.5, other_zeros=np.array([0.125 + 0.5j, re_sum - 0.125 - 0.5j]))
     assert np.sign(inst.hypothesis_margin()) == margin_sign
-    reports = special_case_reports(inst, 3.0, 1.5, tol_eq=1e-6)
+    columns = sendov.SpecialCaseColumns(*(np.array([v]) for v in (False, 0.5, 0.5, 3.0, 1.5, 0.5)))
+    (reports,) = special_case_reports(inst.zeros()[np.newaxis], columns, tol_eq=1e-6)
     inside = [make_report("C1", 2.0, 3.0, 1e-6), make_report("C2", 1.5, 2.0, 1e-6)]
     assert reports == (inside if margin_sign >= 0 else [])
+
+
+def test_stacked_margins_equal_each_instance_margin():
+    rng = np.random.default_rng(1000)
+    for n in range(2, 65):
+        instances = [
+            SendovInstance(a=rng.uniform(), other_zeros=np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1)))
+            for _ in range(7)
+        ]
+        margins = sendov.hypothesis_margins(np.array([inst.zeros() for inst in instances]))
+        for margin, inst in zip(margins.tolist(), instances):
+            # The row of the stack, the instance's method, and the 1-D sum written out.
+            reference = float(np.sum(inst.other_zeros.real) - 0.5 * (n - 2) * inst.a)
+            assert margin == inst.hypothesis_margin() == reference
+
+
+def test_stacked_special_case_reports_gate_each_row_on_its_own_margin():
+    # n = 3 and a = 0.5: rows with Re(z_1 + z_2) = 0.3, 0.25, 0.2 have margins > 0, exactly 0 and < 0.
+    zs = np.array([[0.5, 0.125 + 0.5j, re_sum - 0.125 - 0.5j] for re_sum in (0.3, 0.25, 0.2, 0.3)])
+    assert np.sign(sendov.hypothesis_margins(zs)).tolist() == [1.0, 0.0, -1.0, 1.0]
+    c1, c2 = np.array([3.0, 2.0, 2.5, 1.5]), np.array([1.5, 2.0, 0.5, 2.5])
+    columns = sendov.SpecialCaseColumns(np.zeros(4, dtype=bool), c1, c2, c1, c2, c2)
+    reports = special_case_reports(zs, columns, tol_eq=1e-6)
+    assert reports == [
+        [make_report("C1", 2.0, 3.0, 1e-6), make_report("C2", 1.5, 2.0, 1e-6)],
+        [make_report("C1", 2.0, 2.0, 1e-6), make_report("C2", 2.0, 2.0, 1e-6)],
+        [],
+        [make_report("C1", 2.0, 1.5, 1e-6), make_report("C2", 2.5, 2.0, 1e-6)],
+    ]
 
 
 def test_shifted_order2_bound_chain():

@@ -39,6 +39,8 @@ COMMANDS = (
     ("sweep_sendov_n6", ("sweep", "--ensemble", "sendov-boundary", "--n", "6", "--count", "300"), True),
     ("sweep_sendov_filter_n5",
      ("sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "200", "--hypothesis-filter"), True),
+    ("sweep_sendov_filter_n12",
+     ("sweep", "--ensemble", "sendov-boundary", "--n", "12", "--count", "200", "--hypothesis-filter"), True),
     ("sweep_unity_n7",
      ("sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "7", "--count", "200", "--scale", "0"), True),
     ("oracle_n10", ("oracle", "--n", "10", "--samples", "300"), False),
