@@ -50,8 +50,8 @@ from .search import (
     Ensemble,
     SearchSettings,
     _draw,
+    _sample,
     maximize_batch,
-    sample,
     sample_array,
     sample_seed,
     verify_candidate,
@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # commands
 
-def _verify_output(args, zeros, reports, extra_lines):
+def _verify_output(args, zeros, reports, extra_lines, a=None):
     """Print the verify table; ``--out`` writes it, or the JSONL record, or the CSV summary."""
     lines = [*extra_lines, f"{'inequality':>12} {'lhs':>14} {'rhs':>14} {'slack':>14}  holds equality applicable"]
     lines += [
@@ -289,7 +289,7 @@ def _verify_output(args, zeros, reports, extra_lines):
     sys.stdout.write(table)
     if args.out:
         if args.format == "jsonl":
-            text = _record_line("verify", args.seed, _pairs(zeros), reports)
+            text = _record_line("verify", args.seed, _pairs(zeros), reports, a=a)
         elif args.format == "csv":
             text = _summary_csv(_Summary(_report_items(len(zeros), reports)).rows())
         else:
@@ -334,7 +334,7 @@ def cmd_verify(args) -> int:
         f"centroid residual {centroid_residual(zeros):.3e}; "
         f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(zeros))}"
     )
-    _verify_output(args, zeros, reports, extra)
+    _verify_output(args, zeros, reports, extra, a)
     if spectrum.max_pair_distance > spectrum_tol:
         print("numeric-consistency failure: companion spectrum mismatch", file=sys.stderr)
         return EXIT_USAGE
@@ -455,7 +455,7 @@ def cmd_search(args) -> int:
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=objective in CENTERED_IDS)
     seeds = [sample_seed(args.seed, i) for i in range(args.starts)]
     lines, values, verified_counterexample = [], [], False
-    for rec in maximize_batch(objective, sample(ens), settings, sample_seeds=seeds):
+    for rec in maximize_batch(objective, [_sample(ens, seed) for seed in seeds], settings, sample_seeds=seeds):
         if rec is None:
             continue
         kind_tag = "search"

@@ -2,25 +2,26 @@
 
 Sampling is reproducible by construction: sample i of an ensemble is a
 pure function of ``(ensemble.seed, i)`` through a single derived 64-bit
-seed, so records can be regenerated from their seed alone.  Its zeros
-row is ``_draw(ensemble, sample_seed(ensemble.seed, i))``, which a sweep
-that already holds the seed calls directly.  The search
-maximizes either an inequality slack ratio lhs/rhs (how close a
-configuration comes to saturating a bound) or the M_{-2} power mean of a
-Sendov instance, by Nelder-Mead (Nelder & Mead 1965) over the
-real/imaginary parts of the zeros with projection back onto the
-constraint set.
+seed ``sample_seed(ensemble.seed, i)``, so records can be regenerated
+from their seed alone.  A caller that already holds the seed draws the
+sample as ``_sample(ensemble, seed)`` and its zeros row as
+``_draw(ensemble, seed)``.  The search maximizes either an inequality
+slack ratio lhs/rhs (how close a configuration comes to saturating a
+bound) or the M_{-2} power mean of a Sendov instance, by Nelder-Mead
+(Nelder & Mead 1965) over the real/imaginary parts of the zeros with
+projection back onto the constraint set.
 
 All starts of one search advance in lockstep, as rows of one stack of
-simplices.  Each round evaluates the reflection, expansion and inside
-contraction of every active row with one batched critical-point solve;
-only the rows that shrink make a second.  The solver takes no starting
-points and treats each row on its own; a row it cannot solve is scored
--inf.  Each row stops on its own, when its simplex spread falls below
-the step tolerance or its round budget is spent, so a start's record
-does not depend on the other starts of its batch.  Any objective value
-above 1 + 1e-6 is a counterexample candidate, believed only if
-:func:`verify_candidate` confirms it.
+simplices.  One batched critical-point solve scores every start simplex;
+then each round evaluates the reflection, expansion and inside
+contraction of every active row with one more, and only the rows that
+shrink make a second.  The solver takes no starting points and treats
+each row on its own; a row it cannot solve is scored -inf.  Each row
+stops on its own, when its simplex spread falls below the step tolerance
+or its round budget is spent, so a start's record does not depend on the
+other starts of its batch.  Any objective value above 1 + 1e-6 is a
+counterexample candidate, believed only if :func:`verify_candidate`
+confirms it.
 """
 
 from __future__ import annotations
@@ -132,12 +133,17 @@ def _draw(ensemble: Ensemble, derived_seed: int) -> np.ndarray:
     return zeros
 
 
-def sample_one(ensemble: Ensemble, index: int):
-    """Sample ``index`` of the ensemble: a zeros array, or a SendovInstance."""
-    zeros = _draw(ensemble, sample_seed(ensemble.seed, index))
+def _sample(ensemble: Ensemble, derived_seed: int):
+    """The sample drawn from a derived seed: a zeros array, or a SendovInstance."""
+    zeros = _draw(ensemble, derived_seed)
     if ensemble.kind == "sendov-boundary":
         return SendovInstance(a=float(zeros[0].real), other_zeros=zeros[1:])
     return zeros
+
+
+def sample_one(ensemble: Ensemble, index: int):
+    """Sample ``index`` of the ensemble: a zeros array, or a SendovInstance."""
+    return _sample(ensemble, sample_seed(ensemble.seed, index))
 
 
 def sample(ensemble: Ensemble):
@@ -174,12 +180,11 @@ class _Objective:
         self.inequality = None if self.sendov else lookup(objective_id, n)
         self.centered = not self.sendov and self.inequality.centered
 
-    def encode(self, start) -> np.ndarray:
-        if self.sendov:
-            free, head = start.other_zeros, [start.a]
-        else:
-            free, head = (start[:-1] if self.centered else start), []
-        return np.concatenate([head, np.column_stack([free.real, free.imag]).ravel()])
+    def encode(self, zs) -> np.ndarray:
+        """Packed coordinates of a (rows, n) zeros stack; the inverse of :meth:`decode`."""
+        free = zs[:, 1:] if self.sendov else zs[:, :-1] if self.centered else zs
+        x = np.stack([free.real, free.imag], axis=-1).reshape(zs.shape[0], -1)
+        return np.concatenate([zs[:, :1].real, x], axis=1) if self.sendov else x
 
     def decode(self, x) -> np.ndarray:
         v = x[:, 1:] if self.sendov else x
@@ -216,50 +221,41 @@ class _Objective:
 # ---------------------------------------------------------------------------
 # lockstep Nelder-Mead with projection (projection happens in decode)
 
-class _Ascent:
-    """Per-row best points of a batch of ascents.
+def _nelder_mead(obj: _Objective, x0, max_iterations: int):
+    """Run one Nelder-Mead per row of ``x0`` in lockstep, minimizing the negated objective.
 
-    ``evaluate`` minimizes the negated objective, as Nelder-Mead does, and
-    records for each row its best point so far.
-    """
-
-    def __init__(self, obj: _Objective, x0, start):
-        self.obj = obj
-        self.best_f, self.best_x = start.copy(), x0.copy()
-
-    def evaluate(self, points, rows):
-        """Negated objective of ``points`` (m, k, dim), point j of row ``rows[i]`` at [i, j]; one solve."""
-        m, k, dim = points.shape
-        f = -self.obj.values(self.obj.decode(points.reshape(m * k, dim))).reshape(m, k)
-        j = f.argmin(axis=1)
-        i = np.arange(m)
-        fj = f[i, j]
-        better = fj < self.best_f[rows]
-        self.best_f[rows[better]] = fj[better]
-        self.best_x[rows[better]] = points[i[better], j[better]]
-        return f
-
-
-def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
-    """Run every row's Nelder-Mead in lockstep; returns the rounds each row took.
-
-    One round sorts every active simplex, retires the rows whose spread is
-    below the step tolerance, and evaluates the reflection, expansion and
-    inside contraction of all remaining rows in one call; only the rows
-    that then shrink make a second call.  Each row takes the steps it
-    would take alone.
+    One call scores every start simplex and drops the rows whose start is
+    not finite.  Then a round sorts every active simplex, retires the rows
+    whose spread is below the step tolerance, and evaluates the
+    reflection, expansion and inside contraction of all other rows in one
+    call; only the rows that then shrink make a second.  Each row takes the
+    steps it would take alone.  Returns the kept rows with their negated
+    start values, best values and points, and rounds.
     """
     b, dim = x0.shape
     simplex = np.repeat(x0[:, np.newaxis, :], dim + 1, axis=1)
     diag = np.arange(dim)
     simplex[:, diag + 1, diag] += _INITIAL_STEP * np.maximum(1.0, np.abs(x0))
-    values = np.empty((b, dim + 1))
-    values[:, 0] = ascent.best_f  # the start values, as nothing else is evaluated yet
-    rows = np.arange(b)
-    values[:, 1:] = ascent.evaluate(simplex[:, 1:], rows)
-    rounds = np.full(b, settings.max_iterations)
-    trials = np.empty((b, 3, dim))
-    for it in range(1, settings.max_iterations + 1):
+    best_f, best_x = np.full(b, np.inf), x0.copy()
+
+    def evaluate(points, rows):
+        """Negated objective of ``points`` (m, k, dim), point j of row ``rows[i]`` at [i, j]; one solve."""
+        f = -obj.values(obj.decode(points.reshape(-1, dim))).reshape(points.shape[:2])
+        i, j = np.arange(f.shape[0]), f.argmin(axis=1)
+        fj = f[i, j]
+        better = fj < best_f[rows]  # each row's best point so far; a tie keeps the earlier one
+        best_f[rows[better]] = fj[better]
+        best_x[rows[better]] = points[i[better], j[better]]
+        return f
+
+    values = evaluate(simplex, np.arange(b))
+    kept = np.flatnonzero(np.isfinite(values[:, 0]))
+    simplex, values, best_f, best_x = simplex[kept], values[kept], best_f[kept], best_x[kept]
+    start = values[:, 0].copy()
+    rows = np.arange(kept.size)
+    rounds = np.full(kept.size, max_iterations)
+    trials = np.empty((kept.size, 3, dim))
+    for it in range(1, max_iterations + 1):
         order = np.argsort(values[rows], axis=1, kind="stable")
         s = simplex[rows[:, np.newaxis], order]
         v = values[rows[:, np.newaxis], order]
@@ -267,15 +263,15 @@ def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
         if not going.all():
             rounds[rows[~going]] = it
             rows, s, v = rows[going], s[going], v[going]
-            if rows.size == 0:
-                break
+        if rows.size == 0:
+            break
         centroid = s[:, :-1].sum(axis=1) / dim
         step = centroid - s[:, -1]
         trial = trials[: rows.size]
         np.add(centroid, step, out=trial[:, 0])
         np.add(centroid, 2.0 * step, out=trial[:, 1])
         np.subtract(centroid, 0.5 * step, out=trial[:, 2])
-        fr, fe, fc = ascent.evaluate(trial, rows).T
+        fr, fe, fc = evaluate(trial, rows).T
         improved = fr < v[:, 0]
         expand = improved & (fe < fr)
         reflect = (improved & ~expand) | (~improved & (fr < v[:, -2]))
@@ -288,9 +284,9 @@ def _nelder_mead(ascent: _Ascent, x0, settings: SearchSettings):
         if shrink.size:
             best = s[shrink, :1]
             s[shrink, 1:] = best + 0.5 * (s[shrink, 1:] - best)
-            v[shrink, 1:] = ascent.evaluate(s[shrink, 1:], rows[shrink])
+            v[shrink, 1:] = evaluate(s[shrink, 1:], rows[shrink])
         simplex[rows], values[rows] = s, v
-    return rounds
+    return kept, start, best_f, best_x, rounds
 
 
 @dataclass(frozen=True)
@@ -319,54 +315,48 @@ class SearchRecord:
     reports: list
 
 
-def _checked_starts(objective_id: str, starts) -> tuple[list, int]:
-    """The starts as configurations the objective accepts, and their common degree."""
+def _start_stack(objective_id: str, starts) -> np.ndarray:
+    """The starts as one (b, n) zeros stack the objective accepts; a Sendov start's row is ``start.zeros()``."""
     if objective_id == "M_MINUS2":
         if not all(isinstance(start, SendovInstance) for start in starts):
             raise InvalidInputError("M_MINUS2 objective needs SendovInstance starts")
-        degrees = {start.n for start in starts}
+        rows = [start.zeros() for start in starts]
     else:
-        starts = [as_zeros(start) for start in starts]
-        if objective_id in CENTERED_IDS and any(centroid_residual(start) > TOL_CENTER for start in starts):
+        rows = [as_zeros(start) for start in starts]
+        if objective_id in CENTERED_IDS and any(centroid_residual(row) > TOL_CENTER for row in rows):
             raise InvalidInputError(f"objective {objective_id} requires centered starts")
-        degrees = {start.shape[0] for start in starts}
+    degrees = {row.shape[0] for row in rows}
     if len(degrees) > 1:
         raise InvalidInputError(f"starts of one search must share one degree, got {sorted(degrees)}")
-    return starts, degrees.pop()
+    return np.array(rows)
 
 
 def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = None, *, sample_seeds=None) -> list:
     """Derivative-free ascents of one objective from many starts, run in lockstep.
 
-    Returns one :class:`SearchRecord` per start, in order, or None for a
-    start where the objective is undefined (that start is dropped).  All
-    ascents advance together as rows of one stack of simplices: each
-    Nelder-Mead round solves the trial points of every active row in one
-    batched call, and the final reports of all ascents take one batched
-    evaluation.  The solver treats each row on its own, a row it cannot
-    solve is scored -inf, and each row stops on its own (simplex spread
-    below the step tolerance, or the round budget), so every record equals
-    that of :func:`maximize` on its start alone, bit for bit.
+    Returns one :class:`SearchRecord` per start, in order, labelled with
+    its ``sample_seeds`` entry, or None for a start where the objective is
+    undefined (that start is dropped).  All ascents advance together as
+    rows of one stack of simplices: one batched call scores every start
+    simplex, each Nelder-Mead round solves the trial points of every
+    active row in one more, and the final reports of all ascents take one
+    batched evaluation.  The solver treats each row on its own, a row it
+    cannot solve is scored -inf, and each row stops on its own, so every
+    record equals that of :func:`maximize` on its start alone, bit for bit.
     """
     settings = settings or SearchSettings()
     starts = list(starts)
+    seeds = [0] * len(starts) if sample_seeds is None else list(sample_seeds)
+    if len(seeds) != len(starts):
+        raise InvalidInputError(f"got {len(seeds)} sample seeds for {len(starts)} starts")
     if not starts:
         return []
-    starts, n = _checked_starts(objective_id, starts)
-    seeds = [0] * len(starts) if sample_seeds is None else list(sample_seeds)
+    zs = _start_stack(objective_id, starts)
+    obj = _Objective(objective_id, zs.shape[1], settings.solver)
+    kept, start, best_f, best_x, rounds = _nelder_mead(obj, obj.encode(zs), settings.max_iterations)
+    best = obj.decode(best_x)
     records = [None] * len(starts)
-    obj = _Objective(objective_id, n, settings.solver)
-    x0 = np.array([obj.encode(start) for start in starts])
-    start = -obj.values(obj.decode(x0))
-    kept = np.flatnonzero(np.isfinite(start))
-    if kept.size == 0:
-        return records
-    ascent = _Ascent(obj, x0[kept], start[kept])
-    rounds = _nelder_mead(ascent, x0[kept], settings)
-    best = obj.decode(ascent.best_x)
-    for i, zeros, value, start_value, its, reports in zip(
-        kept, best, -ascent.best_f, -start[kept], rounds, obj.reports(best)
-    ):
+    for i, zeros, value, start_value, its, reports in zip(kept, best, -best_f, -start, rounds, obj.reports(best)):
         records[i] = SearchRecord(
             sample_seed=seeds[i],
             zeros=zeros,

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from schoenberg import cli
+from schoenberg import cli, search
+from schoenberg.config import DEFAULT_SEED
 from schoenberg.cli import main
 from schoenberg.inequalities import CENTERED_IDS, full_report, make_report
 from schoenberg.search import Ensemble, SearchSettings, maximize, sample_one, sample_seed
@@ -135,6 +136,22 @@ def test_verify_sendov_instance(capsys):
     assert main(["verify", "--zeros", "0,1", "--a", "1.0"]) == 0
     text = capsys.readouterr().out
     assert "sendov" in text
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_sendov_jsonl_record_carries_a(source, tmp_path, capsys):
+    # An instance under the centroid hypothesis, so the record carries C1/C2.
+    out = tmp_path / "v.jsonl"
+    if source == "flag":
+        argv = ["verify", "--zeros", "1,0 0,1 0,-1", "--a", "0.5"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"zeros": [[1, 0], [0, 1], [0, -1]], "a": 0.5}))
+        argv = ["verify", "--config", str(cfg)]
+    assert main([*argv, "--format", "jsonl", "--out", str(out)]) == 0
+    (rec,) = read_jsonl(out)
+    assert rec["a"] == 0.5 and rec["zeros"][0] == [0.5, 0.0]
+    assert [rep["id"] for rep in rec["reports"][-2:]] == ["C1", "C2"]
 
 
 def test_oracle_small(capsys):
@@ -293,6 +310,22 @@ def test_search_ratio_objective(tmp_path, capsys):
     assert code == 0
     records = read_jsonl(tmp_path / "st.jsonl")
     assert all(rec["objective_value"] <= 1 + 1e-6 for rec in records)
+
+
+def test_search_derives_each_start_seed_once(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counting(seed, index):
+        calls.append(index)
+        return sample_seed(seed, index)
+
+    monkeypatch.setattr(cli, "sample_seed", counting)
+    monkeypatch.setattr(search, "sample_seed", counting)
+    argv = ["search", "--objective", "KT", "--n", "5", "--starts", "3", "--max-iterations", "0"]
+    assert main([*argv, "--out", str(tmp_path / "kt")]) == 0
+    assert calls == [0, 1, 2]
+    records = read_jsonl(tmp_path / "kt.jsonl")
+    assert [rec["seed"] for rec in records] == [sample_seed(DEFAULT_SEED, i) for i in range(3)]
 
 
 def test_search_negative_budget_is_usage_error(tmp_path, capsys):

@@ -190,14 +190,14 @@ def test_batched_search_equals_single_ascents(monkeypatch, objective, kind, n):
     if objective != "M_MINUS2":  # the objective is undefined at all-zeros
         starts.insert(1, np.zeros(n, dtype=complex))
         seeds.insert(1, 7)
-    calls = []  # (rows, points per row) of each batched evaluation
-    evaluate = search._Ascent.evaluate
+    calls = []  # rows of each batched scoring
+    values = search._Objective.values
 
-    def counting(self, points, rows):
-        calls.append(points.shape[:2])
-        return evaluate(self, points, rows)
+    def counting(self, zs):
+        calls.append(len(zs))
+        return values(self, zs)
 
-    monkeypatch.setattr(search._Ascent, "evaluate", counting)
+    monkeypatch.setattr(search._Objective, "values", counting)
     # A loose step tolerance lets the rows stop in different rounds.
     monkeypatch.setattr(search, "_STEP_TOL", 1e-3)
     settings = SearchSettings(max_iterations=150)
@@ -205,13 +205,20 @@ def test_batched_search_equals_single_ascents(monkeypatch, objective, kind, n):
     assert len(batch) == len(starts)
     assert sum(rec is None for rec in batch) == (objective != "M_MINUS2")
     assert len({rec.iterations for rec in batch if rec is not None}) > 1
-    # Call 0 scores the start simplices; then each round makes a trial call (3
-    # points per row) and, if some row shrinks, a shrink call (dim points per row).
-    dim = calls[0][1]
-    trials = [call for call in calls[1:] if call[1] == 3]
-    assert any(0 < after[0] < before[0] for before, after in zip(trials, trials[1:]))  # a row retires, one goes on
+    # Call 0 scores every start simplex (dim + 1 points per start); then each
+    # round makes a trial call (3 points per active row) and, if some row
+    # shrinks, a shrink call (dim points per shrinking row).  With at most 3
+    # active rows and dim not a multiple of 3, a call's row count tells which.
+    dim = {"KT": 2 * n - 2, "S": 2 * n, "M_MINUS2": 2 * n - 1}[objective]
+    assert calls[0] == len(starts) * (dim + 1) and dim % 3
+    steps = [("trial", rows // 3) if rows % 3 == 0 and rows <= 9 else ("shrink", rows // dim) for rows in calls[1:]]
+    assert [3 * m if kind == "trial" else dim * m for kind, m in steps] == calls[1:]
+    trials = [m for kind, m in steps if kind == "trial"]
+    assert any(0 < after < before for before, after in zip(trials, trials[1:]))  # a row retires, one goes on
     if objective == "M_MINUS2":  # the projection onto the constraints makes rows shrink
-        assert any(shrink[1] == dim and shrink[0] < trial[0] for trial, shrink in zip(calls[1:], calls[2:]))
+        assert any(
+            (k1, k2) == ("trial", "shrink") and m2 < m1 for (k1, m1), (k2, m2) in zip(steps, steps[1:])
+        )
     for start, seed, rec in zip(starts, seeds, batch):
         if rec is None:
             with pytest.raises(RejectedStartError):
@@ -223,6 +230,51 @@ def test_batched_search_equals_single_ascents(monkeypatch, objective, kind, n):
             one.sample_seed, one.a, one.objective_value, one.start_value, one.iterations
         )
         assert rec.reports == one.reports
+
+
+@pytest.mark.parametrize("given", [1, 3])
+def test_sample_seeds_must_match_the_starts(monkeypatch, given):
+    starts = list(sample(Ensemble(kind="gaussian", n=4, count=2, seed=5)))
+    solves = []
+    monkeypatch.setattr(search, "critical_points_batch", lambda zs, settings: solves.append(len(zs)))
+    with pytest.raises(InvalidInputError, match="sample seeds"):
+        maximize_batch("S", starts, SearchSettings(max_iterations=5), sample_seeds=list(range(given)))
+    assert solves == []
+
+
+@pytest.mark.parametrize("objective, starts, message", [
+    ("S", [np.ones(3, dtype=complex), np.ones(4, dtype=complex)], "share one degree"),
+    ("M_MINUS2", [SendovInstance(a=0.5, other_zeros=np.array([1j, -1j])), np.array([0.5, 1j, -1j])], "SendovInstance"),
+    ("M_MINUS2", [SendovInstance(a=0.5, other_zeros=np.array([1j, -1j])), SendovInstance(a=0.5, other_zeros=np.ones(3))],
+     "share one degree"),
+    ("KT", [np.array([1.0, -1.0, 0.0]), np.array([1.0, 2.0, 3.0])], "centered"),
+])
+def test_maximize_batch_rejects_starts_the_objective_cannot_take(objective, starts, message):
+    with pytest.raises(InvalidInputError, match=message):
+        maximize_batch(objective, starts, SearchSettings(max_iterations=5))
+
+
+@pytest.mark.parametrize("objective", ["S", "KT", "M_MINUS2"])
+def test_encode_and_decode_invert_each_other_on_stacks(objective):
+    # Points inside the constraints, so decode projects nothing away.
+    rng = np.random.default_rng(61)
+    n = 5
+    obj = search._Objective(objective, n, RootSolverSettings())
+    if objective == "M_MINUS2":
+        others = 0.9 * rng.uniform(0.1, 1.0, (4, n - 1)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (4, n - 1)))
+        zs = np.column_stack([rng.uniform(0.0, 1.0, 4), others])
+    else:
+        zs = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        if obj.centered:
+            zs[:, -1] = -zs[:, :-1].sum(axis=1)
+    x = obj.encode(zs)
+    assert x.shape == (4, {"S": 2 * n, "KT": 2 * n - 2, "M_MINUS2": 2 * n - 1}[objective])
+    assert obj.decode(x).tobytes() == zs.tobytes()
+    assert obj.encode(obj.decode(x)).tobytes() == x.tobytes()
+    for row, packed in zip(zs, x):  # each row packs as (re, im) pairs, after a for M_MINUS2
+        free = row[1:] if objective == "M_MINUS2" else row[:-1] if obj.centered else row
+        head = [row[0].real] if objective == "M_MINUS2" else []
+        assert packed.tobytes() == np.concatenate([head, np.column_stack([free.real, free.imag]).ravel()]).tobytes()
 
 
 def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch, nan_eigvals):

@@ -33,6 +33,13 @@ COMMANDS = (
     ("search_lxz_n5", ("search", "--objective", "LXZ(2.5)", "--n", "5", "--starts", "3"), True),
     ("search_m2_n5", ("search", "--objective", "M_MINUS2", "--n", "5", "--starts", "6"), True),
     ("search_m2_n3", ("search", "--objective", "M_MINUS2", "--n", "3", "--starts", "6"), True),
+    # A zero round budget records the best vertex of each start simplex.
+    ("search_kt_n6_budget0",
+     ("search", "--objective", "KT", "--n", "6", "--starts", "4", "--max-iterations", "0"), True),
+    ("search_star_n5_budget0",
+     ("search", "--objective", "STAR", "--n", "5", "--starts", "4", "--max-iterations", "0"), True),
+    ("search_m2_n5_budget0",
+     ("search", "--objective", "M_MINUS2", "--n", "5", "--starts", "4", "--max-iterations", "0"), True),
     ("search_bsen_n7", ("search", "--objective", "BSEN", "--n", "7", "--starts", "3", "--ensemble", "gaussian"), True),
     ("sweep_disk_n8", ("sweep", "--ensemble", "uniform-disk", "--n", "8", "--count", "800"), True),
     ("sweep_collinear_n6", ("sweep", "--ensemble", "collinear", "--n", "6", "--count", "300"), True),
@@ -45,6 +52,8 @@ COMMANDS = (
      ("sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "7", "--count", "200", "--scale", "0"), True),
     ("oracle_n10", ("oracle", "--n", "10", "--samples", "300"), False),
     ("verify_sendov", ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6"), False),
+    ("verify_sendov_jsonl",
+     ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6", "--format", "jsonl"), True),
     ("verify_collinear", ("verify", "--zeros", "-1.5,0 0.5,0 1,0"), False),
     ("verify_square", ("verify", "--zeros", "1,0 0,1 -1,0 0,-1", "--format", "jsonl"), True),
     ("verify_hit", ("verify", "--zeros", "-1,0 -1,0", "--a", "1.0"), False),
