@@ -34,15 +34,15 @@ from .errors import (
 )
 from .inequalities import (
     CENTERED_IDS,
+    _suite_columns,
     evaluate_ensemble,
-    full_report,
     order6_bounds,
     row_reports,
     star_trace_oracle,
     starstar_trace_oracle,
 )
 from .matrices import is_normal, sds_matrix, verify_spectrum
-from .poly import centroid_residual, is_collinear
+from .poly import as_zeros, centroid_residual, is_collinear
 from .rootfind import RootSolverSettings, cluster_sizes
 from .search import (
     COUNTEREXAMPLE_MARGIN,
@@ -56,7 +56,7 @@ from .search import (
     sample_seed,
     verify_candidate,
 )
-from .sendov import SendovInstance, hypothesis_margins, special_case_batch, special_case_reports
+from .sendov import SendovInstance, _confirmed_columns, hypothesis_margins, special_case_batch, special_case_reports
 
 TRACE_ORACLE_TOL = 1e-10
 SPECTRUM_TOL = 1e-7
@@ -308,34 +308,31 @@ def cmd_verify(args) -> int:
         zeros = _parse_zeros(args.zeros)
 
     settings = RootSolverSettings(tol_root=args.tol_root)
+    zs = (as_zeros(zeros) if a is None else SendovInstance(a=float(a), other_zeros=zeros).zeros())[np.newaxis]
+    # One solve of p': the suite and C1/C2 read the critical points from the
+    # spectrum check's matrix side, after its exact 0.
+    spectrum = verify_spectrum(zs, settings)
+    zeros, w, distance = zs[0], spectrum.matrix_eigenvalues[:, 1:], float(spectrum.max_pair_distance[0])
+    reports = next(row_reports(_suite_columns(zs, w, settings), args.tol_eq))
     extra = []
-    sendov_reports = []
     if a is not None:
-        zs = SendovInstance(a=float(a), other_zeros=zeros).zeros()[np.newaxis]
-        zeros = zs[0]
-        special = special_case_batch(zs, settings)
-        (sendov_reports,) = special_case_reports(zs, special, args.tol_eq)
+        special = _confirmed_columns(zs, w, settings)
+        reports += special_case_reports(zs, special, args.tol_eq)[0]
         extra.append(
             f"sendov: condition_holds={bool(hypothesis_margins(zs)[0] >= 0.0)} "
             f"min|w-a|={special.min_distance[0]:.6f} M2={special.m2[0]:.6f} M-2={special.m_minus2[0]:.6f}"
         )
 
-    reports = full_report(zeros, settings, tol_eq=args.tol_eq) + sendov_reports
-
-    spectrum = verify_spectrum(zeros, settings)
     scale = max(1.0, float(np.max(np.abs(zeros))))
-    worst_cluster = int(np.max(cluster_sizes(spectrum.expected, 1e-6 * scale)))
+    worst_cluster = int(np.max(cluster_sizes(spectrum.expected[0], 1e-6 * scale)))
     spectrum_tol = max(SPECTRUM_TOL, args.tol_root ** (1.0 / worst_cluster)) * scale
-    extra.append(
-        f"spectrum check: max pairing distance {spectrum.max_pair_distance:.3e} "
-        f"(tolerance {spectrum_tol:.1e})"
-    )
+    extra.append(f"spectrum check: max pairing distance {distance:.3e} (tolerance {spectrum_tol:.1e})")
     extra.append(
         f"centroid residual {centroid_residual(zeros):.3e}; "
         f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(zeros))}"
     )
     _verify_output(args, zeros, reports, extra, a)
-    if spectrum.max_pair_distance > spectrum_tol:
+    if distance > spectrum_tol:
         print("numeric-consistency failure: companion spectrum mismatch", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
@@ -350,8 +347,7 @@ def _normalized_centered_batch(n, count, seed):
 
 def cmd_oracle(args) -> int:
     if not 2 <= args.n <= 10:
-        print(f"oracle supports n in 2..10, got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInputError(f"oracle supports n in 2..10, got {args.n}")
     zs = _normalized_centered_batch(args.n, args.samples, args.seed)
     star_closed, starstar_closed = order6_bounds(zs)
     settings = RootSolverSettings(tol_root=args.tol_root)

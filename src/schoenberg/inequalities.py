@@ -332,15 +332,10 @@ def _suite(n: int) -> list[Inequality]:
     return fixed + by_k + by_r
 
 
-def _columns(z, w, forms, *, centered=None, xi=None) -> dict[str, Column]:
-    """Both sides of each form over a (b, n) stack and its critical points.
-
-    ``centered``, a ``(zc, wc)`` pair, is what the centered-only forms see
-    instead of ``(z, w)``.
-    """
-    raw = _Sums(z, w, xi)
-    centered = raw if centered is None else _Sums(*centered)
-    return {form.iid: Column(*form.sides(centered if form.centered else raw), form.centered) for form in forms}
+def _columns(z, w, forms, *, xi=None) -> dict[str, Column]:
+    """Both sides of each form over a (b, n) stack and its critical points, as given."""
+    s = _Sums(z, w, xi)
+    return {form.iid: Column(*form.sides(s), form.centered) for form in forms}
 
 
 def row_reports(table: dict[str, Column], tol_eq: float = TOL_EQ, centered: bool = True):
@@ -507,9 +502,18 @@ def evaluate_ensemble(zs, settings: RootSolverSettings | None = None) -> dict[st
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
-    w = critical_points_batch(z, settings)
+    return _suite_columns(z, critical_points_batch(z, settings), settings)
+
+
+def _suite_columns(z, w, settings: RootSolverSettings | None) -> dict[str, Column]:
+    """:func:`evaluate_ensemble` of a (b, n) stack ``z`` whose critical points ``w`` are solved.
+
+    The centered-only forms see the recentered stack and the critical
+    points solved from it, the general forms ``(z, w)``.
+    """
     zc = recenter(z)
-    return _columns(z, w, _suite(z.shape[-1]), centered=(zc, critical_points_batch(zc, settings)))
+    raw, centered = _Sums(z, w), _Sums(zc, critical_points_batch(zc, settings))
+    return {form.iid: Column(*form.sides(centered if form.centered else raw), form.centered) for form in _suite(z.shape[-1])}
 
 
 def full_report(

@@ -151,7 +151,8 @@ def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> Spectr
     """Check that D(I - J/n) has spectrum {0} union the critical points.
 
     Takes one configuration or a (b, n) stack.  The matrix side is 0 plus
-    the eigenvalues of Q^T D Q, as the critical-point solver returns them.
+    the eigenvalues of Q^T D Q, as the critical-point solver returns them;
+    the ``verify`` command reads its critical points from there.
     The expected side is 0 plus one batched Aberth solve of p' for the
     normalized zeros u = (z - c) / s (whose coefficients stay bounded at
     any scale), mapped back as c + s r.  The report carries each

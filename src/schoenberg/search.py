@@ -86,6 +86,8 @@ class Ensemble:
             raise InvalidInputError("ensemble degree n must be at least 2")
         if self.count < 1:
             raise InvalidInputError("ensemble count must be at least 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         if self.scale < 0:
             raise InvalidInputError("perturbation scale must be nonnegative")
         if self.kind == "sendov-boundary" and self.recenter:

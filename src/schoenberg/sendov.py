@@ -242,15 +242,20 @@ def special_case_batch(zs, settings: RootSolverSettings | None = None) -> Specia
     """
     settings = settings or DEFAULT_SETTINGS
     zs = np.asarray(zs, dtype=complex)
-    critical = critical_points_batch(zs, settings)
+    return _confirmed_columns(zs, critical_points_batch(zs, settings), settings)
+
+
+def _confirmed_columns(zs, critical, settings: RootSolverSettings) -> SpecialCaseColumns:
+    """:func:`special_case_batch` of an a-first (b, n) stack whose critical points are solved."""
     columns = distance_columns(zs, critical)
     candidates = np.flatnonzero(columns.m_minus2 > 1.0)
     if candidates.size:
         try:
             refined = critical_points_batch(zs[candidates], settings.tightened())
         except ConvergenceError as err:
-            critical[candidates] = err.best
-            raise ConvergenceError(str(err), best=critical, residual=err.residual, rows=candidates[err.rows]) from None
+            best = critical.copy()
+            best[candidates] = err.best
+            raise ConvergenceError(str(err), best=best, residual=err.residual, rows=candidates[err.rows]) from None
         for column, value in zip(columns, distance_columns(zs[candidates], refined)):
             column[candidates] = value
     return columns

@@ -3,11 +3,12 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from schoenberg import cli, search
+from schoenberg import cli, rootfind, search
 from schoenberg.config import DEFAULT_SEED
 from schoenberg.cli import main
 from schoenberg.inequalities import CENTERED_IDS, full_report, make_report
@@ -50,6 +51,7 @@ def test_verify_collinear_passes_with_equalities(tmp_path, capsys):
 
 def test_verify_single_zero_is_usage_error(capsys):
     assert main(["verify", "--zeros", "1,0"]) == 2
+    assert capsys.readouterr().err == "error: need at least 2 zeros, got shape (1,)\n"
 
 
 def test_verify_bad_token_is_usage_error(capsys):
@@ -132,6 +134,29 @@ def test_verify_out_writes_the_printed_table_and_the_report_csv(zeros, extra, tm
     assert (tmp_path / "v.csv").read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6"],
+    ["--zeros", "1,0 0,1 -1,0 0,-1"],
+], ids=["sendov", "plain"])
+def test_verify_solves_its_configuration_once(argv, monkeypatch, capsys):
+    # One compression solve of the zeros serves the suite, C1/C2 and the
+    # spectrum check; the other is of the recentered copy.  Aberth on p' is
+    # the spectrum check's independent side.
+    calls = []
+    for name in ("critical_points_batch", "find_roots_batch"):
+        original = getattr(rootfind, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("schoenberg") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert main(["verify", *argv]) == 0
+    assert sorted(calls) == ["critical_points_batch", "critical_points_batch", "find_roots_batch"]
+
+
 def test_verify_sendov_instance(capsys):
     assert main(["verify", "--zeros", "0,1", "--a", "1.0"]) == 0
     text = capsys.readouterr().out
@@ -184,8 +209,21 @@ def test_oracle_output_keeps_the_benchmark_lines(capsys):
 
 
 def test_oracle_size_guard(capsys):
-    assert main(["oracle", "--n", "11"]) == 2
-    assert main(["oracle", "--n", "1"]) == 2
+    for n in ("11", "1"):
+        assert main(["oracle", "--n", n]) == 2
+        assert capsys.readouterr().err == f"error: oracle supports n in 2..10, got {n}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ensemble", "uniform-disk", "--n", "4", "--count", "3"],
+    ["oracle", "--n", "4", "--samples", "3"],
+    ["search", "--objective", "KT", "--n", "4", "--starts", "2"],
+], ids=["sweep", "oracle", "search"])
+def test_negative_seed_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_collinear_equality_counts(tmp_path, capsys):

@@ -32,6 +32,8 @@ def test_ensemble_validation():
         Ensemble(kind="gaussian", n=4, count=0)
     with pytest.raises(InvalidInputError):
         Ensemble(kind="sendov-boundary", n=4, count=1, recenter=True)
+    with pytest.raises(InvalidInputError):
+        Ensemble(kind="gaussian", n=4, count=1, seed=-1)
 
 
 def test_sample_streams_are_reproducible():

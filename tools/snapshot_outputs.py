@@ -57,6 +57,12 @@ COMMANDS = (
     ("verify_collinear", ("verify", "--zeros", "-1.5,0 0.5,0 1,0"), False),
     ("verify_square", ("verify", "--zeros", "1,0 0,1 -1,0 0,-1", "--format", "jsonl"), True),
     ("verify_hit", ("verify", "--zeros", "-1,0 -1,0", "--a", "1.0"), False),
+    # A repeated zero widens the spectrum tolerance by its cluster size.
+    ("verify_repeated", ("verify", "--zeros", "1,0 1,0 1,0 2,0"), False),
+    ("verify_sendov_csv",
+     ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6", "--format", "csv"), True),
+    ("verify_scaled", ("verify", "--zeros", "3e6,1e6 -2e6,0 0,-4e6", "--format", "jsonl"), True),
+    ("verify_hit_jsonl", ("verify", "--zeros", "0.5,0 0.5,0", "--a", "0.5", "--format", "jsonl"), True),
 )
 
 
