@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -49,8 +50,10 @@ from .search import (
     ENSEMBLE_KINDS,
     Ensemble,
     SearchSettings,
-    _draw,
+    _draw_rows,
+    _rngs,
     _sample,
+    _sample_seeds,
     maximize_batch,
     sample_array,
     sample_seed,
@@ -214,8 +217,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e-9`` as a value, not an option, as newer argparse releases do."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schoenberg",
         description="Verify and stress-test the zero/critical-point inequality suite.",
     )
@@ -339,7 +350,8 @@ def cmd_verify(args) -> int:
 
 
 def _normalized_centered_batch(n, count, seed):
-    zs = sample_array(Ensemble(kind="uniform-disk", n=n, count=count, seed=seed, recenter=True))
+    ens = Ensemble(kind="uniform-disk", n=n, count=count, seed=seed, recenter=True)
+    zs = _draw_rows(ens, _rngs(_sample_seeds(seed, range(count))))
     scale = np.abs(zs).max(axis=1)
     scale[scale == 0] = 1.0
     return zs / scale[:, np.newaxis]
@@ -373,29 +385,34 @@ def cmd_oracle(args) -> int:
 def _sweep_root(args, ens: Ensemble, summary: _Summary) -> list[str]:
     zs = sample_array(ens)
     table = evaluate_ensemble(zs, RootSolverSettings(tol_root=args.tol_root))
-    pairs = _pairs(zs)
     lines = []
-    for i, reports in enumerate(row_reports(table, args.tol_eq)):
+    for seed, row_pairs, reports in zip(_sample_seeds(args.seed, range(args.count)), _pairs(zs),
+                                        row_reports(table, args.tol_eq)):
         summary.update(_report_items(args.n, reports))
-        lines.append(_record_line("sample", sample_seed(args.seed, i), pairs[i], reports))
+        lines.append(_record_line("sample", seed, row_pairs, reports))
     return lines
 
 
 def _sweep_sendov(args, ens: Ensemble, summary: _Summary) -> tuple[list[str], int]:
     """The archive lines, and the count of M_MINUS2 values above 1."""
-    rows, seeds = [], []
-    index = 0
+    chunks, seeds = [], []
+    index, cap = 0, 1000 * args.count
     # Rejection keeps the per-sample seeds aligned with their sample index.
-    while len(rows) < args.count and index < 1000 * args.count:
-        seed = sample_seed(args.seed, index)
-        row = _draw(ens, seed)
-        if not args.hypothesis_filter or hypothesis_margins(row[np.newaxis])[0] >= 0:
-            rows.append(row)
-            seeds.append(seed)
-        index += 1
-    if len(rows) < args.count:
+    while len(seeds) < args.count and index < cap:
+        needed = args.count - len(seeds)
+        # Draw as many as the acceptance so far says are needed: all of them without the filter.
+        indices = range(index, min(index + max(needed, needed * index // max(len(seeds), 1)), cap))
+        drawn = _sample_seeds(args.seed, indices)
+        zs = _draw_rows(ens, _rngs(drawn))
+        if args.hypothesis_filter:
+            keep = np.flatnonzero(hypothesis_margins(zs) >= 0)[:needed]
+            zs, drawn = zs[keep], [drawn[i] for i in keep]
+        chunks.append(zs)
+        seeds += drawn
+        index = indices.stop
+    if len(seeds) < args.count:
         raise InvalidInputError("hypothesis filter rejected too many samples")
-    zs = np.array(rows)
+    zs = np.concatenate(chunks)
     special = special_case_batch(zs, RootSolverSettings(tol_root=args.tol_root))
     m_minus2 = special.m_minus2.tolist()
     pairs = _pairs(zs)

@@ -5,7 +5,11 @@ pure function of ``(ensemble.seed, i)`` through a single derived 64-bit
 seed ``sample_seed(ensemble.seed, i)``, so records can be regenerated
 from their seed alone.  A caller that already holds the seed draws the
 sample as ``_sample(ensemble, seed)`` and its zeros row as
-``_draw(ensemble, seed)``.  The search maximizes either an inequality
+``_draw(ensemble, seed)``.  A caller with many samples derives their seeds
+as ``_sample_seeds(seed, indices)`` and draws the (b, n) stack as
+``_draw_rows(ensemble, _rngs(seeds))``: the stacked derivation equals
+numpy's ``SeedSequence`` bit for bit, so every row equals the single
+sample of its index.  The search maximizes either an inequality
 slack ratio lhs/rhs (how close a configuration comes to saturating a
 bound) or the M_{-2} power mean of a Sendov instance, by Nelder-Mead
 (Nelder & Mead 1965) over the real/imaginary parts of the zeros with
@@ -26,6 +30,7 @@ confirms it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,36 +108,155 @@ def _rng(derived_seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derived_seed))
 
 
-def _complex_normal(rng, size):
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) on stacks: the same
+# hashmix/mix of a pool of 4 uint32 words, computed on uint32 columns with
+# one entry per row.  One row costs far more than numpy's own scalar path,
+# so it serves stacks only; the tests hold it to numpy's results bit for bit.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of a uint32 column: XOR the constant, step it, multiply by it, xorshift."""
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hash_
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> np.uint32(16)
+
+
+def _mixed_pool(entropy: list) -> list:
+    """``SeedSequence(row).pool`` of each row, as 4 uint32 columns; ``entropy`` is the rows' uint32 word columns."""
+    hash_ = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hash_(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hash_(word))
+    return pool
+
+
+def _generate_state(pool: list, n_words: int) -> np.ndarray:
+    """``SeedSequence.generate_state(n_words, np.uint64)`` of each row of a mixed pool, as (rows, n_words)."""
+    hash_ = _hasher(_INIT_B, _MULT_B)
+    halves = [hash_(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * n_words)]
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(halves[::2], halves[1::2])], axis=1)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian uint32 words numpy reads a nonnegative int as (0 is one word)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _sample_seeds(seed: int, indices) -> list[int]:
+    """``[sample_seed(seed, i) for i in indices]``, derived on one stack."""
+    index = np.array(indices, dtype=np.uint64)
+    head = _uint32_words(int(seed))
+    out = np.empty(index.size, dtype=np.uint64)
+    # An index of 2**32 or more is two entropy words; past the pool's 4 words the count changes the mix.
+    wide = index > _MASK32
+    for rows, n_words in ((~wide, 1), (wide, 2)):
+        part = index[rows]
+        if part.size:
+            entropy = [np.full(part.size, word, dtype=np.uint32) for word in head]
+            entropy += [(part >> np.uint64(32 * k)).astype(np.uint32) for k in range(n_words)]
+            out[rows] = _generate_state(_mixed_pool(entropy), 1)[:, 0]
+    return out.tolist()
+
+
+@functools.cache
+def _preset_seed_sequence() -> type:
+    """A numpy ``ISeedSequence`` that hands PCG64 the state words it was made with.
+
+    Made on first use: a subclass defined at import would load numpy.random eagerly.
+    """
+
+    class PresetSeedSequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return PresetSeedSequence
+
+
+def _rngs(derived_seeds) -> list[np.random.Generator]:
+    """``[_rng(s) for s in derived_seeds]``: PCG64's seed words mixed on one stack, then numpy's own seeding."""
+    seeds = np.array(derived_seeds, dtype=np.uint64)
+    # A seed below 2**32 is one entropy word: its zero high word hashes as the pool's padding does.
+    states = _generate_state(_mixed_pool([seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]), 4)
+    preset = _preset_seed_sequence()
+    return [np.random.Generator(np.random.PCG64(preset(state))) for state in states]
+
+
+def _complex_normal(re, im):
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _stacked(rngs, draw) -> list[np.ndarray]:
+    """The draws ``draw(rng)`` (a tuple) of every generator in turn, stacked entry by entry."""
+    return [np.array(column) for column in zip(*map(draw, rngs))]
+
+
+def _draw_rows(ensemble: Ensemble, rngs) -> np.ndarray:
+    """The (len(rngs), n) zeros stack, row i drawn from ``rngs[i]``; a sendov-boundary row is ``inst.zeros()``, a first.
+
+    Each generator makes its calls in one fixed order; the arithmetic then
+    runs once on the stacked draws, elementwise, so a row does not depend
+    on the other rows of its stack.
+    """
+    n = ensemble.n
+    kind = ensemble.kind
+    if kind == "uniform-disk":
+        u, angle = _stacked(rngs, lambda rng: (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)))
+        zeros = np.sqrt(u) * np.exp(1j * angle)
+    elif kind in ("gaussian", "roots-of-unity-perturbed"):
+        re, im = _stacked(rngs, lambda rng: (rng.standard_normal(n), rng.standard_normal(n)))
+        zeros = _complex_normal(re, im)
+        if kind == "roots-of-unity-perturbed":
+            zeros = np.exp(2j * np.pi * np.arange(n) / n) + ensemble.scale * zeros
+    elif kind == "collinear":
+        # The center is a Python complex, as numpy's complex division would round it differently.
+        center, angle, offsets = _stacked(rngs, lambda rng: (
+            _complex_normal(rng.standard_normal(), rng.standard_normal()),
+            rng.uniform(0.0, 2.0 * np.pi),
+            rng.standard_normal(n),
+        ))
+        zeros = center[:, np.newaxis] + offsets * np.exp(1j * angle)[:, np.newaxis]
+    else:  # sendov-boundary
+        a, angle = _stacked(rngs, lambda rng: (rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * np.pi, n - 1)))
+        zeros = np.empty((len(a), n), dtype=complex)
+        zeros[:, 0] = a
+        zeros[:, 1:] = np.exp(1j * angle)
+    if ensemble.recenter:
+        zeros = recenter(zeros)
+    return zeros
 
 
 def _draw(ensemble: Ensemble, derived_seed: int) -> np.ndarray:
     """The zeros row drawn from a derived seed; a sendov-boundary row is ``inst.zeros()``, a first."""
-    rng = _rng(derived_seed)
-    n = ensemble.n
-    kind = ensemble.kind
-    if kind == "uniform-disk":
-        radius = np.sqrt(rng.uniform(0.0, 1.0, n))
-        angle = rng.uniform(0.0, 2.0 * np.pi, n)
-        zeros = radius * np.exp(1j * angle)
-    elif kind == "gaussian":
-        zeros = _complex_normal(rng, n)
-    elif kind == "roots-of-unity-perturbed":
-        base = np.exp(2j * np.pi * np.arange(n) / n)
-        zeros = base + ensemble.scale * _complex_normal(rng, n)
-    elif kind == "collinear":
-        center = _complex_normal(rng, None)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        offsets = rng.standard_normal(n)
-        zeros = center + offsets * np.exp(1j * angle)
-    else:  # sendov-boundary
-        zeros = np.empty(n, dtype=complex)
-        zeros[0] = rng.uniform(0.0, 1.0)
-        zeros[1:] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n - 1))
-    if ensemble.recenter:
-        zeros = recenter(zeros)
-    return zeros
+    return _draw_rows(ensemble, [_rng(derived_seed)])[0]
 
 
 def _sample(ensemble: Ensemble, derived_seed: int):

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,6 +564,32 @@ def test_bad_tol_eq_is_usage_error(value, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
 def test_bad_tol_root_is_usage_error(value, capsys):
-    assert main(["verify", "--zeros", "1,0 -1,0 0,1", f"--tol-root={value}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "tol_root" in err
+    for tol in ([f"--tol-root={value}"], ["--tol-root", value]):
+        assert main(["verify", "--zeros", "1,0 -1,0 0,1", *tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tol_root" in err
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random is loaded on first draw only, which keeps CLI start-up short.
+    code = "import sys; import schoenberg.cli as cli; cli._build_parser(); print('numpy.random' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "False"
+
+
+def test_hypothesis_filter_stops_at_its_draw_cap(tmp_path, monkeypatch, capsys):
+    drawn = []
+
+    def reject_all(zs):
+        drawn.append(len(zs))
+        return np.full(len(zs), -1.0)
+
+    monkeypatch.setattr(cli, "hypothesis_margins", reject_all)
+    code = main(["sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "3",
+                 "--hypothesis-filter", "--out", str(tmp_path / "sb")])
+    assert code == 2
+    assert "rejected too many samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert sum(drawn) == 1000 * 3

@@ -1,5 +1,7 @@
 """Ensemble sampling and the derivative-free ascent."""
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -63,13 +65,47 @@ def test_sample_seed_is_index_stable():
 ])
 def test_draw_from_the_derived_seed_is_sample_one(kind, recenter):
     ens = Ensemble(kind=kind, n=6, count=5, seed=2024, recenter=recenter)
-    for i in range(ens.count):
-        row = search._draw(ens, sample_seed(ens.seed, i))
+    seeds = [sample_seed(ens.seed, i) for i in range(ens.count)]
+    stack = search._draw_rows(ens, search._rngs(seeds))
+    assert stack.shape == (ens.count, ens.n)
+    for i, seed in enumerate(seeds):
+        row = search._draw(ens, seed)
         one = sample_one(ens, i)
         if kind == "sendov-boundary":
             assert type(one.a) is float
             one = one.zeros()
         assert row.dtype == one.dtype and row.tobytes() == one.tobytes()
+        assert stack[i].dtype == row.dtype and stack[i].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5])
+def test_stacked_sample_seeds_equal_numpy(seed):
+    # 2**96 + 5 is five entropy words with the index, past the pool of four.
+    assert search._sample_seeds(seed, range(2000)) == [sample_seed(seed, i) for i in range(2000)]
+
+
+@pytest.mark.parametrize("index", [2**32 - 1, 2**32, 2**40 + 3])
+def test_stacked_sample_seeds_equal_numpy_on_wide_indices(index):
+    indices = [0, index, 5, index + 1]
+    for seed in (1729, 2**96 + 5):
+        assert search._sample_seeds(seed, indices) == [sample_seed(seed, i) for i in indices]
+
+
+def _assert_pcg64_states_equal_numpy(seeds):
+    rngs = search._rngs(seeds)
+    assert len(rngs) == len(seeds)
+    for rng, seed in zip(rngs, seeds):
+        assert rng.bit_generator.state == np.random.PCG64(seed).state
+
+
+def test_stacked_pcg64_states_equal_numpy_at_word_edges():
+    _assert_pcg64_states_equal_numpy([0, 2**32 - 1, 2**32, 2**64 - 1])
+
+
+@hypothesis.settings(derandomize=True, max_examples=50, deadline=None)
+@hypothesis.given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_stacked_pcg64_states_equal_numpy(seeds):
+    _assert_pcg64_states_equal_numpy(seeds)
 
 
 def test_uniform_disk_stays_in_disk():

@@ -23,7 +23,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SEEDS = (1729, 4242)
+# A seed of 2**32 or more is two words of seed entropy.
+SEEDS = (1729, 4242, 2**32 + 1729)
 
 # (name, argv after ``schoenberg``, whether the command writes to ``--out NAME_S``)
 COMMANDS = (
