@@ -10,14 +10,18 @@ atomically (temp file + rename).
 JSONL record fields: ``{kind, seed, n, zeros: [[re, im], ...], a?,
 reports: [{id, lhs, rhs, slack, holds, equality}], objective?,
 objective_value?}``, as compact JSON.  Each line is written straight
-from the inequality reports, and a sweep builds its lines and CSV summary
-in one pass over them; non-finite numbers are written as null (and count
-as an inf slack in the summary).
+from the inequality reports; non-finite numbers are written as null (and
+count as an inf slack in the summary).  A sweep samples, solves and
+evaluates ``rootfind._CHUNK`` rows at a time, writes each chunk's lines to
+the archive's temp file as it renders them and folds them into the CSV
+summary, so its memory does not grow with ``--count``; ``report`` reads an
+archive one record at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -44,7 +48,7 @@ from .inequalities import (
 )
 from .matrices import is_normal, sds_matrix, verify_spectrum
 from .poly import as_zeros, centroid_residual, is_collinear
-from .rootfind import RootSolverSettings, cluster_sizes
+from .rootfind import _CHUNK, RootSolverSettings, cluster_sizes
 from .search import (
     COUNTEREXAMPLE_MARGIN,
     ENSEMBLE_KINDS,
@@ -55,7 +59,7 @@ from .search import (
     _sample,
     _sample_seeds,
     maximize_batch,
-    sample_array,
+    sample_one,
     sample_seed,
     verify_candidate,
 )
@@ -107,11 +111,24 @@ def _record_line(kind, seed, zeros, reports, a=None, objective=None, objective_v
     return line + "}\n"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_writer(path: Path):
+    """A text handle on ``path.tmp<pid>``, renamed onto ``path`` on success and removed on any exception."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        # A sweep writes its lines one at a time: 64 KiB of buffer writes them in few system calls.
+        with open(tmp, "w", buffering=1 << 16) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_writer(path) as handle:
+        handle.write(text)
 
 
 SUMMARY_COLUMNS = ("inequality_id", "n", "samples", "violations", "min_slack", "equality_count")
@@ -382,49 +399,62 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_root(args, ens: Ensemble, summary: _Summary) -> list[str]:
-    zs = sample_array(ens)
-    table = evaluate_ensemble(zs, RootSolverSettings(tol_root=args.tol_root))
-    lines = []
-    for seed, row_pairs, reports in zip(_sample_seeds(args.seed, range(args.count)), _pairs(zs),
-                                        row_reports(table, args.tol_eq)):
-        summary.update(_report_items(args.n, reports))
-        lines.append(_record_line("sample", seed, row_pairs, reports))
-    return lines
+def _sweep_root(args, ens: Ensemble, summary: _Summary, handle) -> int:
+    """Write the archive lines chunk by chunk; returns 0, the count of M_MINUS2 values above 1 (a root ensemble has none)."""
+    settings = RootSolverSettings(tol_root=args.tol_root)
+    for lo in range(0, args.count, _CHUNK):
+        indices = range(lo, min(lo + _CHUNK, args.count))
+        zs = np.array([sample_one(ens, i) for i in indices])
+        table = evaluate_ensemble(zs, settings)
+        for seed, row_pairs, reports in zip(_sample_seeds(args.seed, indices), _pairs(zs),
+                                            row_reports(table, args.tol_eq)):
+            summary.update(_report_items(args.n, reports))
+            handle.write(_record_line("sample", seed, row_pairs, reports))
+    return 0
 
 
-def _sweep_sendov(args, ens: Ensemble, summary: _Summary) -> tuple[list[str], int]:
-    """The archive lines, and the count of M_MINUS2 values above 1."""
-    chunks, seeds = [], []
-    index, cap = 0, 1000 * args.count
+def _sendov_chunks(args, ens: Ensemble):
+    """The kept samples as chunks ``(seeds, a-first zeros stack)`` of at most ``_CHUNK`` rows, in index order."""
+    seeds, stacks = [], []
+    found, index, cap = 0, 0, 1000 * args.count
     # Rejection keeps the per-sample seeds aligned with their sample index.
-    while len(seeds) < args.count and index < cap:
-        needed = args.count - len(seeds)
-        # Draw as many as the acceptance so far says are needed: all of them without the filter.
-        indices = range(index, min(index + max(needed, needed * index // max(len(seeds), 1)), cap))
+    while found < args.count and index < cap:
+        needed = args.count - found
+        # Draw as many as the acceptance so far says are needed (all of them
+        # without the filter), but no more than the open chunk can still take.
+        size = min(max(needed, needed * index // max(found, 1)), _CHUNK - len(seeds))
+        indices = range(index, min(index + size, cap))
         drawn = _sample_seeds(args.seed, indices)
         zs = _draw_rows(ens, _rngs(drawn))
         if args.hypothesis_filter:
             keep = np.flatnonzero(hypothesis_margins(zs) >= 0)[:needed]
             zs, drawn = zs[keep], [drawn[i] for i in keep]
-        chunks.append(zs)
         seeds += drawn
+        stacks.append(zs)
+        found += len(drawn)
         index = indices.stop
-    if len(seeds) < args.count:
+        if len(seeds) == _CHUNK or found == args.count:
+            yield seeds, np.concatenate(stacks)
+            seeds, stacks = [], []
+    if found < args.count:
         raise InvalidInputError("hypothesis filter rejected too many samples")
-    zs = np.concatenate(chunks)
-    special = special_case_batch(zs, RootSolverSettings(tol_root=args.tol_root))
-    m_minus2 = special.m_minus2.tolist()
-    pairs = _pairs(zs)
-    lines = []
-    for seed, row_pairs, a, reports, value in zip(
-        seeds, pairs, zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq), m_minus2
-    ):
-        summary.update(_report_items(args.n, reports))
-        lines.append(_record_line("sample", seed, row_pairs, reports, a=a,
-                                  objective="M_MINUS2", objective_value=value))
-    m2_bad = sum(1 for value in m_minus2 if 1.0 + COUNTEREXAMPLE_MARGIN < value < math.inf)
-    return lines, m2_bad
+
+
+def _sweep_sendov(args, ens: Ensemble, summary: _Summary, handle) -> int:
+    """Write the archive lines chunk by chunk; returns the count of M_MINUS2 values above 1."""
+    settings = RootSolverSettings(tol_root=args.tol_root)
+    m2_bad = 0
+    for seeds, zs in _sendov_chunks(args, ens):
+        special = special_case_batch(zs, settings)
+        m_minus2 = special.m_minus2.tolist()
+        for seed, row_pairs, a, reports, value in zip(
+            seeds, _pairs(zs), zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq), m_minus2
+        ):
+            summary.update(_report_items(args.n, reports))
+            handle.write(_record_line("sample", seed, row_pairs, reports, a=a,
+                                      objective="M_MINUS2", objective_value=value))
+        m2_bad += sum(1 for value in m_minus2 if 1.0 + COUNTEREXAMPLE_MARGIN < value < math.inf)
+    return m2_bad
 
 
 def cmd_sweep(args) -> int:
@@ -435,19 +465,17 @@ def cmd_sweep(args) -> int:
     if args.scale is not None and ens.kind != "roots-of-unity-perturbed":
         raise InvalidInputError("--scale applies to the roots-of-unity-perturbed ensemble only")
     summary = _Summary()
-    if ens.kind == "sendov-boundary":
-        lines, m2_bad = _sweep_sendov(args, ens, summary)
-    else:
-        lines, m2_bad = _sweep_root(args, ens, summary), 0
-    rows = summary.rows()
     jsonl_path, csv_path = _out_paths(args.out or "sweep")
-    _atomic_write(jsonl_path, "".join(lines))
+    sweep = _sweep_sendov if ens.kind == "sendov-boundary" else _sweep_root
+    with _atomic_writer(jsonl_path) as handle:
+        m2_bad = sweep(args, ens, summary, handle)
+    rows = summary.rows()
     _atomic_write(csv_path, _summary_csv(rows))
     _print_summary(rows)
     violations = sum(row[3] for row in rows)
     if m2_bad:
         print(f"M_MINUS2 candidates above 1: {m2_bad}", file=sys.stderr)
-    print(f"records: {len(lines)} -> {jsonl_path} / {csv_path}")
+    print(f"records: {args.count} -> {jsonl_path} / {csv_path}")
     return EXIT_OK if violations == 0 and m2_bad == 0 else EXIT_VIOLATION
 
 
@@ -493,17 +521,18 @@ def cmd_search(args) -> int:
     return EXIT_VIOLATION if verified_counterexample else EXIT_OK
 
 
-def _read_records(paths) -> list[dict]:
-    records = []
+def _read_records(paths):
+    """The records of JSONL archives, one at a time, in file and line order."""
     for path in paths:
         with open(path) as handle:
             for lineno, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
                 try:
-                    if line.strip():
-                        records.append(json.loads(line))
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise InvalidInputError(f"{path}:{lineno}: not a JSON record: {exc}") from None
-    return records
+                yield record
 
 
 def cmd_report(args) -> int:

@@ -105,9 +105,12 @@ def _eval_with_bound(coeffs, x):
     dp = np.zeros_like(x)
     e = np.abs(p)
     for k in range(coeffs.shape[-1] - 2, -1, -1):
-        dp = dp * x + p
-        p = p * x + coeffs[..., k, np.newaxis]
-        e = e * ax + np.abs(p)
+        np.multiply(dp, x, out=dp)
+        dp += p
+        np.multiply(p, x, out=p)
+        p += coeffs[..., k, np.newaxis]
+        np.multiply(e, ax, out=e)
+        e += np.abs(p)
     return p, dp, e
 
 
@@ -161,14 +164,14 @@ def _aberth_iterate(coeffs, x):
             active, coeffs, x, p, dp, at_floor, stalled_prev = (
                 v[moving] for v in (active, coeffs, x, p, dp, at_floor, stalled_prev)
             )
-        newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
+        newton = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
         pair = x[:, :, np.newaxis] - x[:, np.newaxis, :]
-        inv = np.where(pair != 0, 1.0 / np.where(pair == 0, 1.0, pair), 0.0)
-        repulse = inv.sum(axis=2)
+        coincide = pair == 0
+        repulse = np.divide(1.0, pair, out=np.zeros_like(pair), where=~coincide).sum(axis=2)
         denom = 1.0 - newton * repulse
-        corr = np.where(denom != 0, newton / np.where(denom == 0, 1.0, denom), newton)
+        corr = np.divide(newton, denom, out=newton, where=denom != 0)
         # Coincident estimates exert no repulsion; spread them slightly.
-        collided = (pair == 0).sum(axis=2) > 1
+        collided = coincide.sum(axis=2) > 1
         if np.any(collided):
             nudge = (1.0 + np.abs(x)) * 1e-12 * np.exp(2j * np.pi * np.arange(d) / d)
             x = np.where(collided, x + nudge, x)
@@ -191,7 +194,7 @@ def _newton_polish(coeffs, x, steps: int = 2):
     p, dp, _ = _eval_with_bound(coeffs, x)
     best_x, best_p = x, np.abs(p)
     for _ in range(steps):
-        step = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
+        step = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
         x = best_x - step
         p, dp, _ = _eval_with_bound(coeffs, x)
         better = np.abs(p) < best_p

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSONL/CSV formats, reproducibility."""
 
+import contextlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from schoenberg import cli, rootfind, search
 from schoenberg.config import DEFAULT_SEED
+from schoenberg.errors import ConvergenceError
 from schoenberg.cli import main
 from schoenberg.inequalities import CENTERED_IDS, full_report, make_report
 from schoenberg.search import Ensemble, SearchSettings, maximize, sample_one, sample_seed
@@ -593,3 +595,78 @@ def test_hypothesis_filter_stops_at_its_draw_cap(tmp_path, monkeypatch, capsys):
     assert "rejected too many samples" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     assert sum(drawn) == 1000 * 3
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "s.jsonl").mkdir()
+    code = main(["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "5", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tmp*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--ensemble", "gaussian", "--n", "4"),
+    ("--ensemble", "sendov-boundary", "--n", "5"),
+    ("--ensemble", "sendov-boundary", "--n", "5", "--hypothesis-filter"),
+])
+def test_chunked_sweep_writes_the_unchunked_archive(argv, tmp_path, monkeypatch, capsys):
+    sweep = ["sweep", *argv, "--count", "20", "--seed", "11"]
+    whole = main([*sweep, "--out", str(tmp_path / "whole")])
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    assert main([*sweep, "--out", str(tmp_path / "chunked")]) == whole
+    for suffix in (".jsonl", ".csv"):
+        assert (tmp_path / f"chunked{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
+
+
+SWEEP_SOLVERS = [("gaussian", "evaluate_ensemble"), ("sendov-boundary", "special_case_batch")]
+
+
+@pytest.mark.parametrize("ensemble, solver", SWEEP_SOLVERS)
+def test_sweep_writes_each_chunk_before_solving_the_next(ensemble, solver, tmp_path, monkeypatch, capsys):
+    events = []
+    solve, open_writer = getattr(cli, solver), cli._atomic_writer
+
+    def spy_solve(zs, settings):
+        events.append(("solve", len(zs)))
+        return solve(zs, settings)
+
+    class SpyHandle:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, text):
+            events.append("line")
+            return self.handle.write(text)
+
+    @contextlib.contextmanager
+    def spy_writer(path):
+        with open_writer(path) as handle:
+            yield SpyHandle(handle) if path.suffix == ".jsonl" else handle
+
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    monkeypatch.setattr(cli, solver, spy_solve)
+    monkeypatch.setattr(cli, "_atomic_writer", spy_writer)
+    main(["sweep", "--ensemble", ensemble, "--n", "4", "--count", "20", "--out", str(tmp_path / "s")])
+    assert events == [("solve", 7), *["line"] * 7, ("solve", 7), *["line"] * 7, ("solve", 6), *["line"] * 6]
+    assert len(read_jsonl(tmp_path / "s.jsonl")) == 20
+
+
+@pytest.mark.parametrize("ensemble, solver", SWEEP_SOLVERS)
+def test_a_solve_failing_in_a_later_chunk_leaves_no_archive(ensemble, solver, tmp_path, monkeypatch, capsys):
+    calls = []
+    solve = getattr(cli, solver)
+
+    def fail_second(zs, settings):
+        calls.append(len(zs))
+        if len(calls) == 2:
+            raise ConvergenceError(f"critical point backward error 1e-03 above tol_root in 1 of {len(zs)} rows")
+        return solve(zs, settings)
+
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    monkeypatch.setattr(cli, solver, fail_second)
+    code = main(["sweep", "--ensemble", ensemble, "--n", "4", "--count", "20", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "numeric error: critical point backward error 1e-03 above tol_root in 1 of 7 rows" in capsys.readouterr().err
+    assert calls == [7, 7]
+    assert not list(tmp_path.iterdir())

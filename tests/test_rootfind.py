@@ -179,6 +179,16 @@ def test_finished_rows_leave_the_batch(monkeypatch):
         np.testing.assert_array_equal(batch[i], solo[i])
 
 
+
+def test_aberth_spreads_coincident_starts_and_steps_over_flat_points():
+    # p(z) = z**3 - 3z: the start estimates 1, 1 coincide (no repulsion
+    # between them) and sit where p' = 0 (no Newton step).
+    coeffs = np.array([[0, -3, 0, 1]], dtype=complex)
+    x0 = np.array([[1, 1, -2]], dtype=complex)
+    assert np.all(rootfind._eval_with_bound(coeffs, x0)[1][0, :2] == 0)
+    roots = np.sort_complex(rootfind._aberth_iterate(coeffs, x0)[0])
+    np.testing.assert_allclose(roots, [-np.sqrt(3), 0, np.sqrt(3)], atol=1e-14)
+
 def test_critical_points_examples():
     np.testing.assert_array_equal(critical_points([1, -1]), [0])
     got = np.sort_complex(critical_points([1, 2, 3]))
