@@ -12,10 +12,13 @@ reports: [{id, lhs, rhs, slack, holds, equality}], objective?,
 objective_value?}``, as compact JSON.  Each line is written straight
 from the inequality reports; non-finite numbers are written as null (and
 count as an inf slack in the summary).  A sweep samples, solves and
-evaluates ``rootfind._CHUNK`` rows at a time, writes each chunk's lines to
-the archive's temp file as it renders them and folds them into the CSV
-summary, so its memory does not grow with ``--count``; ``report`` reads an
-archive one record at a time.
+evaluates ``rootfind._CHUNK`` rows at a time; ``_sweep_root`` and
+``_sweep_sendov`` yield each record's reports, line and M_{-2} value, and
+``cmd_sweep``'s one loop summarizes, writes and counts them, so memory
+does not grow with ``--count``.  The archive and its CSV land together or
+not at all: the CSV is written once the archive is in place, and a
+failed CSV write removes the archive.  ``report`` reads an archive one
+record at a time.
 """
 
 from __future__ import annotations
@@ -54,13 +57,11 @@ from .search import (
     ENSEMBLE_KINDS,
     Ensemble,
     SearchSettings,
-    _draw_rows,
-    _rngs,
-    _sample,
     _sample_seeds,
+    _samples,
+    _sendov_instance,
     maximize_batch,
     sample_one,
-    sample_seed,
     verify_candidate,
 )
 from .sendov import SendovInstance, _confirmed_columns, hypothesis_margins, special_case_batch, special_case_reports
@@ -366,18 +367,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
 
 
-def _normalized_centered_batch(n, count, seed):
-    ens = Ensemble(kind="uniform-disk", n=n, count=count, seed=seed, recenter=True)
-    zs = _draw_rows(ens, _rngs(_sample_seeds(seed, range(count))))
-    scale = np.abs(zs).max(axis=1)
-    scale[scale == 0] = 1.0
-    return zs / scale[:, np.newaxis]
-
-
 def cmd_oracle(args) -> int:
     if not 2 <= args.n <= 10:
         raise InvalidInputError(f"oracle supports n in 2..10, got {args.n}")
-    zs = _normalized_centered_batch(args.n, args.samples, args.seed)
+    ens = Ensemble(kind="uniform-disk", n=args.n, count=args.samples, seed=args.seed, recenter=True)
+    _seeds, zs = _samples(ens, range(args.samples))
+    scale = np.abs(zs).max(axis=1)
+    scale[scale == 0] = 1.0
+    zs = zs / scale[:, np.newaxis]
     star_closed, starstar_closed = order6_bounds(zs)
     settings = RootSolverSettings(tol_root=args.tol_root)
     trace_dev = np.maximum(
@@ -399,8 +396,8 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_root(args, ens: Ensemble, summary: _Summary, handle) -> int:
-    """Write the archive lines chunk by chunk; returns 0, the count of M_MINUS2 values above 1 (a root ensemble has none)."""
+def _sweep_root(args, ens: Ensemble):
+    """The sweep's ``(reports, line, None)`` records in index order, sampled, solved and evaluated a chunk at a time."""
     settings = RootSolverSettings(tol_root=args.tol_root)
     for lo in range(0, args.count, _CHUNK):
         indices = range(lo, min(lo + _CHUNK, args.count))
@@ -408,9 +405,7 @@ def _sweep_root(args, ens: Ensemble, summary: _Summary, handle) -> int:
         table = evaluate_ensemble(zs, settings)
         for seed, row_pairs, reports in zip(_sample_seeds(args.seed, indices), _pairs(zs),
                                             row_reports(table, args.tol_eq)):
-            summary.update(_report_items(args.n, reports))
-            handle.write(_record_line("sample", seed, row_pairs, reports))
-    return 0
+            yield reports, _record_line("sample", seed, row_pairs, reports), None
 
 
 def _sendov_chunks(args, ens: Ensemble):
@@ -424,8 +419,7 @@ def _sendov_chunks(args, ens: Ensemble):
         # without the filter), but no more than the open chunk can still take.
         size = min(max(needed, needed * index // max(found, 1)), _CHUNK - len(seeds))
         indices = range(index, min(index + size, cap))
-        drawn = _sample_seeds(args.seed, indices)
-        zs = _draw_rows(ens, _rngs(drawn))
+        drawn, zs = _samples(ens, indices)
         if args.hypothesis_filter:
             keep = np.flatnonzero(hypothesis_margins(zs) >= 0)[:needed]
             zs, drawn = zs[keep], [drawn[i] for i in keep]
@@ -440,21 +434,17 @@ def _sendov_chunks(args, ens: Ensemble):
         raise InvalidInputError("hypothesis filter rejected too many samples")
 
 
-def _sweep_sendov(args, ens: Ensemble, summary: _Summary, handle) -> int:
-    """Write the archive lines chunk by chunk; returns the count of M_MINUS2 values above 1."""
+def _sweep_sendov(args, ens: Ensemble):
+    """The sweep's ``(reports, line, M_MINUS2 value)`` records in index order, a chunk of kept samples at a time."""
     settings = RootSolverSettings(tol_root=args.tol_root)
-    m2_bad = 0
     for seeds, zs in _sendov_chunks(args, ens):
         special = special_case_batch(zs, settings)
-        m_minus2 = special.m_minus2.tolist()
         for seed, row_pairs, a, reports, value in zip(
-            seeds, _pairs(zs), zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq), m_minus2
+            seeds, _pairs(zs), zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq),
+            special.m_minus2.tolist(),
         ):
-            summary.update(_report_items(args.n, reports))
-            handle.write(_record_line("sample", seed, row_pairs, reports, a=a,
-                                      objective="M_MINUS2", objective_value=value))
-        m2_bad += sum(1 for value in m_minus2 if 1.0 + COUNTEREXAMPLE_MARGIN < value < math.inf)
-    return m2_bad
+            yield reports, _record_line("sample", seed, row_pairs, reports, a=a,
+                                        objective="M_MINUS2", objective_value=value), value
 
 
 def cmd_sweep(args) -> int:
@@ -464,13 +454,20 @@ def cmd_sweep(args) -> int:
                    recenter=args.recenter, scale=0.1 if args.scale is None else args.scale)
     if args.scale is not None and ens.kind != "roots-of-unity-perturbed":
         raise InvalidInputError("--scale applies to the roots-of-unity-perturbed ensemble only")
-    summary = _Summary()
+    summary, m2_bad = _Summary(), 0
     jsonl_path, csv_path = _out_paths(args.out or "sweep")
     sweep = _sweep_sendov if ens.kind == "sendov-boundary" else _sweep_root
     with _atomic_writer(jsonl_path) as handle:
-        m2_bad = sweep(args, ens, summary, handle)
+        for reports, line, m_minus2 in sweep(args, ens):
+            summary.update(_report_items(args.n, reports))
+            handle.write(line)
+            m2_bad += m_minus2 is not None and 1.0 + COUNTEREXAMPLE_MARGIN < m_minus2 < math.inf
     rows = summary.rows()
-    _atomic_write(csv_path, _summary_csv(rows))
+    try:
+        _atomic_write(csv_path, _summary_csv(rows))
+    except BaseException:
+        jsonl_path.unlink(missing_ok=True)  # the archive and its CSV land together or not at all
+        raise
     _print_summary(rows)
     violations = sum(row[3] for row in rows)
     if m2_bad:
@@ -494,9 +491,10 @@ def cmd_search(args) -> int:
         if kind == "sendov-boundary":
             raise InvalidInputError(f"objective {objective} needs a root-configuration ensemble")
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=objective in CENTERED_IDS)
-    seeds = [sample_seed(args.seed, i) for i in range(args.starts)]
+    seeds, zs = _samples(ens, range(args.starts))
+    starts = [_sendov_instance(row) for row in zs] if kind == "sendov-boundary" else zs
     lines, values, verified_counterexample = [], [], False
-    for rec in maximize_batch(objective, [_sample(ens, seed) for seed in seeds], settings, sample_seeds=seeds):
+    for rec in maximize_batch(objective, starts, settings, sample_seeds=seeds):
         if rec is None:
             continue
         kind_tag = "search"

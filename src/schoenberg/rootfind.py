@@ -321,7 +321,7 @@ def _complement_basis(n: int) -> np.ndarray:
 
 
 def _normalize(z):
-    """Centroid c, radius s = max |z - c| (1 if 0) and u = (z - c) / s of a (b, n) stack."""
+    """Centroid c, radius s = max |z - c| (1 if 0) and u = (z - c) / s of a (b, n) stack; s is not finite if they overflow."""
     c = z.sum(axis=1, keepdims=True) / z.shape[1]
     d = z - c
     s = np.max(np.abs(d), axis=1, keepdims=True)
@@ -355,10 +355,15 @@ def _backward_error(u, w, newton=True):
 def _compression_eigenvalues(z, tol):
     """Critical points of a (b, n) stack and the worst backward error of each row."""
     n = z.shape[1]
-    c, s, u = _normalize(z)
-    q = _complement_basis(n)
-    w = np.linalg.eigvals((q.T * u[:, np.newaxis, :]) @ q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c, s, u = _normalize(z)
+        if not np.isfinite(s).all():  # a row with no normalized zeros fails the gate with NaN points
+            kept = np.isfinite(s[:, 0])
+            out, error = np.full((z.shape[0], n - 1), np.nan, dtype=complex), np.full(z.shape[0], np.inf)
+            out[kept], error[kept] = _compression_eigenvalues(z[kept], tol)
+            return out, error
+        q = _complement_basis(n)
+        w = np.linalg.eigvals((q.T * u[:, np.newaxis, :]) @ q)
         error, step, weight = _backward_error(u, w)
         polished = w - step
         polished_error, _, polished_weight = _backward_error(u, polished, newton=False)

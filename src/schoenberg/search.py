@@ -3,17 +3,19 @@
 Sampling is reproducible by construction: sample i of an ensemble is a
 pure function of ``(ensemble.seed, i)`` through a single derived 64-bit
 seed ``sample_seed(ensemble.seed, i)``, so records can be regenerated
-from their seed alone.  A caller that already holds the seed draws the
-sample as ``_sample(ensemble, seed)`` and its zeros row as
-``_draw(ensemble, seed)``.  A caller with many samples derives their seeds
-as ``_sample_seeds(seed, indices)`` and draws the (b, n) stack as
-``_draw_rows(ensemble, _rngs(seeds))``: the stacked derivation equals
-numpy's ``SeedSequence`` bit for bit, so every row equals the single
-sample of its index.  The search maximizes either an inequality
-slack ratio lhs/rhs (how close a configuration comes to saturating a
-bound) or the M_{-2} power mean of a Sendov instance, by Nelder-Mead
-(Nelder & Mead 1965) over the real/imaginary parts of the zeros with
-projection back onto the constraint set.
+from their seed alone.  ``_samples(ensemble, indices)`` is the one
+stacked draw: it derives the seeds of many samples and their PCG64
+states on one stack, bit for bit as numpy's ``SeedSequence`` would, and
+returns the seeds with the (b, n) zeros stack, so every row equals
+:func:`sample_one` of its index.  ``sample_one`` draws its single row
+with numpy's own seeding, which is cheaper for one row.  A
+sendov-boundary row is ``inst.zeros()``, a first.
+
+The search maximizes either an inequality slack ratio lhs/rhs (how close
+a configuration comes to saturating a bound) or the M_{-2} power mean of
+a Sendov instance, by Nelder-Mead (Nelder & Mead 1965) over the
+real/imaginary parts of the zeros with projection back onto the
+constraint set.
 
 All starts of one search advance in lockstep, as rows of one stack of
 simplices.  One batched critical-point solve scores every start simplex;
@@ -102,10 +104,6 @@ class Ensemble:
 def sample_seed(seed: int, index: int) -> int:
     """Derived 64-bit per-sample seed: a stable hash of (seed, index)."""
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
-
-
-def _rng(derived_seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(derived_seed))
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) on stacks: the same
@@ -202,7 +200,7 @@ def _preset_seed_sequence() -> type:
 
 
 def _rngs(derived_seeds) -> list[np.random.Generator]:
-    """``[_rng(s) for s in derived_seeds]``: PCG64's seed words mixed on one stack, then numpy's own seeding."""
+    """``[Generator(PCG64(s)) for s in derived_seeds]``: PCG64's seed words mixed on one stack, then numpy's own seeding."""
     seeds = np.array(derived_seeds, dtype=np.uint64)
     # A seed below 2**32 is one entropy word: its zero high word hashes as the pool's padding does.
     states = _generate_state(_mixed_pool([seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]), 4)
@@ -254,22 +252,22 @@ def _draw_rows(ensemble: Ensemble, rngs) -> np.ndarray:
     return zeros
 
 
-def _draw(ensemble: Ensemble, derived_seed: int) -> np.ndarray:
-    """The zeros row drawn from a derived seed; a sendov-boundary row is ``inst.zeros()``, a first."""
-    return _draw_rows(ensemble, [_rng(derived_seed)])[0]
+def _samples(ensemble: Ensemble, indices) -> tuple[list[int], np.ndarray]:
+    """The derived seeds of samples ``indices`` and their (len(indices), n) zeros stack, drawn on one stack."""
+    seeds = _sample_seeds(ensemble.seed, indices)
+    return seeds, _draw_rows(ensemble, _rngs(seeds))
 
 
-def _sample(ensemble: Ensemble, derived_seed: int):
-    """The sample drawn from a derived seed: a zeros array, or a SendovInstance."""
-    zeros = _draw(ensemble, derived_seed)
-    if ensemble.kind == "sendov-boundary":
-        return SendovInstance(a=float(zeros[0].real), other_zeros=zeros[1:])
-    return zeros
+def _sendov_instance(row) -> SendovInstance:
+    """The SendovInstance of an a-first zeros row."""
+    return SendovInstance(a=float(row[0].real), other_zeros=row[1:])
 
 
 def sample_one(ensemble: Ensemble, index: int):
     """Sample ``index`` of the ensemble: a zeros array, or a SendovInstance."""
-    return _sample(ensemble, sample_seed(ensemble.seed, index))
+    # numpy's own seeding: for one row it costs far less than the stacked derivation.
+    zeros = _draw_rows(ensemble, [np.random.Generator(np.random.PCG64(sample_seed(ensemble.seed, index)))])[0]
+    return _sendov_instance(zeros) if ensemble.kind == "sendov-boundary" else zeros
 
 
 def sample(ensemble: Ensemble):
@@ -280,10 +278,7 @@ def sample(ensemble: Ensemble):
 
 def sample_array(ensemble: Ensemble) -> np.ndarray:
     """All samples stacked as a (count, n) zeros array; a Sendov instance's row is ``inst.zeros()``."""
-    items = sample(ensemble)
-    if ensemble.kind == "sendov-boundary":
-        items = (inst.zeros() for inst in items)
-    return np.array(list(items))
+    return _samples(ensemble, range(ensemble.count))[1]
 
 
 # ---------------------------------------------------------------------------

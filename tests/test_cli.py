@@ -1,12 +1,14 @@
 """CLI surface: exit codes, JSONL/CSV formats, reproducibility."""
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from schoenberg.config import DEFAULT_SEED
 from schoenberg.errors import ConvergenceError
 from schoenberg.cli import main
 from schoenberg.inequalities import CENTERED_IDS, full_report, make_report
-from schoenberg.search import Ensemble, SearchSettings, maximize, sample_one, sample_seed
+from schoenberg.search import Ensemble, SearchRecord, SearchSettings, maximize, sample_one, sample_seed
 from schoenberg.sendov import SendovInstance, check_special_case
 
 
@@ -59,6 +61,11 @@ def test_verify_single_zero_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: need at least 2 zeros, got shape (1,)\n"
 
 
+def test_verify_without_zeros_is_usage_error(capsys):
+    assert main(["verify", "--zeros", " ; "]) == 2
+    assert capsys.readouterr().err == "error: no zeros given\n"
+
+
 def test_verify_bad_token_is_usage_error(capsys):
     assert main(["verify", "--zeros", "1,0 nope"]) == 2
 
@@ -87,6 +94,35 @@ def test_report_malformed_line_is_usage_error(tmp_path, capsys):
     archive.write_text(archive.read_text() + '{"kind": "sample", "reports": [\n')
     assert main(["report", "--input", str(archive)]) == 2
     assert "sw.jsonl:5" in capsys.readouterr().err
+
+
+def test_report_record_without_n_is_usage_error(tmp_path, capsys):
+    archive = tmp_path / "bad.jsonl"
+    archive.write_text('{"kind":"sample","reports":[{"id":"S"}]}\n')
+    assert main(["report", "--input", str(archive)]) == 2
+    assert capsys.readouterr().err == "error: malformed record: KeyError('n')\n"
+
+
+def test_verify_spectrum_mismatch_is_a_numeric_error(monkeypatch, capsys):
+    spectrum = cli.verify_spectrum
+    monkeypatch.setattr(cli, "verify_spectrum", lambda zs, settings: dataclasses.replace(
+        spectrum(zs, settings), max_pair_distance=np.array([1.0])))
+    assert main(["verify", "--zeros", "1,0 0,1 -1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert "spectrum check: max pairing distance 1.000e+00" in out
+    assert err == "numeric-consistency failure: companion spectrum mismatch\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--zeros", "1e308,0 1e308,0 0,1e308", "--format", "jsonl"],
+    ["sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "5", "--count", "3", "--scale", "1e308"],
+], ids=["verify", "sweep"])
+def test_zeros_whose_centroid_overflows_are_a_numeric_error(argv, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: critical point backward error inf above tol_root")
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_config_unknown_key_is_usage_error(tmp_path, capsys):
@@ -329,6 +365,40 @@ def test_search_m_minus2(tmp_path, capsys):
         assert rec["objective_value"] <= 1 + 1e-6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--objective", "M_MINUS2", "--ensemble", "gaussian"], "M_MINUS2 starts come from the sendov-boundary ensemble"),
+    (["--objective", "KT", "--ensemble", "sendov-boundary"], "objective KT needs a root-configuration ensemble"),
+])
+def test_search_start_ensemble_must_fit_the_objective(argv, message, tmp_path, capsys):
+    assert main(["search", *argv, "--n", "4", "--starts", "2", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def _scored_record(value, seed):
+    return SearchRecord(sample_seed=seed, zeros=np.array([1.0, -1.0, 0.5j]), a=None, objective_id="KT",
+                        objective_value=value, start_value=0.5, iterations=3, reports=[])
+
+
+@pytest.mark.parametrize("refined, kind, code", [(1.5, "counterexample", 1), (1.0, "search", 0)],
+                         ids=["verified", "unconfirmed"])
+def test_search_counterexample_protocol(refined, kind, code, tmp_path, monkeypatch, capsys):
+    # Start 0 is dropped (None), start 1 is a candidate above 1 + margin, start 2 is not.
+    candidate, ordinary = _scored_record(1.25, 11), _scored_record(0.75, 12)
+    monkeypatch.setattr(cli, "maximize_batch", lambda *args, **kwargs: [None, candidate, ordinary])
+    rechecked = []
+    monkeypatch.setattr(cli, "verify_candidate", lambda rec, settings: rechecked.append(rec) or refined)
+    argv = ["search", "--objective", "KT", "--n", "3", "--starts", "3", "--out", str(tmp_path / "c")]
+    assert main(argv) == code
+    assert rechecked == [candidate]
+    records = read_jsonl(tmp_path / "c.jsonl")
+    assert [(rec["kind"], rec["seed"], rec["objective_value"]) for rec in records] == [(kind, 11, 1.25), ("search", 12, 0.75)]
+    out, err = capsys.readouterr()
+    assert "2 ascents, best KT = 1.25" in out
+    verified = "counterexample candidate verified: KT = 1.500000000 zeros [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5]]\n"
+    assert err == (verified if kind == "counterexample" else "")
+
+
 def test_search_m_minus2_reports_c1_c2_only_under_the_hypothesis(tmp_path, capsys):
     # C1/C2 are theorems only under the centroid hypothesis: a record outside
     # it carries no reports, so the archive's report finds no violation.
@@ -358,15 +428,15 @@ def test_search_ratio_objective(tmp_path, capsys):
 def test_search_derives_each_start_seed_once(monkeypatch, tmp_path, capsys):
     calls = []
 
-    def counting(seed, index):
-        calls.append(index)
-        return sample_seed(seed, index)
+    def counting(seed, indices):
+        calls.append(list(indices))
+        return stacked(seed, indices)
 
-    monkeypatch.setattr(cli, "sample_seed", counting)
-    monkeypatch.setattr(search, "sample_seed", counting)
+    stacked = search._sample_seeds
+    monkeypatch.setattr(search, "_sample_seeds", counting)
     argv = ["search", "--objective", "KT", "--n", "5", "--starts", "3", "--max-iterations", "0"]
     assert main([*argv, "--out", str(tmp_path / "kt")]) == 0
-    assert calls == [0, 1, 2]
+    assert calls == [[0, 1, 2]]
     records = read_jsonl(tmp_path / "kt.jsonl")
     assert [rec["seed"] for rec in records] == [sample_seed(DEFAULT_SEED, i) for i in range(3)]
 
@@ -603,6 +673,29 @@ def test_a_failed_rename_leaves_no_temp_file(tmp_path, capsys):
     assert code == 2
     assert "i/o error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.tmp*"))
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_failed_csv_write_leaves_no_archive(tmp_path, capsys):
+    (tmp_path / "s.csv").mkdir()
+    code = main(["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "5", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["s.csv"]
+    assert not list((tmp_path / "s.csv").iterdir())
+
+
+def test_sweep_counts_m_minus2_candidates_above_1(tmp_path, monkeypatch, capsys):
+    # Only finite values above 1 + 1e-6 count; the C1/C2 reports all hold.
+    values = [1.5, 0.5, math.inf, 1.0 + 2e-6, 1.0 + 1e-7]
+    batch = cli.special_case_batch
+    monkeypatch.setattr(cli, "special_case_batch", lambda zs, settings: batch(zs, settings)._replace(
+        m_minus2=np.array(values)))
+    code = main(["sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "5", "--out", str(tmp_path / "m")])
+    assert code == 1
+    assert capsys.readouterr().err == "M_MINUS2 candidates above 1: 2\n"
+    assert [rec["objective_value"] for rec in read_jsonl(tmp_path / "m.jsonl")] == [1.5, 0.5, None, 1.0 + 2e-6, 1.0 + 1e-7]
+    assert all(row["violations"] == "0" for row in read_csv_rows(tmp_path / "m.csv"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -189,6 +189,49 @@ def test_aberth_spreads_coincident_starts_and_steps_over_flat_points():
     roots = np.sort_complex(rootfind._aberth_iterate(coeffs, x0)[0])
     np.testing.assert_allclose(roots, [-np.sqrt(3), 0, np.sqrt(3)], atol=1e-14)
 
+def _random_polynomials(seed, count=4, degree=7):
+    """Roots and ascending coefficients of ``count`` monic polynomials with Gaussian roots."""
+    rng = np.random.default_rng(seed)
+    roots = rng.standard_normal((count, degree)) + 1j * rng.standard_normal((count, degree))
+    return roots, np.array([from_roots(r) for r in roots])
+
+
+def test_aberth_rows_stalled_twice_leave_the_iteration(monkeypatch):
+    # With no round-off floor no estimate is ever at it: a row leaves the
+    # iteration after two stalled steps running, or at the round budget.
+    roots, coeffs = _random_polynomials(7)
+    monkeypatch.setattr(rootfind, "_EPS", 0.0)
+    solo = [find_roots(row) for row in coeffs]
+    evaluations = []
+    evaluate = rootfind._eval_with_bound
+
+    def spy(c, x):
+        evaluations.append(x.shape[0])
+        return evaluate(c, x)
+
+    monkeypatch.setattr(rootfind, "_eval_with_bound", spy)
+    batch = find_roots_batch(coeffs)
+    # One evaluation of the active rows per round: some rows stalled while others iterated on.
+    assert evaluations[0] == 4 and min(evaluations) < 4
+    assert match_multisets_batch(batch, roots).max() <= 1.2e-14
+    for i in range(4):
+        assert batch[i].tobytes() == solo[i].tobytes()
+
+
+def test_aberth_iteration_cap_returns_finite_estimates_and_fails_every_row(monkeypatch):
+    _, coeffs = _random_polynomials(7)
+    monkeypatch.setattr(rootfind, "_MAX_ITERATIONS", 3)
+    assert np.isfinite(rootfind._aberth_iterate(coeffs, rootfind._initial_estimates(coeffs))).all()
+    with pytest.raises(ConvergenceError, match="after 3 iterations in 4 of 4 rows") as err:
+        find_roots_batch(coeffs)
+    np.testing.assert_array_equal(err.value.rows, np.arange(4))
+    assert np.isfinite(err.value.best).all()
+    for i in range(4):
+        with pytest.raises(ConvergenceError) as one:
+            find_roots(coeffs[i])
+        assert one.value.best[0].tobytes() == err.value.best[i].tobytes()
+
+
 def test_critical_points_examples():
     np.testing.assert_array_equal(critical_points([1, -1]), [0])
     got = np.sort_complex(critical_points([1, 2, 3]))
@@ -439,6 +482,22 @@ def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned):
     np.testing.assert_array_equal(w.view(float), want.view(float))  # NaN equals NaN here
     np.testing.assert_array_equal(rows, want_rows)
     np.testing.assert_array_equal(residual, want_residual)
+
+
+def test_rows_whose_centroid_or_radius_overflows_fail_the_gate_alone():
+    z = random_configs(np.random.default_rng(29), 5, 3)
+    z[1] = [1e308, 1e308, 1e308j]  # the sum of the zeros overflows
+    z[3] = [1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 0.0]  # the centroid is 0, a modulus overflows
+    solo = {i: critical_points(z[i]) for i in (0, 2, 4)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            critical_points_batch(z)
+    np.testing.assert_array_equal(err.value.rows, [1, 3])
+    assert err.value.residual == np.inf
+    assert np.isnan(err.value.best[[1, 3]]).all()
+    for i in (0, 2, 4):
+        assert err.value.best[i].tobytes() == solo[i].tobytes()
 
 
 def test_special_rows_in_one_batch_are_solved_as_alone(nan_eigvals):

@@ -65,17 +65,15 @@ def test_sample_seed_is_index_stable():
 ])
 def test_draw_from_the_derived_seed_is_sample_one(kind, recenter):
     ens = Ensemble(kind=kind, n=6, count=5, seed=2024, recenter=recenter)
-    seeds = [sample_seed(ens.seed, i) for i in range(ens.count)]
-    stack = search._draw_rows(ens, search._rngs(seeds))
+    seeds, stack = search._samples(ens, range(ens.count))
+    assert seeds == [sample_seed(ens.seed, i) for i in range(ens.count)]
     assert stack.shape == (ens.count, ens.n)
-    for i, seed in enumerate(seeds):
-        row = search._draw(ens, seed)
+    for i in range(ens.count):
         one = sample_one(ens, i)
         if kind == "sendov-boundary":
             assert type(one.a) is float
             one = one.zeros()
-        assert row.dtype == one.dtype and row.tobytes() == one.tobytes()
-        assert stack[i].dtype == row.dtype and stack[i].tobytes() == row.tobytes()
+        assert stack[i].dtype == one.dtype and stack[i].tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5])

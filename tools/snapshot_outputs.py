@@ -42,6 +42,13 @@ COMMANDS = (
     ("search_m2_n5_budget0",
      ("search", "--objective", "M_MINUS2", "--n", "5", "--starts", "4", "--max-iterations", "0"), True),
     ("search_bsen_n7", ("search", "--objective", "BSEN", "--n", "7", "--starts", "3", "--ensemble", "gaussian"), True),
+    # The start kinds the searches above do not draw: collinear and roots-of-unity-perturbed.
+    ("search_kt_n6_collinear_budget0",
+     ("search", "--objective", "KT", "--n", "6", "--starts", "3", "--ensemble", "collinear",
+      "--max-iterations", "0"), True),
+    ("search_s_n5_unity_budget0",
+     ("search", "--objective", "S", "--n", "5", "--starts", "3", "--ensemble", "roots-of-unity-perturbed",
+      "--max-iterations", "0"), True),
     ("sweep_disk_n8", ("sweep", "--ensemble", "uniform-disk", "--n", "8", "--count", "800"), True),
     ("sweep_collinear_n6", ("sweep", "--ensemble", "collinear", "--n", "6", "--count", "300"), True),
     ("sweep_sendov_n6", ("sweep", "--ensemble", "sendov-boundary", "--n", "6", "--count", "300"), True),
