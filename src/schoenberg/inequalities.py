@@ -276,7 +276,7 @@ class Inequality:
     def sides(self, s: _Sums):
         """``(lhs, rhs)`` as (b,) arrays."""
         args = (s,) if self.param is None else (s, self.value)
-        return np.atleast_1d(self.lhs(*args)), np.atleast_1d(self.rhs(*args))
+        return self.lhs(*args), self.rhs(*args)
 
     def evaluate(self, zs, ws):
         """``(lhs, rhs)`` of a (b, n) stack and its (b, n-1) critical points, as given (no recentering)."""

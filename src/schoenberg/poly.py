@@ -44,7 +44,7 @@ def as_zeros(zeros, min_length: int = 2) -> np.ndarray:
         raise InvalidInputError(
             f"need at least {min_length} zeros, got shape {np.shape(zeros)}"
         )
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InvalidInputError("zeros must be finite (no NaN or infinity)")
     return z
 

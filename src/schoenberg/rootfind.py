@@ -282,8 +282,9 @@ def critical_points(zeros, settings: RootSolverSettings | None = None):
 def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     """Critical points of a (b, n) stack of configurations; returns (b, n-1).
 
-    Rows are solved 1024 at a time, which bounds the work arrays.  If
-    any row fails the gate of :func:`critical_points`, the
+    A stack of at most 1024 rows is solved by one kernel call, a larger
+    one 1024 rows at a time, which bounds the work arrays.  If any row
+    fails the gate of :func:`critical_points`, the
     :class:`ConvergenceError` carries all b rows of points, the worst
     backward error and the indices of the failed rows.
     """
@@ -291,16 +292,18 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
-    b, n = z.shape
-    chunks = [_compression_eigenvalues(z[lo : lo + _CHUNK], settings.tol_root) for lo in range(0, max(b, 1), _CHUNK)]
-    out, error = (np.concatenate(part) for part in zip(*chunks))
-    failed = np.flatnonzero(~(error <= settings.tol_root))
-    if failed.size:
-        worst = float(np.max(error))
+    if z.shape[0] <= _CHUNK:
+        out, error = _compression_eigenvalues(z, settings.tol_root)
+    else:
+        chunks = [_compression_eigenvalues(z[lo : lo + _CHUNK], settings.tol_root) for lo in range(0, z.shape[0], _CHUNK)]
+        out, error = (np.concatenate(part) for part in zip(*chunks))
+    worst = error.max(initial=0.0)
+    if not worst <= settings.tol_root:
+        failed = np.flatnonzero(~(error <= settings.tol_root))
         raise ConvergenceError(
-            f"critical point backward error {worst:.3e} above tol_root in {failed.size} of {b} rows",
+            f"critical point backward error {worst:.3e} above tol_root in {failed.size} of {z.shape[0]} rows",
             best=out,
-            residual=worst,
+            residual=float(worst),
             rows=failed,
         )
     return out
@@ -324,7 +327,7 @@ def _normalize(z):
     """Centroid c, radius s = max |z - c| (1 if 0) and u = (z - c) / s of a (b, n) stack; s is not finite if they overflow."""
     c = z.sum(axis=1, keepdims=True) / z.shape[1]
     d = z - c
-    s = np.max(np.abs(d), axis=1, keepdims=True)
+    s = np.abs(d).max(axis=1, keepdims=True)
     if not s.all():
         s[s == 0] = 1.0
     return c, s, d / s
@@ -368,29 +371,32 @@ def _compression_eigenvalues(z, tol):
         polished = w - step
         polished_error, _, polished_weight = _backward_error(u, polished, newton=False)
     better = polished_error < error
-    w, error = np.where(better, polished, w), np.where(better, polished_error, error).max(axis=1)
-    weight = np.where(better, polished_weight, weight)
+    w[better], error[better], weight[better] = polished[better], polished_error[better], polished_weight[better]
+    error = error.max(axis=1)
     # An (n-1)-fold eigenvalue is resolved only to about eps**(1/(n-1)).
     # Points that close to the centroid are read as c itself, n - 1 times,
     # when the power sums sum u_j**k, k < n, vanish to tol: c is then the
     # (n-1)-fold critical point of a regular n-gon that close to u.
-    near = np.flatnonzero(np.abs(w).max(axis=1) <= 2.0 * (n * _EPS) ** (1.0 / (n - 1)))
-    if near.size:
+    radius = np.abs(w)
+    limit = 2.0 * (n * _EPS) ** (1.0 / (n - 1))
+    if np.fmin.reduce(radius, axis=None, initial=np.inf) <= limit:  # some point is that close (fmin skips NaN)
+        near = (radius.max(axis=1) <= limit).nonzero()[0]
         powers = np.cumprod(np.repeat(u[near, np.newaxis, :], n - 1, axis=1), axis=1)
-        moment = np.max(np.abs(powers.sum(axis=2)), axis=1) / n
+        moment = np.abs(powers.sum(axis=2)).max(axis=1) / n
         polygon = moment <= tol
         w[near[polygon]] = 0.0
         error[near[polygon]] = moment[polygon]
         weight[near[polygon]] = np.inf
     # A zero of multiplicity m is a critical point m - 1 times, which the
     # eigenvalues find to round-off: a point within 8 n eps of a zero is it.
-    # Only a point whose weight allows a zero within twice that is measured.
+    # Only a point whose weight allows a zero within twice that is measured;
+    # the largest weight is NaN if some point is on a zero.
     out = c + s * w
     snap = 8 * n * _EPS
-    i, k = np.nonzero(~(weight < (2.0 * snap) ** -2))
-    if i.size:
+    if not weight.max(initial=0.0) < (2.0 * snap) ** -2:
+        i, k = (~(weight < (2.0 * snap) ** -2)).nonzero()
         gap = np.abs(w[i, k, np.newaxis] - u[i])
-        j = np.argmin(gap, axis=1)
+        j = gap.argmin(axis=1)
         on_zero = gap[np.arange(i.size), j] <= snap
         out[i[on_zero], k[on_zero]] = z[i[on_zero], j[on_zero]]
     return out, error

@@ -464,20 +464,26 @@ _GON_AND_CENTRE = np.append(np.exp(2j * np.pi * np.arange(47) / 47), 0.0) + (0.3
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(z=kernel_batches(), tol=st.sampled_from([1e-9, 1e-11]), poisoned=st.integers(0, 8))
-@example(z=_GON_AND_CENTRE[np.newaxis], tol=10.0, poisoned=8)
-def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned):
+@given(z=kernel_batches(), tol=st.sampled_from([1e-9, 1e-11]), poisoned=st.integers(0, 8), chunk=st.sampled_from([None, 1]))
+@example(z=_GON_AND_CENTRE[np.newaxis], tol=10.0, poisoned=8, chunk=None)
+def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned, chunk):
+    # With chunk 1, critical_points_batch solves the stack one row per
+    # eigenvalue call and joins the chunks.
     eigvals = np.linalg.eigvals
+    solved = [0]  # rows of the stack solved so far
 
     def poison(a):
         out = eigvals(a)
-        if out.shape[0] > poisoned:  # a stack of more than `poisoned` rows gets NaN in that row
-            out[poisoned] = np.nan
+        row = poisoned - solved[0]
+        if 0 <= row < out.shape[0]:  # row `poisoned` of the stack gets NaN, whichever call solves it
+            out[row] = np.nan
+        solved[0] += out.shape[0]
         return out
 
     settings = RootSolverSettings(tol_root=tol)
-    with mock.patch.object(np.linalg, "eigvals", poison):
+    with mock.patch.object(np.linalg, "eigvals", poison), mock.patch.object(rootfind, "_CHUNK", chunk or rootfind._CHUNK):
         w, rows, residual = _solved(critical_points_batch, z, settings)
+        solved[0] = 0
         want, want_rows, want_residual = _solved(_spec_critical_points_batch, z, tol)
     np.testing.assert_array_equal(w.view(float), want.view(float))  # NaN equals NaN here
     np.testing.assert_array_equal(rows, want_rows)

@@ -34,6 +34,11 @@ COMMANDS = (
     ("search_lxz_n5", ("search", "--objective", "LXZ(2.5)", "--n", "5", "--starts", "3"), True),
     ("search_m2_n5", ("search", "--objective", "M_MINUS2", "--n", "5", "--starts", "6"), True),
     ("search_m2_n3", ("search", "--objective", "M_MINUS2", "--n", "3", "--starts", "6"), True),
+    # The search-kt benchmark argv; KT at n = 4 shrinks its simplices, and
+    # S0 at n = 3 retires its rows on the step tolerance before the budget.
+    ("search_kt_n6_starts2", ("search", "--objective", "KT", "--n", "6", "--starts", "2"), True),
+    ("search_kt_n4", ("search", "--objective", "KT", "--n", "4", "--starts", "3"), True),
+    ("search_s0_n3", ("search", "--objective", "S0", "--n", "3", "--starts", "3"), True),
     # A zero round budget records the best vertex of each start simplex.
     ("search_kt_n6_budget0",
      ("search", "--objective", "KT", "--n", "6", "--starts", "4", "--max-iterations", "0"), True),
