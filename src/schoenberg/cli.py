@@ -44,6 +44,7 @@ from .inequalities import (
     CENTERED_IDS,
     _suite_columns,
     evaluate_ensemble,
+    lookup,
     order6_bounds,
     row_reports,
     star_trace_oracle,
@@ -491,6 +492,8 @@ def cmd_search(args) -> int:
         if kind == "sendov-boundary":
             raise InvalidInputError(f"objective {objective} needs a root-configuration ensemble")
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=objective in CENTERED_IDS)
+    # Records and messages name the objective by its canonical id, the one its reports carry.
+    name = objective if objective == "M_MINUS2" else lookup(objective, args.n).iid
     seeds, zs = _samples(ens, range(args.starts))
     starts = [_sendov_instance(row) for row in zs] if kind == "sendov-boundary" else zs
     lines, values, verified_counterexample = [], [], False
@@ -504,17 +507,17 @@ def cmd_search(args) -> int:
                 kind_tag = "counterexample"
                 verified_counterexample = True
                 print(
-                    f"counterexample candidate verified: {objective} = {refined:.9f} "
+                    f"counterexample candidate verified: {name} = {refined:.9f} "
                     f"zeros {_pairs(rec.zeros)}",
                     file=sys.stderr,
                 )
         lines.append(_record_line(kind_tag, rec.sample_seed, _pairs(rec.zeros), rec.reports, a=rec.a,
-                                  objective=objective, objective_value=rec.objective_value))
+                                  objective=name, objective_value=rec.objective_value))
         values.append(float(rec.objective_value))
     jsonl_path, _csv = _out_paths(args.out or "search")
     _atomic_write(jsonl_path, "".join(lines))
     best = max((value for value in values if math.isfinite(value)), default=None)
-    print(f"{len(lines)} ascents, best {objective} = {best}")
+    print(f"{len(lines)} ascents, best {name} = {best}")
     print(f"records -> {jsonl_path}")
     return EXIT_VIOLATION if verified_counterexample else EXIT_OK
 

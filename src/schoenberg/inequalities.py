@@ -261,7 +261,13 @@ class Inequality:
 
     @property
     def iid(self) -> str:
-        return self.family if self.param is None else f"{self.family}({self.value:g})"
+        """The id :func:`lookup` resolves to this form: ``KT``, ``EK(3)``, ``LXZ(2.5)``."""
+        if self.param is None:
+            return self.family
+        text = f"{self.value:g}"
+        if float(text) != self.value:  # more than 6 significant digits: the shortest exact form
+            text = repr(float(self.value))
+        return f"{self.family}({text})"
 
     def bind(self, value, n: int) -> "Inequality":
         """The family member for ``value`` at degree n; a fixed form is returned as is."""
@@ -269,8 +275,8 @@ class Inequality:
             return self
         if self.param == "k" and not 1 <= value <= n - 1:
             raise InvalidInputError(f"k must be in 1..{n - 1}, got {value}")
-        if self.param == "r" and not value >= 2:
-            raise InvalidInputError(f"order r must be >= 2, got {value}")
+        if self.param == "r" and not 2 <= value < np.inf:
+            raise InvalidInputError(f"order r must be >= 2 and finite, got {value}")
         return replace(self, value=value)
 
     def sides(self, s: _Sums):

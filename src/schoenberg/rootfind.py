@@ -6,7 +6,11 @@ the all-ones vector (Pereira 2003; Malamud 2005).
 :func:`critical_points_batch` takes LAPACK's eigenvalues w for the zeros
 normalized to u = (z - c) / s (c the centroid, s = max |z - c|) and
 returns c + s w.  It forms no coefficients of p', so nothing overflows,
-and needs no starting points or retries.  One Newton step on
+and needs no starting points or retries.  LAPACK's zgeev is called
+directly, through the numpy gufunc behind ``np.linalg.eigvals``
+(:func:`_eigvals`): a matrix it cannot converge leaves NaN points in its
+own row, which then fails the gate, while its batch mates are solved as
+if alone.  One Newton step on
 f(x) = sum 1/(x - u_j) = p'(x)/p(x) polishes each point where it lowers
 the backward error |f(w)| / sum |w - u_j|^-2, which must pass ``tol_root``.
 One pass over the w - u_j gives the error, the step and that denominator,
@@ -27,10 +31,12 @@ bit-identical results to the same row solved alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import DEFAULT_SEED, TOL_ROOT
 from .errors import ConvergenceError, InvalidInputError
@@ -49,7 +55,7 @@ __all__ = [
     "cluster_sizes",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # Aberth iteration budget, and the start radius over the Cauchy bound.
 _MAX_ITERATIONS = 250
@@ -297,7 +303,7 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     else:
         chunks = [_compression_eigenvalues(z[lo : lo + _CHUNK], settings.tol_root) for lo in range(0, z.shape[0], _CHUNK)]
         out, error = (np.concatenate(part) for part in zip(*chunks))
-    worst = error.max(initial=0.0)
+    worst = np.maximum.reduce(error, axis=None, initial=0.0)
     if not worst <= settings.tol_root:
         failed = np.flatnonzero(~(error <= settings.tol_root))
         raise ConvergenceError(
@@ -307,6 +313,18 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None):
             rows=failed,
         )
     return out
+
+
+def _eigvals(m):
+    """Eigenvalues of a (b, k, k) stack of complex matrices: LAPACK's zgeev, by numpy's gufunc.
+
+    This is what ``np.linalg.eigvals`` calls, without its wrapper's checks,
+    which the kernel's matrices pass by construction (square, complex and
+    finite), and without its error state: a matrix that LAPACK cannot
+    converge gets NaN eigenvalues and raises the FP-invalid flag, where
+    the wrapper would raise one ``LinAlgError`` for the whole stack.
+    """
+    return _umath_linalg.eigvals(m, signature="D->D")
 
 
 @lru_cache(maxsize=64)
@@ -323,12 +341,20 @@ def _complement_basis(n: int) -> np.ndarray:
     return q
 
 
+@lru_cache(maxsize=64)
+def _complex_basis(n: int) -> np.ndarray:
+    """:func:`_complement_basis` as the complex matrix that products with complex zeros would cast it to."""
+    q = _complement_basis(n).astype(complex)
+    q.flags.writeable = False
+    return q
+
+
 def _normalize(z):
     """Centroid c, radius s = max |z - c| (1 if 0) and u = (z - c) / s of a (b, n) stack; s is not finite if they overflow."""
-    c = z.sum(axis=1, keepdims=True) / z.shape[1]
+    c = np.add.reduce(z, axis=1, keepdims=True) / z.shape[1]
     d = z - c
-    s = np.abs(d).max(axis=1, keepdims=True)
-    if not s.all():
+    s = np.maximum.reduce(np.abs(d), axis=1, keepdims=True)
+    if not np.minimum.reduce(s, axis=None, initial=np.inf) > 0:  # some s is 0 (or NaN)
         s[s == 0] = 1.0
     return c, s, d / s
 
@@ -343,11 +369,14 @@ def _backward_error(u, w, newton=True):
     """
     inv = w[..., np.newaxis] - u[..., np.newaxis, :]
     np.reciprocal(inv, out=inv)
-    f = inv.sum(axis=-1)
-    weight = (inv.real**2 + inv.imag**2).sum(axis=-1)
+    f = np.add.reduce(inv, axis=-1)
+    square = np.square(inv.view(float))  # re**2 and im**2 side by side
+    weight = np.add.reduce(square[..., 0::2] + square[..., 1::2], axis=-1)
     error = np.abs(f) / weight
-    step = -f / (inv * inv).sum(axis=-1) if newton else None
-    if np.isnan(weight).any():  # 1/0 is NaN: some w equals a zero, or w is NaN
+    step = -f / np.add.reduce(np.multiply(inv, inv, out=inv), axis=-1) if newton else None
+    # The weights are >= 0, so their sum is NaN only if one is.  1/0 is NaN:
+    # some w equals a zero, or w is NaN.
+    if math.isnan(np.add.reduce(weight, axis=None)):
         on_zero = (w[..., np.newaxis] == u[..., np.newaxis, :]).any(axis=-1)
         error[on_zero] = 0.0
         if newton:
@@ -360,19 +389,21 @@ def _compression_eigenvalues(z, tol):
     n = z.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c, s, u = _normalize(z)
-        if not np.isfinite(s).all():  # a row with no normalized zeros fails the gate with NaN points
+        if not np.maximum.reduce(s, axis=None, initial=0.0) < np.inf:  # a row with no normalized zeros fails the gate with NaN points
             kept = np.isfinite(s[:, 0])
             out, error = np.full((z.shape[0], n - 1), np.nan, dtype=complex), np.full(z.shape[0], np.inf)
             out[kept], error[kept] = _compression_eigenvalues(z[kept], tol)
             return out, error
-        q = _complement_basis(n)
-        w = np.linalg.eigvals((q.T * u[:, np.newaxis, :]) @ q)
+        q = _complex_basis(n)
+        w = _eigvals((q.T * u[:, np.newaxis, :]) @ q)
         error, step, weight = _backward_error(u, w)
         polished = w - step
         polished_error, _, polished_weight = _backward_error(u, polished, newton=False)
     better = polished_error < error
-    w[better], error[better], weight[better] = polished[better], polished_error[better], polished_weight[better]
-    error = error.max(axis=1)
+    np.copyto(w, polished, where=better)
+    np.copyto(error, polished_error, where=better)
+    np.copyto(weight, polished_weight, where=better)
+    error = np.maximum.reduce(error, axis=1)
     # An (n-1)-fold eigenvalue is resolved only to about eps**(1/(n-1)).
     # Points that close to the centroid are read as c itself, n - 1 times,
     # when the power sums sum u_j**k, k < n, vanish to tol: c is then the
@@ -393,7 +424,7 @@ def _compression_eigenvalues(z, tol):
     # the largest weight is NaN if some point is on a zero.
     out = c + s * w
     snap = 8 * n * _EPS
-    if not weight.max(initial=0.0) < (2.0 * snap) ** -2:
+    if not np.maximum.reduce(weight, axis=None, initial=0.0) < (2.0 * snap) ** -2:
         i, k = (~(weight < (2.0 * snap) ** -2)).nonzero()
         gap = np.abs(w[i, k, np.newaxis] - u[i])
         j = gap.argmin(axis=1)

@@ -30,9 +30,11 @@ counterexample candidate, believed only if :func:`verify_candidate`
 confirms it.
 
 A round is small-batch work: with KT at n = 6 and two starts (six trial
-rows a call), it takes about 250 us on a 2-vCPU VM, of which about 85 us
-is LAPACK's eigenvalue solve, 65 us the rest of the critical-point kernel,
-45 us the scoring around the solve and 45 us the Nelder-Mead bookkeeping.
+rows a call), it takes about 260 us on a 2-vCPU VM, timed stage by stage
+inside whole searches.  About 75 us is LAPACK's eigenvalue solve, 80 us
+the rest of the critical-point kernel, 40 us the scoring around the solve
+and 55 us the Nelder-Mead bookkeeping with the decoding of its trial
+points.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ class Ensemble:
             raise InvalidInputError("ensemble count must be at least 1")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-        if self.scale < 0:
-            raise InvalidInputError("perturbation scale must be nonnegative")
+        if not 0 <= self.scale < np.inf:
+            raise InvalidInputError(f"perturbation scale must be nonnegative and finite, got {self.scale}")
         if self.kind == "sendov-boundary" and self.recenter:
             raise InvalidInputError("sendov-boundary instances cannot be recentered")
 
@@ -411,11 +413,10 @@ def _nelder_mead(obj: _Objective, x0, max_iterations: int):
         fr, fe, fc = f.T
         improved = fr < v[:, 0]
         expand = improved & (fe < fr)  # else an improved row reflects
-        worse = ~improved
-        reflect = worse & (fr < v[:, -2])  # the reflections of the rows that did not improve
-        contract = (worse ^ reflect) & (fc < v[:, -1])
-        accept = improved | reflect | contract
-        pick = np.where(contract, 2, expand)  # the trial point each accepting row takes
+        reflected = improved | (fr < v[:, -2])  # the rows that take their reflection or expansion
+        contracted = fc < v[:, -1]  # taken by a row that does not reflect
+        accept = reflected | contracted
+        pick = np.where(contracted > reflected, 2, expand)  # the trial point each accepting row takes; > is "and not"
         np.copyto(s[:, -1], trial[pos, pick], where=accept[:, np.newaxis])
         v[:, -1] = f[pos, pick]  # a shrinking row re-evaluates it below
         if not accept.all():

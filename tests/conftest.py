@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from schoenberg import rootfind
+
 
 @pytest.fixture
 def nan_eigvals(monkeypatch):
-    """Make ``np.linalg.eigvals`` return NaN for row ``row`` of every stack that has one."""
+    """Make the kernel's LAPACK call ``rootfind._eigvals`` return NaN for row ``row`` of every stack that has one.
+
+    NaN eigenvalues are what LAPACK leaves in a matrix it cannot converge.
+    """
 
     def poison(row):
-        eigvals = np.linalg.eigvals
+        eigvals = rootfind._eigvals
 
         def patched(a):
             out = eigvals(a)
@@ -17,6 +22,6 @@ def nan_eigvals(monkeypatch):
                 out[row] = np.nan
             return out
 
-        monkeypatch.setattr(np.linalg, "eigvals", patched)
+        monkeypatch.setattr(rootfind, "_eigvals", patched)
 
     return poison

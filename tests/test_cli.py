@@ -103,6 +103,16 @@ def test_report_record_without_n_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: malformed record: KeyError('n')\n"
 
 
+def test_a_row_lapack_cannot_converge_is_a_numeric_error(nan_eigvals, capsys):
+    # LAPACK leaves NaN in a matrix it cannot converge: the row fails the
+    # backward-error gate, and the CLI reports that on one line.
+    nan_eigvals(0)
+    assert main(["verify", "--zeros", "1,0 0,1 -1,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: critical point backward error nan above tol_root in 1 of 1 rows")
+    assert err.count("\n") == 1
+
+
 def test_verify_spectrum_mismatch_is_a_numeric_error(monkeypatch, capsys):
     spectrum = cli.verify_spectrum
     monkeypatch.setattr(cli, "verify_spectrum", lambda zs, settings: dataclasses.replace(
@@ -375,6 +385,24 @@ def test_search_start_ensemble_must_fit_the_objective(argv, message, tmp_path, c
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("objective", ["LXZ(inf)", "LXZ(1e400)", "IMPRO(inf)"])
+def test_search_non_finite_order_is_usage_error(objective, tmp_path, capsys):
+    assert main(["search", "--objective", objective, "--n", "4", "--starts", "2", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: order r must be >= 2 and finite, got inf\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("objective, canonical", [("LXZ(2.50)", "LXZ(2.5)"), ("EK(+2)", "EK(2)"), ("KT", "KT")])
+def test_search_names_the_objective_by_the_id_of_its_reports(objective, canonical, tmp_path, capsys):
+    argv = ["search", "--objective", objective, "--n", "4", "--starts", "2", "--max-iterations", "5"]
+    assert main([*argv, "--out", str(tmp_path / "s")]) == 0
+    assert f"2 ascents, best {canonical} = " in capsys.readouterr().out
+    for rec in read_jsonl(tmp_path / "s.jsonl"):
+        assert rec["objective"] == canonical
+        (report,) = [r for r in rec["reports"] if r["id"] == canonical]
+        assert report["lhs"] / report["rhs"] == pytest.approx(rec["objective_value"], rel=1e-12)
+
+
 def _scored_record(value, seed):
     return SearchRecord(sample_seed=seed, zeros=np.array([1.0, -1.0, 0.5j]), a=None, objective_id="KT",
                         objective_value=value, start_value=0.5, iterations=3, reports=[])
@@ -613,6 +641,14 @@ def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
 def test_sweep_flags_the_ensemble_cannot_use_are_usage_errors(extra, message, tmp_path, capsys):
     assert main(["sweep", "--n", "4", "--count", "5", *extra, "--out", str(tmp_path / "s")]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_non_finite_scale_is_usage_error(value, tmp_path, capsys):
+    argv = ["sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "5", "--count", "3", "--scale", value]
+    assert main([*argv, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: perturbation scale must be nonnegative and finite, got {value}\n"
     assert not list(tmp_path.iterdir())
 
 

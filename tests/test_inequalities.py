@@ -392,7 +392,13 @@ def test_lookup_resolves_every_id_and_rejects_others():
         assert entry.iid == rep.inequality_id
         assert entry.centered == (rep.inequality_id in CENTERED_IDS)
     assert CENTERED_IDS == {"S0", "BS", "KT", "STAR", "STARSTAR", "ST1"}
-    for bad in ("WAT", "KT(2)", "EK", "EK(0)", "EK(5)", "EK(x)", "LXZ(1.5)", "IMPRO(2", "S0()"):
+    # A spelling resolves to one canonical id, which names the same form.
+    for iid, canonical in (("LXZ(2.50)", "LXZ(2.5)"), ("EK(+2)", "EK(2)"), ("LXZ(2.1234567)", "LXZ(2.1234567)"),
+                           ("IMPRO(1e6)", "IMPRO(1e+06)"), ("LXZ(1000000.5)", "LXZ(1000000.5)")):
+        entry = lookup(iid, n)
+        assert entry.iid == canonical and lookup(canonical, n).value == entry.value
+    for bad in ("WAT", "KT(2)", "EK", "EK(0)", "EK(5)", "EK(x)", "LXZ(1.5)", "LXZ(inf)", "LXZ(1e400)", "IMPRO(nan)",
+                "IMPRO(2", "S0()"):
         with pytest.raises(InvalidInputError):
             lookup(bad, n)
 

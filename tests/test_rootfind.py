@@ -111,6 +111,18 @@ def gaussian_configs(seed, count, n, scale):
     return scale * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2)
 
 
+@pytest.mark.parametrize("b", [1, 6, 300])
+def test_lapack_call_equals_numpy_eigvals_bit_for_bit(b):
+    # rootfind._eigvals calls numpy's private gufunc behind np.linalg.eigvals;
+    # this fails if a numpy release moves or changes it.
+    rng = np.random.default_rng(b)
+    for k in range(1, 20):
+        m = rng.standard_normal((b, k, k)) + 1j * rng.standard_normal((b, k, k))
+        w = rootfind._eigvals(m)
+        assert w.dtype == np.complex128 and w.shape == (b, k)
+        assert w.tobytes() == np.linalg.eigvals(m).tobytes()
+
+
 def test_convergence_error_names_the_failed_rows(nan_eigvals):
     z = random_configs(np.random.default_rng(43), 4, 7)
     solo = [critical_points(row) for row in z]
@@ -468,20 +480,25 @@ _GON_AND_CENTRE = np.append(np.exp(2j * np.pi * np.arange(47) / 47), 0.0) + (0.3
 @example(z=_GON_AND_CENTRE[np.newaxis], tol=10.0, poisoned=8, chunk=None)
 def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned, chunk):
     # With chunk 1, critical_points_batch solves the stack one row per
-    # eigenvalue call and joins the chunks.
-    eigvals = np.linalg.eigvals
+    # eigenvalue call and joins the chunks.  The kernel solves through its
+    # LAPACK call rootfind._eigvals, the spec through np.linalg.eigvals.
     solved = [0]  # rows of the stack solved so far
 
-    def poison(a):
-        out = eigvals(a)
-        row = poisoned - solved[0]
-        if 0 <= row < out.shape[0]:  # row `poisoned` of the stack gets NaN, whichever call solves it
-            out[row] = np.nan
-        solved[0] += out.shape[0]
-        return out
+    def poison(eigvals):
+        def poisoned_eigvals(a):
+            out = eigvals(a)
+            row = poisoned - solved[0]
+            if 0 <= row < out.shape[0]:  # row `poisoned` of the stack gets NaN, whichever call solves it
+                out[row] = np.nan
+            solved[0] += out.shape[0]
+            return out
+
+        return poisoned_eigvals
 
     settings = RootSolverSettings(tol_root=tol)
-    with mock.patch.object(np.linalg, "eigvals", poison), mock.patch.object(rootfind, "_CHUNK", chunk or rootfind._CHUNK):
+    with mock.patch.object(rootfind, "_eigvals", poison(rootfind._eigvals)), \
+            mock.patch.object(np.linalg, "eigvals", poison(np.linalg.eigvals)), \
+            mock.patch.object(rootfind, "_CHUNK", chunk or rootfind._CHUNK):
         w, rows, residual = _solved(critical_points_batch, z, settings)
         solved[0] = 0
         want, want_rows, want_residual = _solved(_spec_critical_points_batch, z, tol)

@@ -38,6 +38,9 @@ def test_ensemble_validation():
         Ensemble(kind="sendov-boundary", n=4, count=1, recenter=True)
     with pytest.raises(InvalidInputError):
         Ensemble(kind="gaussian", n=4, count=1, seed=-1)
+    for scale in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match=f"perturbation scale must be nonnegative and finite, got {scale}"):
+            Ensemble(kind="roots-of-unity-perturbed", n=4, count=2, scale=scale)
 
 
 def test_sample_streams_are_reproducible():

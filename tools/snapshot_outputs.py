@@ -47,6 +47,13 @@ COMMANDS = (
     ("search_m2_n5_budget0",
      ("search", "--objective", "M_MINUS2", "--n", "5", "--starts", "4", "--max-iterations", "0"), True),
     ("search_bsen_n7", ("search", "--objective", "BSEN", "--n", "7", "--starts", "3", "--ensemble", "gaussian"), True),
+    # Score paths of their own: EK(k), LOGMAJ(k) (which also solves the
+    # moduli polynomial) and one start of KT (3-row calls).  A non-canonical
+    # spelling names the objective by its reports' id, LXZ(2.5).
+    ("search_ek3_n6", ("search", "--objective", "EK(3)", "--n", "6", "--starts", "2"), True),
+    ("search_logmaj2_n5", ("search", "--objective", "LOGMAJ(2)", "--n", "5", "--starts", "2"), True),
+    ("search_kt_n6_starts1", ("search", "--objective", "KT", "--n", "6", "--starts", "1"), True),
+    ("search_lxz_spelled_n5", ("search", "--objective", "LXZ(2.50)", "--n", "5", "--starts", "2"), True),
     # The start kinds the searches above do not draw: collinear and roots-of-unity-perturbed.
     ("search_kt_n6_collinear_budget0",
      ("search", "--objective", "KT", "--n", "6", "--starts", "3", "--ensemble", "collinear",
