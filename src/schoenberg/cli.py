@@ -11,14 +11,16 @@ JSONL record fields: ``{kind, seed, n, zeros: [[re, im], ...], a?,
 reports: [{id, lhs, rhs, slack, holds, equality}], objective?,
 objective_value?}``, as compact JSON.  Each line is written straight
 from the inequality reports; non-finite numbers are written as null (and
-count as an inf slack in the summary).  A sweep samples, solves and
-evaluates ``rootfind._CHUNK`` rows at a time; ``_sweep_root`` and
-``_sweep_sendov`` yield each record's reports, line and M_{-2} value, and
+count as an inf slack in the summary).  A sweep streams ``_CHUNK`` rows
+at a time: it samples, solves and evaluates them as one stack, whose
+solves ``rootfind`` splits into calls of a fixed element budget, and
+``_sweep_root`` and ``_sweep_sendov`` turn one row of the stacked results
+at a time into that record's reports, line and M_{-2} value.
 ``cmd_sweep``'s one loop summarizes, writes and counts them, so memory
-does not grow with ``--count``.  The archive and its CSV land together or
-not at all: the CSV is written once the archive is in place, and a
-failed CSV write removes the archive.  ``report`` reads an archive one
-record at a time.
+grows neither with ``--count`` nor with the square of the degree.  The
+archive and its CSV land together or not at all: the CSV is written once
+the archive is in place, and a failed CSV write removes the archive.
+``report`` reads an archive one record at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .inequalities import (
 )
 from .matrices import is_normal, sds_matrix, verify_spectrum
 from .poly import as_zeros, centroid_residual, is_collinear
-from .rootfind import _CHUNK, RootSolverSettings, cluster_sizes
+from .rootfind import RootSolverSettings, cluster_sizes
 from .search import (
     COUNTEREXAMPLE_MARGIN,
     ENSEMBLE_KINDS,
@@ -74,14 +76,22 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# Rows a sweep samples, solves and evaluates as one stack: its streaming unit.
+_CHUNK = 1024
+
 
 # ---------------------------------------------------------------------------
 # small I/O helpers
 
+def _pair_array(zeros) -> np.ndarray:
+    """The [re, im] pairs of a configuration, or of each row of a stack, as a float array."""
+    z = np.asarray(zeros, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1)
+
+
 def _pairs(zeros) -> list:
     """[re, im] float pairs of a configuration, or a list of them per row of a stack."""
-    z = np.asarray(zeros, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1).tolist()
+    return _pair_array(zeros).tolist()
 
 
 def _json_float(x: float) -> str:
@@ -404,9 +414,9 @@ def _sweep_root(args, ens: Ensemble):
         indices = range(lo, min(lo + _CHUNK, args.count))
         zs = np.array([sample_one(ens, i) for i in indices])
         table = evaluate_ensemble(zs, settings)
-        for seed, row_pairs, reports in zip(_sample_seeds(args.seed, indices), _pairs(zs),
+        for seed, row_pairs, reports in zip(_sample_seeds(args.seed, indices), _pair_array(zs),
                                             row_reports(table, args.tol_eq)):
-            yield reports, _record_line("sample", seed, row_pairs, reports), None
+            yield reports, _record_line("sample", seed, row_pairs.tolist(), reports), None
 
 
 def _sendov_chunks(args, ens: Ensemble):
@@ -441,10 +451,10 @@ def _sweep_sendov(args, ens: Ensemble):
     for seeds, zs in _sendov_chunks(args, ens):
         special = special_case_batch(zs, settings)
         for seed, row_pairs, a, reports, value in zip(
-            seeds, _pairs(zs), zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq),
+            seeds, _pair_array(zs), zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq),
             special.m_minus2.tolist(),
         ):
-            yield reports, _record_line("sample", seed, row_pairs, reports, a=a,
+            yield reports, _record_line("sample", seed, row_pairs.tolist(), reports, a=a,
                                         objective="M_MINUS2", objective_value=value), value
 
 

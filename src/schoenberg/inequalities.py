@@ -348,15 +348,17 @@ def row_reports(table: dict[str, Column], tol_eq: float = TOL_EQ, centered: bool
     """Each configuration's reports of a column table, one list per row, in table order.
 
     ``centered`` says whether the centered-only forms saw centered
-    configurations.  A generator, so a caller holds one row's reports at a
-    time.
+    configurations.  A generator that turns one row of the stacked sides
+    into Python floats at a time, so a caller holds one row's reports.
     """
-    columns = [
-        (iid, lhs.tolist(), rhs.tolist(), required, centered or not required)
-        for iid, (lhs, rhs, required) in table.items()
-    ]
-    for i in range(len(columns[0][1])):
-        yield [make_report(iid, lhs[i], rhs[i], tol_eq, required, ok) for iid, lhs, rhs, required, ok in columns]
+    forms = [(iid, required, centered or not required) for iid, (_, _, required) in table.items()]
+    lhs = np.stack([column.lhs for column in table.values()], axis=1)
+    rhs = np.stack([column.rhs for column in table.values()], axis=1)
+    for left, right in zip(lhs, rhs):
+        yield [
+            make_report(iid, a, b, tol_eq, required, ok)
+            for (iid, required, ok), a, b in zip(forms, left.tolist(), right.tolist())
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,8 @@ def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> Spectr
     normalized zeros u = (z - c) / s (whose coefficients stay bounded at
     any scale), mapped back as c + s r.  The report carries each
     configuration's greedy multiset-pairing distance between the sides.
+    Its solves and the pairing run in row blocks of the element budget of
+    ``rootfind``, so a large stack does not grow their work arrays.
     """
     z = _configurations(zeros)
     stack = z if z.ndim == 2 else z[np.newaxis, :]

@@ -26,7 +26,11 @@ A cluster of m roots gets the usual reduced accuracy tol**(1/m); an
 exactly zero low-order coefficient block is split off first (lossless).
 
 Everything is deterministic, and a row solved inside a batch yields
-bit-identical results to the same row solved alone.
+bit-identical results to the same row solved alone.  That lets both
+solvers, the moduli solve and the multiset matching split a large stack
+into row blocks (:func:`_in_blocks`) whose (rows, k, k) work arrays hold
+at most ``_BUDGET`` elements each, so their memory is bounded in bytes,
+not in rows, at any degree.
 """
 
 from __future__ import annotations
@@ -60,8 +64,25 @@ _EPS = float(np.finfo(float).eps)
 # Aberth iteration budget, and the start radius over the Cauchy bound.
 _MAX_ITERATIONS = 250
 _INITIAL_RADIUS_FACTOR = 0.25
-# Rows per eigenvalue solve: bounds the (chunk, n - 1, n) work arrays.
-_CHUNK = 1024
+# Elements of each (rows, k, k) work array of one kernel call: 2**14
+# complex values are 256 KiB, whatever the degree k.
+_BUDGET = 1 << 14
+
+
+def _in_blocks(solve, k, *stacks):
+    """``solve(*stacks)`` row block by row block, at most ``max(1, _BUDGET // k**2)`` rows each, joined.
+
+    ``solve`` maps (rows, ...) stacks to an array or a tuple of arrays of
+    rows, each row on its own, so the joined result is that of one call.
+    """
+    step = max(1, _BUDGET // max(1, k) ** 2)
+    rows = stacks[0].shape[0]
+    if rows <= step:
+        return solve(*stacks)
+    parts = [solve(*(stack[lo : lo + step] for stack in stacks)) for lo in range(0, rows, step)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -220,6 +241,7 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
     """Roots (with multiplicity) of a batch of same-degree polynomials.
 
     ``coeffs`` has shape (b, d+1), ascending order; returns shape (b, d).
+    Row blocks of the element budget bound the (rows, d, d) Aberth arrays.
     Raises :class:`ConvergenceError` if any polynomial fails the residual
     test ``|p(r)| <= tol_root * residual_scale``; the error carries the
     best iterates of every row, the worst scaled residual and the indices
@@ -241,7 +263,7 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
             rows = np.flatnonzero(first_nz == m)
             sub = c[rows][:, m:]
             if sub.shape[1] > 1:
-                roots[rows[:, np.newaxis], np.arange(d - m)] = _solve_uniform(sub)
+                roots[rows[:, np.newaxis], np.arange(d - m)] = _in_blocks(_solve_uniform, d - m, sub)
         p, _, _ = _eval_with_bound(c, roots)
         # inf / inf where the evaluation overflows: the residual is unbounded.
         scaled = np.nan_to_num(np.max(np.abs(p), axis=1) / residual_scale(c), nan=np.inf)
@@ -288,8 +310,8 @@ def critical_points(zeros, settings: RootSolverSettings | None = None):
 def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     """Critical points of a (b, n) stack of configurations; returns (b, n-1).
 
-    A stack of at most 1024 rows is solved by one kernel call, a larger
-    one 1024 rows at a time, which bounds the work arrays.  If any row
+    Each kernel call solves at most ``max(1, _BUDGET // n**2)`` rows, which
+    bounds its (rows, n - 1, n) work arrays in bytes.  If any row
     fails the gate of :func:`critical_points`, the
     :class:`ConvergenceError` carries all b rows of points, the worst
     backward error and the indices of the failed rows.
@@ -298,11 +320,7 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
-    if z.shape[0] <= _CHUNK:
-        out, error = _compression_eigenvalues(z, settings.tol_root)
-    else:
-        chunks = [_compression_eigenvalues(z[lo : lo + _CHUNK], settings.tol_root) for lo in range(0, z.shape[0], _CHUNK)]
-        out, error = (np.concatenate(part) for part in zip(*chunks))
+    out, error = _in_blocks(lambda block: _compression_eigenvalues(block, settings.tol_root), z.shape[1], z)
     worst = np.maximum.reduce(error, axis=None, initial=0.0)
     if not worst <= settings.tol_root:
         failed = np.flatnonzero(~(error <= settings.tol_root))
@@ -449,10 +467,18 @@ def moduli_critical_points(zeros):
 
 
 def moduli_critical_points_batch(zs):
-    """Batched moduli-polynomial critical points; returns (b, n-1) floats."""
+    """Batched moduli-polynomial critical points; returns (b, n-1) floats.
+
+    Like the critical points, a large stack is solved in row blocks of
+    the element budget.
+    """
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
+    return _in_blocks(_moduli_eigenvalues, z.shape[1], z)
+
+
+def _moduli_eigenvalues(z):
     q = _complement_basis(z.shape[1])
     xi = np.linalg.eigvalsh((q.T * np.abs(z)[:, np.newaxis, :]) @ q)
     return np.maximum(xi[:, ::-1], 0.0)
@@ -477,6 +503,11 @@ def match_multisets_batch(a, b) -> np.ndarray:
     bv = np.asarray(b, dtype=complex)
     if av.ndim != 2 or av.shape != bv.shape:
         raise InvalidInputError(f"expected two (b, m) stacks of one shape, got {av.shape} and {bv.shape}")
+    # The (rows, m, m) distances are matched a row block at a time.
+    return _in_blocks(_greedy_match, av.shape[1], av, bv)
+
+
+def _greedy_match(av, bv):
     rows, m = av.shape
     dist = np.abs(av[:, :, np.newaxis] - bv[:, np.newaxis, :])
     worst = np.zeros(rows)

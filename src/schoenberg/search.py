@@ -326,12 +326,20 @@ class _Objective:
         return z
 
     def values(self, zs) -> np.ndarray:
-        """Objective values of a zeros stack from one solve; -inf where unsolved or undefined."""
+        """Objective values of a zeros stack from one solve; -inf where unsolved, undefined or not finite."""
         failed = None
         try:
             w = critical_points_batch(zs, self.solver)
         except ConvergenceError as err:
             w, failed = err.best, err.rows
+        except InvalidInputError:  # some zeros are not finite: those rows score -inf, the others as alone
+            finite = np.isfinite(zs).all(axis=1)
+            if finite.all():
+                raise
+            f = np.full(zs.shape[0], -np.inf)
+            if finite.any():
+                f[finite] = self.values(zs[finite])
+            return f
         if self.sendov:
             f = distance_columns(zs, w).m_minus2
         else:
@@ -359,6 +367,7 @@ class _Objective:
 # ---------------------------------------------------------------------------
 # lockstep Nelder-Mead with projection (projection happens in decode)
 
+@np.errstate(over="ignore", invalid="ignore")
 def _nelder_mead(obj: _Objective, x0, max_iterations: int):
     """Run one Nelder-Mead per row of ``x0`` in lockstep, minimizing the negated objective.
 
@@ -367,8 +376,9 @@ def _nelder_mead(obj: _Objective, x0, max_iterations: int):
     whose spread is below the step tolerance, and evaluates the
     reflection, expansion and inside contraction of all other rows in one
     call; only the rows that then shrink make a second.  Each row takes the
-    steps it would take alone.  Returns the kept rows with their negated
-    start values, best values and points, and rounds.
+    steps it would take alone.  A trial point whose coordinates or decoded
+    zeros overflow scores -inf, without a warning.  Returns the kept rows
+    with their negated start values, best values and points, and rounds.
     """
     b, dim = x0.shape
     simplex = np.repeat(x0[:, np.newaxis, :], dim + 1, axis=1)

@@ -1,5 +1,6 @@
 """Root solver, critical points, moduli polynomial, multiset matching."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -337,6 +338,47 @@ def test_degree_64_at_any_scale(scale):
     assert verify_spectrum(z).max_pair_distance.max() <= 1e-9 * np.abs(z).max()
 
 
+def test_degree_64_stack_spans_several_calls_bit_for_bit():
+    z = gaussian_configs(640, 11, 64, 1.0)  # 4 rows per kernel call at n = 64: three calls
+    z[5, -1] = z[5, 0]  # a repeated zero
+    w = critical_points_batch(z)
+    xi = moduli_critical_points_batch(z)
+    for i in range(11):
+        np.testing.assert_array_equal(critical_points(z[i]), w[i])
+        np.testing.assert_array_equal(moduli_critical_points(z[i]), xi[i])
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_work_arrays_are_bounded_in_bytes():
+    # One call on all 300 rows at n = 64 peaks near 50 MB (critical points)
+    # and 20 MB (moduli); the element budget solves 4 rows per call.
+    z = gaussian_configs(300, 300, 64, 1.0)
+    critical_points_batch(z[:1]), moduli_critical_points_batch(z[:1])  # warm the basis caches
+    assert _peak_bytes(critical_points_batch, z) <= 2 << 20
+    assert _peak_bytes(moduli_critical_points_batch, z) <= 1 << 20
+
+
+def test_split_solves_equal_one_call_bit_for_bit():
+    # find_roots_batch and match_multisets_batch take the same element
+    # budget as the critical points; a row block of one gives one call per row.
+    z = random_configs(np.random.default_rng(67), 9, 7)
+    z[3, :3] = z[3, 0]  # a triple root
+    coeffs = np.concatenate([from_roots(z), from_roots(np.column_stack([np.zeros((9, 2)), z[:, 2:]]))])
+    a, b = z[:, :6], z[:, 6:0:-1] + 1e-3
+    roots, dist = find_roots_batch(coeffs), match_multisets_batch(a, b)
+    with mock.patch.object(rootfind, "_BUDGET", 1):
+        np.testing.assert_array_equal(find_roots_batch(coeffs), roots)
+        np.testing.assert_array_equal(match_multisets_batch(a, b), dist)
+
+
 @st.composite
 def spread_configs(draw, max_n=10):
     """Zeros in the unit square whose spread about the centroid is at least 1e-3."""
@@ -373,7 +415,7 @@ def test_batch_equals_single_bit_for_bit(n, rows, seed):
     z = gaussian_configs(seed, rows, n, 1.0)
     z[0, -1] = z[0, 0]  # a repeated zero
     w = critical_points_batch(z)
-    with mock.patch.object(rootfind, "_CHUNK", 1):
+    with mock.patch.object(rootfind, "_BUDGET", 1):
         np.testing.assert_array_equal(critical_points_batch(z), w)
     for i in range(rows):
         np.testing.assert_array_equal(critical_points(z[i]), w[i])
@@ -476,11 +518,11 @@ _GON_AND_CENTRE = np.append(np.exp(2j * np.pi * np.arange(47) / 47), 0.0) + (0.3
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(z=kernel_batches(), tol=st.sampled_from([1e-9, 1e-11]), poisoned=st.integers(0, 8), chunk=st.sampled_from([None, 1]))
-@example(z=_GON_AND_CENTRE[np.newaxis], tol=10.0, poisoned=8, chunk=None)
-def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned, chunk):
-    # With chunk 1, critical_points_batch solves the stack one row per
-    # eigenvalue call and joins the chunks.  The kernel solves through its
+@given(z=kernel_batches(), tol=st.sampled_from([1e-9, 1e-11]), poisoned=st.integers(0, 8), budget=st.sampled_from([None, 1]))
+@example(z=_GON_AND_CENTRE[np.newaxis], tol=10.0, poisoned=8, budget=None)
+def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned, budget):
+    # With budget 1, critical_points_batch solves the stack one row per
+    # eigenvalue call and joins the blocks.  The kernel solves through its
     # LAPACK call rootfind._eigvals, the spec through np.linalg.eigvals.
     solved = [0]  # rows of the stack solved so far
 
@@ -498,7 +540,7 @@ def test_kernel_equals_its_executable_spec_bit_for_bit(z, tol, poisoned, chunk):
     settings = RootSolverSettings(tol_root=tol)
     with mock.patch.object(rootfind, "_eigvals", poison(rootfind._eigvals)), \
             mock.patch.object(np.linalg, "eigvals", poison(np.linalg.eigvals)), \
-            mock.patch.object(rootfind, "_CHUNK", chunk or rootfind._CHUNK):
+            mock.patch.object(rootfind, "_BUDGET", budget or rootfind._BUDGET):
         w, rows, residual = _solved(critical_points_batch, z, settings)
         solved[0] = 0
         want, want_rows, want_residual = _solved(_spec_critical_points_batch, z, tol)

@@ -367,6 +367,21 @@ def test_maximize_takes_a_start_far_below_unit_scale():
     assert np.isfinite(rec.start_value) and rec.objective_value >= rec.start_value
 
 
+@pytest.mark.filterwarnings("error")
+def test_trial_points_that_overflow_score_minus_inf():
+    # Near the top of the double range some trial points' coordinates, or
+    # the last zero of the centered form, overflow.  Those trials score
+    # -inf, without a warning, and the ascent goes on.
+    z = 1e307 * np.array([1, -1, 1j, -1j, (1 + 1j) / 2, -(1 + 1j) / 2])
+    obj = search._Objective("KT", 6, RootSolverSettings())
+    _, start, best_f, _, _ = search._nelder_mead(obj, obj.encode(z[np.newaxis]), 200)
+    assert np.isfinite(start).all() and best_f[0] <= start[0]
+    # The final reports' sides overflow at this scale, which is not the search's to mend.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = maximize("KT", z)
+    assert np.isfinite(rec.start_value) and rec.objective_value >= rec.start_value
+
+
 # The lockstep round as it stood before its per-call costs were cut: the
 # executable spec that _nelder_mead must reproduce bit for bit.
 

@@ -68,10 +68,14 @@ COMMANDS = (
      ("sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "200", "--hypothesis-filter"), True),
     ("sweep_sendov_filter_n12",
      ("sweep", "--ensemble", "sendov-boundary", "--n", "12", "--count", "200", "--hypothesis-filter"), True),
-    # More rows than one chunk of rootfind._CHUNK (1024): the archive is written chunk by chunk.
+    # More rows than one streaming chunk (1024): the archive is written chunk by chunk.
     ("sweep_gaussian_n4_chunks", ("sweep", "--ensemble", "gaussian", "--n", "4", "--count", "2500"), True),
     ("sweep_sendov_filter_n5_chunks",
      ("sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "1500", "--hypothesis-filter"), True),
+    # High degree: every chunk is solved in several kernel calls, each held
+    # to the kernel's work budget in array elements.
+    ("sweep_gaussian_n20", ("sweep", "--ensemble", "gaussian", "--n", "20", "--count", "300"), True),
+    ("sweep_gaussian_n64", ("sweep", "--ensemble", "gaussian", "--n", "64", "--count", "40"), True),
     ("sweep_unity_n7",
      ("sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "7", "--count", "200", "--scale", "0"), True),
     ("oracle_n10", ("oracle", "--n", "10", "--samples", "300"), False),
