@@ -11,16 +11,18 @@ JSONL record fields: ``{kind, seed, n, zeros: [[re, im], ...], a?,
 reports: [{id, lhs, rhs, slack, holds, equality}], objective?,
 objective_value?}``, as compact JSON.  Each line is written straight
 from the inequality reports; non-finite numbers are written as null (and
-count as an inf slack in the summary).  A sweep streams ``_CHUNK`` rows
-at a time: it samples, solves and evaluates them as one stack, whose
-solves ``rootfind`` splits into calls of a fixed element budget, and
-``_sweep_root`` and ``_sweep_sendov`` turn one row of the stacked results
-at a time into that record's reports, line and M_{-2} value.
-``cmd_sweep``'s one loop summarizes, writes and counts them, so memory
-grows neither with ``--count`` nor with the square of the degree.  The
-archive and its CSV land together or not at all: the CSV is written once
-the archive is in place, and a failed CSV write removes the archive.
-``report`` reads an archive one record at a time.
+count as an inf slack in the summary).  Every command that samples
+draws through ``_chunks``, at most ``_CHUNK`` rows at a time, and solves
+and evaluates each chunk as one stack, whose solves ``rootfind`` splits
+into calls of a fixed element budget.  ``_sweep_root`` and
+``_sweep_sendov`` turn one row of the results at a time into its record's
+reports, line and M_{-2} value for ``cmd_sweep``'s one loop to summarize,
+write and count, so memory grows neither with the sample count nor with
+the square of the degree.  The archive and its CSV land together or not
+at all: the CSV is written once the archive is in place, and a failed CSV
+write removes the archive.  ``report`` reads an archive one record at a
+time.  Outputs are byte-identical for a fixed seed on one numpy and LAPACK
+build; another LAPACK kernel may move the last bits of sides and values.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# Rows a sweep samples, solves and evaluates as one stack: its streaming unit.
+# The most samples any command holds at once, as one stack; ``_chunks`` draws them.
 _CHUNK = 1024
 
 
@@ -343,6 +345,8 @@ def cmd_verify(args) -> int:
     a = args.a
     if args.config is not None:
         zeros, file_a = _load_config_file(args.config)
+        if a is not None and file_a is not None:
+            raise InvalidInputError('give --a or an "a" in the --config file, not both')
         a = a if file_a is None else file_a
     else:
         zeros = _parse_zeros(args.zeros)
@@ -378,20 +382,45 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
 
 
+def _chunks(count: int, draw, keep=None):
+    """The first ``count`` samples that ``keep`` masks in (all without it), as ``(seeds, zeros stack)`` chunks.
+
+    Every command that samples draws here: ``draw(indices)`` gives the seed list and zeros stack of at most
+    ``_CHUNK`` indices, as many as the acceptance so far says are needed.  Rejection keeps each seed aligned
+    with its index, at most ``1000 * count`` samples are drawn, and chunks come in index order.  A chunk may
+    be short: every stage treats rows alone.
+    """
+    found, index, cap = 0, 0, 1000 * count
+    while found < count and index < cap:
+        needed = count - found
+        size = min(max(needed, needed * index // max(found, 1)), _CHUNK)  # by the acceptance so far
+        indices = range(index, min(index + size, cap))
+        seeds, zs = draw(indices)
+        if keep is not None:
+            rows = np.flatnonzero(keep(zs))[:needed]
+            seeds, zs = [seeds[i] for i in rows], zs[rows]
+        found, index = found + len(seeds), indices.stop
+        if seeds:
+            yield seeds, zs
+    if found < count:
+        raise InvalidInputError("hypothesis filter rejected too many samples")
+
+
 def cmd_oracle(args) -> int:
     if not 2 <= args.n <= 10:
         raise InvalidInputError(f"oracle supports n in 2..10, got {args.n}")
     ens = Ensemble(kind="uniform-disk", n=args.n, count=args.samples, seed=args.seed, recenter=True)
-    _seeds, zs = _samples(ens, range(args.samples))
-    scale = np.abs(zs).max(axis=1)
-    scale[scale == 0] = 1.0
-    zs = zs / scale[:, np.newaxis]
-    star_closed, starstar_closed = order6_bounds(zs)
     settings = RootSolverSettings(tol_root=args.tol_root)
-    trace_dev = np.maximum(
-        np.abs(star_trace_oracle(zs) - star_closed), np.abs(starstar_trace_oracle(zs) - starstar_closed)
-    )
-    spec_dev = verify_spectrum(zs, settings).max_pair_distance
+    parts = []  # per chunk: each row's trace and spectrum deviations, and the normalized zeros
+    for _seeds, zs in _chunks(args.samples, lambda indices: _samples(ens, indices)):
+        scale = np.abs(zs).max(axis=1)
+        scale[scale == 0] = 1.0
+        zs = zs / scale[:, np.newaxis]
+        star_closed, starstar_closed = order6_bounds(zs)
+        trace_dev = np.maximum(np.abs(star_trace_oracle(zs) - star_closed),
+                               np.abs(starstar_trace_oracle(zs) - starstar_closed))
+        parts.append((trace_dev, verify_spectrum(zs, settings).max_pair_distance, zs))
+    trace_dev, spec_dev, zs = map(np.concatenate, zip(*parts))
     worst_trace_at, worst_spec_at = int(np.argmax(trace_dev)), int(np.argmax(spec_dev))
     worst_trace, worst_spec = trace_dev[worst_trace_at], spec_dev[worst_spec_at]
 
@@ -410,45 +439,21 @@ def cmd_oracle(args) -> int:
 def _sweep_root(args, ens: Ensemble):
     """The sweep's ``(reports, line, None)`` records in index order, sampled, solved and evaluated a chunk at a time."""
     settings = RootSolverSettings(tol_root=args.tol_root)
-    for lo in range(0, args.count, _CHUNK):
-        indices = range(lo, min(lo + _CHUNK, args.count))
-        zs = np.array([sample_one(ens, i) for i in indices])
+
+    def draw(indices):  # row by row through sample_one, plus the stacked seed derivation
+        return _sample_seeds(ens.seed, indices), np.array([sample_one(ens, i) for i in indices])
+
+    for seeds, zs in _chunks(args.count, draw):
         table = evaluate_ensemble(zs, settings)
-        for seed, row_pairs, reports in zip(_sample_seeds(args.seed, indices), _pair_array(zs),
-                                            row_reports(table, args.tol_eq)):
+        for seed, row_pairs, reports in zip(seeds, _pair_array(zs), row_reports(table, args.tol_eq)):
             yield reports, _record_line("sample", seed, row_pairs.tolist(), reports), None
-
-
-def _sendov_chunks(args, ens: Ensemble):
-    """The kept samples as chunks ``(seeds, a-first zeros stack)`` of at most ``_CHUNK`` rows, in index order."""
-    seeds, stacks = [], []
-    found, index, cap = 0, 0, 1000 * args.count
-    # Rejection keeps the per-sample seeds aligned with their sample index.
-    while found < args.count and index < cap:
-        needed = args.count - found
-        # Draw as many as the acceptance so far says are needed (all of them
-        # without the filter), but no more than the open chunk can still take.
-        size = min(max(needed, needed * index // max(found, 1)), _CHUNK - len(seeds))
-        indices = range(index, min(index + size, cap))
-        drawn, zs = _samples(ens, indices)
-        if args.hypothesis_filter:
-            keep = np.flatnonzero(hypothesis_margins(zs) >= 0)[:needed]
-            zs, drawn = zs[keep], [drawn[i] for i in keep]
-        seeds += drawn
-        stacks.append(zs)
-        found += len(drawn)
-        index = indices.stop
-        if len(seeds) == _CHUNK or found == args.count:
-            yield seeds, np.concatenate(stacks)
-            seeds, stacks = [], []
-    if found < args.count:
-        raise InvalidInputError("hypothesis filter rejected too many samples")
 
 
 def _sweep_sendov(args, ens: Ensemble):
     """The sweep's ``(reports, line, M_MINUS2 value)`` records in index order, a chunk of kept samples at a time."""
     settings = RootSolverSettings(tol_root=args.tol_root)
-    for seeds, zs in _sendov_chunks(args, ens):
+    keep = (lambda zs: hypothesis_margins(zs) >= 0) if args.hypothesis_filter else None
+    for seeds, zs in _chunks(args.count, lambda indices: _samples(ens, indices), keep):
         special = special_case_batch(zs, settings)
         for seed, row_pairs, a, reports, value in zip(
             seeds, _pair_array(zs), zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq),
@@ -504,26 +509,23 @@ def cmd_search(args) -> int:
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=objective in CENTERED_IDS)
     # Records and messages name the objective by its canonical id, the one its reports carry.
     name = objective if objective == "M_MINUS2" else lookup(objective, args.n).iid
-    seeds, zs = _samples(ens, range(args.starts))
-    starts = [_sendov_instance(row) for row in zs] if kind == "sendov-boundary" else zs
     lines, values, verified_counterexample = [], [], False
-    for rec in maximize_batch(objective, starts, settings, sample_seeds=seeds):
-        if rec is None:
-            continue
-        kind_tag = "search"
-        if rec.objective_value > 1.0 + COUNTEREXAMPLE_MARGIN:
-            refined = verify_candidate(rec, settings)
-            if refined > 1.0 + COUNTEREXAMPLE_MARGIN:
-                kind_tag = "counterexample"
-                verified_counterexample = True
-                print(
-                    f"counterexample candidate verified: {name} = {refined:.9f} "
-                    f"zeros {_pairs(rec.zeros)}",
-                    file=sys.stderr,
-                )
-        lines.append(_record_line(kind_tag, rec.sample_seed, _pairs(rec.zeros), rec.reports, a=rec.a,
-                                  objective=name, objective_value=rec.objective_value))
-        values.append(float(rec.objective_value))
+    for seeds, zs in _chunks(args.starts, lambda indices: _samples(ens, indices)):
+        starts = [_sendov_instance(row) for row in zs] if kind == "sendov-boundary" else zs
+        for rec in maximize_batch(objective, starts, settings, sample_seeds=seeds):
+            if rec is None:
+                continue
+            kind_tag = "search"
+            if rec.objective_value > 1.0 + COUNTEREXAMPLE_MARGIN:
+                refined = verify_candidate(rec, settings)
+                if refined > 1.0 + COUNTEREXAMPLE_MARGIN:
+                    kind_tag = "counterexample"
+                    verified_counterexample = True
+                    print(f"counterexample candidate verified: {name} = {refined:.9f} zeros {_pairs(rec.zeros)}",
+                          file=sys.stderr)
+            lines.append(_record_line(kind_tag, rec.sample_seed, _pairs(rec.zeros), rec.reports, a=rec.a,
+                                      objective=name, objective_value=rec.objective_value))
+            values.append(float(rec.objective_value))
     jsonl_path, _csv = _out_paths(args.out or "search")
     _atomic_write(jsonl_path, "".join(lines))
     best = max((value for value in values if math.isfinite(value)), default=None)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -153,6 +154,21 @@ def test_verify_requires_exactly_one_source(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 0
 
 
+def test_verify_takes_the_sendov_a_once(tmp_path, capsys):
+    cfg, out = tmp_path / "c.json", tmp_path / "v.jsonl"
+    cfg.write_text(json.dumps({"zeros": [[1, 0], [0, 1], [0, -1]], "a": 0.9}))
+    assert main(["verify", "--config", str(cfg), "--a", "0.2", "--format", "jsonl", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+    # A file without an "a" takes it from --a, as --zeros does.
+    cfg.write_text(json.dumps({"zeros": [[1, 0], [0, 1], [0, -1]]}))
+    assert main(["verify", "--config", str(cfg), "--a", "0.2"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["verify", "--zeros", "1,0 0,1 0,-1", "--a", "0.2"]) == 0
+    assert from_file == capsys.readouterr().out and "min|w-a|=0.471679" in from_file
+
+
 def test_verify_roots_of_unity(capsys):
     assert main(["verify", "--zeros", "1,0 0,1 -1,0 0,-1"]) == 0
 
@@ -257,6 +273,21 @@ def test_oracle_output_keeps_the_benchmark_lines(capsys):
     assert trace and spectrum
     assert trace.groups()[:2] == ("5", "10")
     assert float(trace.group(3)) <= 1e-10 and float(spectrum.group(1)) <= 1e-12
+
+
+def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch, capsys):
+    # The trace oracles multiply (rows, n, n) matrices.  Drawn as one stack,
+    # 4000 samples at n = 10 peak at 25 MB; with 128 rows a chunk the peak
+    # is 1.6 MB, most of it the per-row deviations and zeros that are kept.
+    assert main(["oracle", "--n", "10", "--samples", "5"]) == 0  # warm the solver's caches
+    monkeypatch.setattr(cli, "_CHUNK", 128)
+    tracemalloc.start()
+    try:
+        assert main(["oracle", "--n", "10", "--samples", "4000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 def test_oracle_size_guard(capsys):
@@ -748,6 +779,44 @@ def test_chunked_sweep_writes_the_unchunked_archive(argv, tmp_path, monkeypatch,
         assert (tmp_path / f"chunked{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
 
 
+CHUNKED_COMMANDS = {
+    "sweep": ["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "20"],
+    "sweep-filtered": ["sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "20", "--hypothesis-filter"],
+    "oracle": ["oracle", "--n", "6", "--samples", "20"],
+    "search": ["search", "--objective", "KT", "--n", "4", "--starts", "8", "--max-iterations", "5"],
+    "search-m2": ["search", "--objective", "M_MINUS2", "--n", "4", "--starts", "8", "--max-iterations", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", CHUNKED_COMMANDS.values(), ids=CHUNKED_COMMANDS)
+def test_every_sampling_command_gives_the_same_outputs_in_short_chunks(argv, tmp_path, monkeypatch, capsys):
+    # Three rows a chunk: every command crosses chunk boundaries, and at
+    # seed 11 the filtered sweep's second draw keeps none of its rows.
+    monkeypatch.chdir(tmp_path)
+    argv = [*argv, "--seed", "11", *(["--out", "run"] if argv[0] != "oracle" else [])]
+
+    def run():
+        for path in tmp_path.iterdir():
+            path.unlink()
+        code = main(argv)
+        return code, capsys.readouterr(), {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    whole = run()
+    kept, margins = [], cli.hypothesis_margins
+
+    def counted_margins(zs):
+        m = margins(zs)
+        kept.append(int((m >= 0).sum()))
+        return m
+
+    monkeypatch.setattr(cli, "hypothesis_margins", counted_margins)
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    assert run() == whole
+    assert whole[0] == 0 and len(whole[2]) == {"oracle": 0, "search": 1, "sweep": 2}[argv[0]]
+    if "--hypothesis-filter" in argv:
+        assert 0 in kept and sum(kept) >= 20
+
+
 SWEEP_SOLVERS = [("gaussian", "evaluate_ensemble"), ("sendov-boundary", "special_case_batch")]
 
 
@@ -799,3 +868,44 @@ def test_a_solve_failing_in_a_later_chunk_leaves_no_archive(ensemble, solver, tm
     assert "numeric error: critical point backward error 1e-03 above tol_root in 1 of 7 rows" in capsys.readouterr().err
     assert calls == [7, 7]
     assert not list(tmp_path.iterdir())
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose kernel OPENBLAS_CORETYPE picks."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower() and "DYNAMIC_ARCH" in str(blas.get("openblas configuration"))
+
+
+def _close(x, y):
+    return x == y or (x is not None and y is not None and math.isclose(x, y, rel_tol=1e-12, abs_tol=0.0))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH: OPENBLAS_CORETYPE picks no kernel")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ensemble", "uniform-disk", "--n", "8", "--count", "200"],
+    ["search", "--objective", "KT", "--n", "6", "--starts", "2"],
+], ids=["sweep", "search"])
+def test_another_lapack_kernel_moves_only_the_last_bits(argv, tmp_path):
+    # Archives are byte-identical for a fixed seed on one numpy and LAPACK
+    # build.  Another OpenBLAS kernel may round the solve differently, but
+    # the zeros, ids and flags stay, and the sides move in their last bits.
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def records(coretype):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=src, **({"OPENBLAS_CORETYPE": coretype} if coretype else {}))
+        out = tmp_path / (coretype or "default")
+        subprocess.run([sys.executable, "-m", "schoenberg.cli", *argv, "--out", str(out)],
+                       env=env, capture_output=True, text=True, check=True)
+        return read_jsonl(out.with_suffix(".jsonl"))
+
+    default, other = records(None), records("Prescott")
+    assert len(default) == len(other) > 0
+    for a, b in zip(default, other):
+        assert (a["kind"], a["seed"], a["zeros"]) == (b["kind"], b["seed"], b["zeros"])
+        assert [(r["id"], r["holds"], r["equality"]) for r in a["reports"]] == \
+            [(r["id"], r["holds"], r["equality"]) for r in b["reports"]]
+        for ra, rb in zip(a["reports"], b["reports"]):
+            assert _close(ra["lhs"], rb["lhs"]) and _close(ra["rhs"], rb["rhs"]), (ra, rb)
+        assert _close(a.get("objective_value"), b.get("objective_value"))

@@ -361,6 +361,23 @@ def test_ratio_objective_is_scale_free(objective, rel):
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_row_with_non_finite_zeros_scores_minus_inf_and_its_batch_mates_as_alone():
+    # The solver's input check rejects the whole stack; the rows with finite
+    # zeros are then scored in one more call, each as it is scored alone.
+    _, zs = search._samples(Ensemble(kind="uniform-disk", n=6, count=3, seed=1729, recenter=True), range(3))
+    zs[1, 2] = np.inf
+    obj = search._Objective("KT", 6, RootSolverSettings())
+    values = obj.values(zs)
+    assert values[1] == -np.inf
+    for i in (0, 2):
+        assert np.isfinite(values[i]) and values[i] == obj.values(zs[i : i + 1])[0]
+
+
+def test_maximize_batch_of_no_starts_is_empty():
+    assert maximize_batch("KT", []) == []
+
+
+@pytest.mark.filterwarnings("error")
 def test_maximize_takes_a_start_far_below_unit_scale():
     _, zs = search._samples(Ensemble(kind="uniform-disk", n=6, count=1, seed=1729, recenter=True), range(1))
     rec = maximize("KT", 1e-40 * zs[0], SearchSettings(max_iterations=5))

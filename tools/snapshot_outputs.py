@@ -12,6 +12,13 @@ paths are relative, so two checkouts side by side give comparable trees:
     (cd old && python3 tools/snapshot_outputs.py ../before)
     (cd new && python3 tools/snapshot_outputs.py ../after)
     diff -r before after
+
+Outputs are byte-identical for a fixed seed on one numpy and LAPACK
+build.  An OpenBLAS built with ``DYNAMIC_ARCH`` picks its CPU kernel per
+process (``OPENBLAS_CORETYPE`` overrides the choice), and another kernel
+may move the last bits of lhs, rhs and objective values, so ``BUILD.txt``
+in ``OUT_DIR`` records the numpy version, the BLAS build and
+``OPENBLAS_CORETYPE``: compare trees only when their ``BUILD.txt`` agree.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +88,14 @@ COMMANDS = (
     ("sweep_unity_n7",
      ("sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "7", "--count", "200", "--scale", "0"), True),
     ("oracle_n10", ("oracle", "--n", "10", "--samples", "300"), False),
+    # Every command that samples, across chunk boundaries: the oracle and
+    # the search draw 1024 rows at a time too, and a filtered sweep's chunks
+    # hold only the rows their draw kept.
+    ("oracle_n10_chunks", ("oracle", "--n", "10", "--samples", "2100"), False),
+    ("sweep_sendov_filter_n5_short_chunks",
+     ("sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "2500", "--hypothesis-filter"), True),
+    ("search_kt_n4_chunks",
+     ("search", "--objective", "KT", "--n", "4", "--starts", "1100", "--max-iterations", "3"), True),
     ("verify_sendov", ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6"), False),
     ("verify_sendov_jsonl",
      ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6", "--format", "jsonl"), True),
@@ -94,12 +111,24 @@ COMMANDS = (
 )
 
 
+def build_text() -> str:
+    """The numpy version, its BLAS build and ``OPENBLAS_CORETYPE``, one per line."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"numpy {np.__version__}\n"
+        f"blas {blas.get('name')} {blas.get('version')}\n"
+        f"blas configuration {blas.get('openblas configuration')}\n"
+        f"OPENBLAS_CORETYPE {os.environ.get('OPENBLAS_CORETYPE', '(unset)')}\n"
+    )
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
+    (out / "BUILD.txt").write_text(build_text())
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for name, args, writes in COMMANDS:
         for seed in SEEDS:
