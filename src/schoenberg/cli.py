@@ -18,11 +18,13 @@ into calls of a fixed element budget.  ``_sweep_root`` and
 ``_sweep_sendov`` turn one row of the results at a time into its record's
 reports, line and M_{-2} value for ``cmd_sweep``'s one loop to summarize,
 write and count, so memory grows neither with the sample count nor with
-the square of the degree.  The archive and its CSV land together or not
-at all: the CSV is written once the archive is in place, and a failed CSV
-write removes the archive.  ``report`` reads an archive one record at a
-time.  Outputs are byte-identical for a fixed seed on one numpy and LAPACK
-build; another LAPACK kernel may move the last bits of sides and values.
+the square of the degree.  ``search`` streams its records the same way,
+and ``oracle`` keeps only each check's worst row so far.  The archive
+and its CSV land together or not at all: the CSV is written once the
+archive is in place, and a failed CSV write removes the archive.
+``report`` reads an archive one record at a time.  Outputs are
+byte-identical for a fixed seed on one numpy and LAPACK build; another
+LAPACK kernel may move the last bits of sides and values.
 """
 
 from __future__ import annotations
@@ -406,12 +408,24 @@ def _chunks(count: int, draw, keep=None):
         raise InvalidInputError("hypothesis filter rejected too many samples")
 
 
+def _worst(worst, deviations, zs):
+    """``worst`` ``(deviation, row)``, or None, updated by a chunk's per-row deviations and zeros.
+
+    The row kept is the first largest deviation over all chunks, a NaN above every number, as
+    ``np.argmax`` would pick it from all the rows at once.
+    """
+    i = int(np.argmax(deviations))
+    if worst is None or not (np.isnan(worst[0]) or deviations[i] <= worst[0]):
+        return deviations[i], zs[i].copy()
+    return worst
+
+
 def cmd_oracle(args) -> int:
     if not 2 <= args.n <= 10:
         raise InvalidInputError(f"oracle supports n in 2..10, got {args.n}")
     ens = Ensemble(kind="uniform-disk", n=args.n, count=args.samples, seed=args.seed, recenter=True)
     settings = RootSolverSettings(tol_root=args.tol_root)
-    parts = []  # per chunk: each row's trace and spectrum deviations, and the normalized zeros
+    trace_worst = spec_worst = None  # each check's (deviation, normalized zeros) of its worst row so far
     for _seeds, zs in _chunks(args.samples, lambda indices: _samples(ens, indices)):
         scale = np.abs(zs).max(axis=1)
         scale[scale == 0] = 1.0
@@ -419,19 +433,18 @@ def cmd_oracle(args) -> int:
         star_closed, starstar_closed = order6_bounds(zs)
         trace_dev = np.maximum(np.abs(star_trace_oracle(zs) - star_closed),
                                np.abs(starstar_trace_oracle(zs) - starstar_closed))
-        parts.append((trace_dev, verify_spectrum(zs, settings).max_pair_distance, zs))
-    trace_dev, spec_dev, zs = map(np.concatenate, zip(*parts))
-    worst_trace_at, worst_spec_at = int(np.argmax(trace_dev)), int(np.argmax(spec_dev))
-    worst_trace, worst_spec = trace_dev[worst_trace_at], spec_dev[worst_spec_at]
+        trace_worst = _worst(trace_worst, trace_dev, zs)
+        spec_worst = _worst(spec_worst, verify_spectrum(zs, settings).max_pair_distance, zs)
+    (worst_trace, worst_trace_zeros), (worst_spec, worst_spec_zeros) = trace_worst, spec_worst
 
-    print(f"trace oracle: {zs.shape[0]} samples, n={args.n}, max |closed - trace| = {worst_trace:.3e}")
+    print(f"trace oracle: {args.samples} samples, n={args.n}, max |closed - trace| = {worst_trace:.3e}")
     print(f"spectrum check: max pairing distance = {worst_spec:.3e}")
     ok = worst_trace <= TRACE_ORACLE_TOL and worst_spec <= SPECTRUM_TOL
     if not ok:
         if not worst_trace <= TRACE_ORACLE_TOL:
-            print(f"worst trace config: {_pairs(zs[worst_trace_at])}", file=sys.stderr)
+            print(f"worst trace config: {_pairs(worst_trace_zeros)}", file=sys.stderr)
         if not worst_spec <= SPECTRUM_TOL:
-            print(f"worst spectrum config: {_pairs(zs[worst_spec_at])}", file=sys.stderr)
+            print(f"worst spectrum config: {_pairs(worst_spec_zeros)}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -509,12 +522,18 @@ def cmd_search(args) -> int:
     ens = Ensemble(kind=kind, n=args.n, count=args.starts, seed=args.seed, recenter=objective in CENTERED_IDS)
     # Records and messages name the objective by its canonical id, the one its reports carry.
     name = objective if objective == "M_MINUS2" else lookup(objective, args.n).iid
-    lines, values, verified_counterexample = [], [], False
-    for seeds, zs in _chunks(args.starts, lambda indices: _samples(ens, indices)):
-        starts = [_sendov_instance(row) for row in zs] if kind == "sendov-boundary" else zs
-        for rec in maximize_batch(objective, starts, settings, sample_seeds=seeds):
-            if rec is None:
-                continue
+
+    def ascents():  # the records of every start, a chunk of starts at a time
+        for seeds, zs in _chunks(args.starts, lambda indices: _samples(ens, indices)):
+            starts = [_sendov_instance(row) for row in zs] if kind == "sendov-boundary" else zs
+            # No name holds a chunk's records once they are written, while the next chunk ascends.
+            yield from (rec for rec in maximize_batch(objective, starts, settings, sample_seeds=seeds)
+                        if rec is not None)
+
+    jsonl_path, _csv = _out_paths(args.out or "search")
+    count, best, verified_counterexample = 0, None, False
+    with _atomic_writer(jsonl_path) as handle:
+        for rec in ascents():
             kind_tag = "search"
             if rec.objective_value > 1.0 + COUNTEREXAMPLE_MARGIN:
                 refined = verify_candidate(rec, settings)
@@ -523,13 +542,13 @@ def cmd_search(args) -> int:
                     verified_counterexample = True
                     print(f"counterexample candidate verified: {name} = {refined:.9f} zeros {_pairs(rec.zeros)}",
                           file=sys.stderr)
-            lines.append(_record_line(kind_tag, rec.sample_seed, _pairs(rec.zeros), rec.reports, a=rec.a,
+            handle.write(_record_line(kind_tag, rec.sample_seed, _pairs(rec.zeros), rec.reports, a=rec.a,
                                       objective=name, objective_value=rec.objective_value))
-            values.append(float(rec.objective_value))
-    jsonl_path, _csv = _out_paths(args.out or "search")
-    _atomic_write(jsonl_path, "".join(lines))
-    best = max((value for value in values if math.isfinite(value)), default=None)
-    print(f"{len(lines)} ascents, best {name} = {best}")
+            count += 1
+            value = float(rec.objective_value)
+            if math.isfinite(value) and (best is None or value > best):
+                best = value
+    print(f"{count} ascents, best {name} = {best}")
     print(f"records -> {jsonl_path}")
     return EXIT_VIOLATION if verified_counterexample else EXIT_OK
 

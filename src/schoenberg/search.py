@@ -8,8 +8,10 @@ stacked draw: it derives the seeds of many samples and their PCG64
 states on one stack, bit for bit as numpy's ``SeedSequence`` would, and
 returns the seeds with the (b, n) zeros stack, so every row equals
 :func:`sample_one` of its index.  ``sample_one`` draws its single row
-with numpy's own seeding, which is cheaper for one row.  A
-sendov-boundary row is ``inst.zeros()``, a first.
+with numpy's own seeding, which is cheaper for one row.  Both draw
+through ``_draw_rows``, where each sample's generator makes one call per
+distribution and the draws stack as one array.  A sendov-boundary row is
+``inst.zeros()``, a first.
 
 The search maximizes either an inequality slack ratio lhs/rhs (how close
 a configuration comes to saturating a bound) or the M_{-2} power mean of
@@ -219,41 +221,36 @@ def _complex_normal(re, im):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def _stacked(rngs, draw) -> list[np.ndarray]:
-    """The draws ``draw(rng)`` (a tuple) of every generator in turn, stacked entry by entry."""
-    return [np.array(column) for column in zip(*map(draw, rngs))]
-
-
 def _draw_rows(ensemble: Ensemble, rngs) -> np.ndarray:
     """The (len(rngs), n) zeros stack, row i drawn from ``rngs[i]``; a sendov-boundary row is ``inst.zeros()``, a first.
 
-    Each generator makes its calls in one fixed order; the arithmetic then
-    runs once on the stacked draws, elementwise, so a row does not depend
-    on the other rows of its stack.
+    Each generator makes one call per distribution, in one fixed order, and
+    the draws stack as one array of equal-length rows; the arithmetic then
+    runs once on the stack, elementwise, so a row does not depend on the
+    other rows of its stack.  ``uniform(0, t, k)`` is ``t * random(k)`` on
+    the same stream, and one ``standard_normal`` call reads the stream as
+    two shorter ones would.
     """
     n = ensemble.n
     kind = ensemble.kind
-    if kind == "uniform-disk":
-        u, angle = _stacked(rngs, lambda rng: (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)))
-        zeros = np.sqrt(u) * np.exp(1j * angle)
-    elif kind in ("gaussian", "roots-of-unity-perturbed"):
-        re, im = _stacked(rngs, lambda rng: (rng.standard_normal(n), rng.standard_normal(n)))
-        zeros = _complex_normal(re, im)
+    if kind == "uniform-disk":  # n radii's uniforms, then n angles'
+        u = np.array([rng.random(2 * n) for rng in rngs])
+        zeros = np.sqrt(u[:, :n]) * np.exp(1j * (2.0 * np.pi * u[:, n:]))
+    elif kind in ("gaussian", "roots-of-unity-perturbed"):  # n real parts, then n imaginary parts
+        g = np.array([rng.standard_normal(2 * n) for rng in rngs])
+        zeros = _complex_normal(g[:, :n], g[:, n:])
         if kind == "roots-of-unity-perturbed":
             zeros = np.exp(2j * np.pi * np.arange(n) / n) + ensemble.scale * zeros
-    elif kind == "collinear":
+    elif kind == "collinear":  # the center's two normals, the angle's uniform, n offsets
+        g = np.array([np.concatenate((rng.standard_normal(2), [rng.random()], rng.standard_normal(n))) for rng in rngs])
         # The center is a Python complex, as numpy's complex division would round it differently.
-        center, angle, offsets = _stacked(rngs, lambda rng: (
-            _complex_normal(rng.standard_normal(), rng.standard_normal()),
-            rng.uniform(0.0, 2.0 * np.pi),
-            rng.standard_normal(n),
-        ))
-        zeros = center[:, np.newaxis] + offsets * np.exp(1j * angle)[:, np.newaxis]
-    else:  # sendov-boundary
-        a, angle = _stacked(rngs, lambda rng: (rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * np.pi, n - 1)))
-        zeros = np.empty((len(a), n), dtype=complex)
-        zeros[:, 0] = a
-        zeros[:, 1:] = np.exp(1j * angle)
+        center = np.array([_complex_normal(re, im) for re, im in g[:, :2].tolist()])
+        zeros = center[:, np.newaxis] + g[:, 3:] * np.exp(1j * (2.0 * np.pi * g[:, 2:3]))
+    else:  # sendov-boundary: a's uniform, then n - 1 angles'
+        u = np.array([rng.random(n) for rng in rngs])
+        zeros = np.empty((len(u), n), dtype=complex)
+        zeros[:, 0] = u[:, 0]
+        zeros[:, 1:] = np.exp(1j * (2.0 * np.pi * u[:, 1:]))
     if ensemble.recenter:
         zeros = recenter(zeros)
     return zeros

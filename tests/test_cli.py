@@ -290,6 +290,91 @@ def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch, capsys):
     assert peak <= 4 << 20
 
 
+def _traced_peak(argv) -> int:
+    """The ``tracemalloc`` peak of one successful ``main(argv)``, in bytes."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_keeps_no_row_per_sample(monkeypatch, capsys):
+    # Each check keeps its worst deviation and that row's zeros, not every
+    # row's.  With 128 rows a chunk, keeping them all grew the peak from
+    # 1.07 MB at 1,000 samples to 1.59 MB at 4,000; now both read 0.94 MB.
+    assert main(["oracle", "--n", "10", "--samples", "5"]) == 0  # warm the solver's caches
+    monkeypatch.setattr(cli, "_CHUNK", 128)
+    small, large = (_traced_peak(["oracle", "--n", "10", "--samples", str(count)]) for count in (1000, 4000))
+    assert large - small <= 256 << 10
+
+
+def test_search_streams_its_archive(tmp_path, monkeypatch, capsys):
+    # Records go to the archive as their ascents end, and a chunk's records
+    # are dropped before the next chunk ascends.  With 128 rows a chunk,
+    # one chunk of starts peaks at 0.97 MB and 1,000 starts at 0.99 MB.
+    # Holding every line grew the latter to 9.6 MB, and holding the last
+    # chunk's records while the next ascends to 1.6 MB.
+    monkeypatch.chdir(tmp_path)
+    search_kt = ["search", "--objective", "KT", "--n", "4", "--max-iterations", "0"]
+    assert main([*search_kt, "--starts", "3"]) == 0  # warm the solver's caches
+    monkeypatch.setattr(cli, "_CHUNK", 128)
+    small, large = (_traced_peak([*search_kt, "--starts", str(count)]) for count in (128, 1000))
+    assert large - small <= 256 << 10
+    assert len(read_jsonl(tmp_path / "search.jsonl")) == 1000
+
+
+def test_search_failing_in_a_later_chunk_leaves_no_archive(tmp_path, monkeypatch, capsys):
+    calls, ascend = [], cli.maximize_batch
+
+    def fail_second(objective, starts, settings, sample_seeds):
+        calls.append(len(starts))
+        if len(calls) == 2:
+            raise ConvergenceError("critical point backward error 1e-03 above tol_root in 1 of 3 rows")
+        return ascend(objective, starts, settings, sample_seeds=sample_seeds)
+
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    monkeypatch.setattr(cli, "maximize_batch", fail_second)
+    argv = ["search", "--objective", "KT", "--n", "4", "--starts", "8", "--max-iterations", "2"]
+    assert main([*argv, "--out", str(tmp_path / "s")]) == 2
+    assert "numeric error: critical point backward error" in capsys.readouterr().err
+    assert calls == [3, 3]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bumps, worst_row", [
+    ({5: np.inf, 9: np.inf, 10: 1e-3}, 5),  # a tie keeps the first row, across chunks
+    ({5: 1e-3, 2: np.nan, 10: np.nan}, 2),  # a NaN is worse than any number
+    ({9: 1e-3}, 9),
+])
+def test_oracle_names_the_worst_row_over_all_chunks(bumps, worst_row, monkeypatch, capsys):
+    # The trace oracle is bumped on chosen rows; the report names the row
+    # np.argmax picks from all rows at once, whatever the chunk size.
+    rows_seen, oracle = [0], cli.star_trace_oracle
+
+    def bumped(zs):
+        values = oracle(zs)
+        for i in range(len(zs)):
+            values[i] += bumps.get(rows_seen[0] + i, 0.0)
+        rows_seen[0] += len(zs)
+        return values
+
+    monkeypatch.setattr(cli, "star_trace_oracle", bumped)
+    argv = ["oracle", "--n", "5", "--samples", "12"]
+    outputs = []
+    for chunk in (1024, 4, 3):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        rows_seen[0] = 0
+        outputs.append((main(argv), capsys.readouterr()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    code, captured = outputs[0]
+    zs = search._samples(Ensemble(kind="uniform-disk", n=5, count=12, recenter=True), range(12))[1]
+    row = zs[worst_row] / np.abs(zs[worst_row]).max()
+    assert code == 1
+    assert captured.err == f"worst trace config: {cli._pairs(row)}\n"
+
+
 def test_oracle_size_guard(capsys):
     for n in ("11", "1"):
         assert main(["oracle", "--n", n]) == 2

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from schoenberg import search
+from schoenberg import cli, search
 from schoenberg.errors import InvalidInputError, RejectedStartError
 from schoenberg.matrices import is_normal, sds_matrix
 from schoenberg.poly import centroid_residual, recenter
@@ -79,6 +79,57 @@ def test_draw_from_the_derived_seed_is_sample_one(kind, recenter):
             assert type(one.a) is float
             one = one.zeros()
         assert stack[i].dtype == one.dtype and stack[i].tobytes() == one.tobytes()
+
+
+def _spec_row(ens, index) -> np.ndarray:
+    """Sample ``index``, drawn with one numpy call per variable on its own generator.
+
+    The stream's executable spec: uniform-disk reads ``uniform(0, 1, n)`` then
+    ``uniform(0, 2 pi, n)``, the normal kinds two ``standard_normal(n)``,
+    collinear two ``standard_normal()``, ``uniform(0, 2 pi)`` and
+    ``standard_normal(n)``, sendov-boundary ``uniform(0, 1)`` then
+    ``uniform(0, 2 pi, n - 1)``.
+    """
+    rng = np.random.Generator(np.random.PCG64(sample_seed(ens.seed, index)))
+    n = ens.n
+    if ens.kind == "uniform-disk":
+        u = rng.uniform(0.0, 1.0, n)
+        zeros = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    elif ens.kind in ("gaussian", "roots-of-unity-perturbed"):
+        re = rng.standard_normal(n)
+        zeros = (re + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        if ens.kind == "roots-of-unity-perturbed":
+            zeros = np.exp(2j * np.pi * np.arange(n) / n) + ens.scale * zeros
+    elif ens.kind == "collinear":
+        re = rng.standard_normal()
+        center = (re + 1j * rng.standard_normal()) / np.sqrt(2.0)  # a Python complex
+        angle = np.array([rng.uniform(0.0, 2.0 * np.pi)])
+        zeros = center + rng.standard_normal(n) * np.exp(1j * angle)
+    else:
+        a = rng.uniform(0.0, 1.0)
+        zeros = np.concatenate([[complex(a)], np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n - 1))])
+    return recenter(zeros) if ens.recenter else zeros
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("kind, recenter", [
+    *((kind, False) for kind in ENSEMBLE_KINDS),
+    *((kind, True) for kind in ENSEMBLE_KINDS if kind != "sendov-boundary"),
+])
+def test_draw_equals_its_executable_spec_byte_for_byte(kind, recenter, n, monkeypatch):
+    # The stacked draw and sample_one make one call per distribution and
+    # the spec one per variable, so a change of stream or of rounding in
+    # either shows here, which comparing the two with each other misses.
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    for seed in (1729, 2**32 + 1729):
+        ens = Ensemble(kind=kind, n=n, count=10, seed=seed, recenter=recenter)
+        spec = np.array([_spec_row(ens, i) for i in range(ens.count)])
+        chunks = list(cli._chunks(ens.count, lambda indices: search._samples(ens, indices)))
+        assert [len(seeds) for seeds, _ in chunks] == [4, 4, 2]
+        assert np.concatenate([zs for _, zs in chunks]).tobytes() == spec.tobytes()
+        for i in range(ens.count):
+            one = sample_one(ens, i)
+            assert (one.zeros() if kind == "sendov-boundary" else one).tobytes() == spec[i].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5])

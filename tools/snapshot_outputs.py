@@ -87,6 +87,10 @@ COMMANDS = (
     ("sweep_gaussian_n64", ("sweep", "--ensemble", "gaussian", "--n", "64", "--count", "40"), True),
     ("sweep_unity_n7",
      ("sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "7", "--count", "200", "--scale", "0"), True),
+    # The root sweep draws each row through sample_one: these reach its
+    # normal draws, which a scale of 0 zeroes, and its recentering.
+    ("sweep_unity_n7_scaled", ("sweep", "--ensemble", "roots-of-unity-perturbed", "--n", "7", "--count", "200"), True),
+    ("sweep_disk_n5_recenter", ("sweep", "--ensemble", "uniform-disk", "--n", "5", "--count", "300", "--recenter"), True),
     ("oracle_n10", ("oracle", "--n", "10", "--samples", "300"), False),
     # Every command that samples, across chunk boundaries: the oracle and
     # the search draw 1024 rows at a time too, and a filtered sweep's chunks
