@@ -2,8 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 all checks passed, 1 a
 mathematical violation or verified counterexample was recorded, 2 usage
-or numeric-infrastructure error.  All randomness flows from ``--seed``
-(a fixed constant when omitted, never wall-clock entropy), JSONL is the
+or numeric-infrastructure error.  ``sweep``, ``search`` and ``verify --a``
+confirm counterexample candidates through one rule, ``search._confirmed``,
+and exit 1 on a confirmed one.  All randomness flows from ``--seed`` (a
+fixed constant when omitted, never wall-clock entropy), JSONL is the
 machine archive and CSV the human summary, and both are written
 atomically (temp file + rename).
 
@@ -60,18 +62,17 @@ from .matrices import is_normal, sds_matrix, verify_spectrum
 from .poly import as_zeros, centroid_residual, is_collinear
 from .rootfind import RootSolverSettings, cluster_sizes
 from .search import (
-    COUNTEREXAMPLE_MARGIN,
     ENSEMBLE_KINDS,
     Ensemble,
     SearchSettings,
+    _confirmed,
     _sample_seeds,
     _samples,
     _sendov_instance,
     maximize_batch,
     sample_one,
-    verify_candidate,
 )
-from .sendov import SendovInstance, _confirmed_columns, hypothesis_margins, special_case_batch, special_case_reports
+from .sendov import SendovInstance, distance_columns, hypothesis_margins, special_case_batch, special_case_reports
 
 TRACE_ORACLE_TOL = 1e-10
 SPECTRUM_TOL = 1e-7
@@ -360,14 +361,15 @@ def cmd_verify(args) -> int:
     spectrum = verify_spectrum(zs, settings)
     zeros, w, distance = zs[0], spectrum.matrix_eigenvalues[:, 1:], float(spectrum.max_pair_distance[0])
     reports = next(row_reports(_suite_columns(zs, w, settings), args.tol_eq))
-    extra = []
+    extra, m2_bad = [], 0
     if a is not None:
-        special = _confirmed_columns(zs, w, settings)
+        special = distance_columns(zs, w)
         reports += special_case_reports(zs, special, args.tol_eq)[0]
         extra.append(
             f"sendov: condition_holds={bool(hypothesis_margins(zs)[0] >= 0.0)} "
             f"min|w-a|={special.min_distance[0]:.6f} M2={special.m2[0]:.6f} M-2={special.m_minus2[0]:.6f}"
         )
+        m2_bad = int(_confirmed("M_MINUS2", zs, special.m_minus2, settings)[0].sum())
 
     scale = max(1.0, float(np.max(np.abs(zeros))))
     worst_cluster = int(np.max(cluster_sizes(spectrum.expected[0], 1e-6 * scale)))
@@ -378,10 +380,12 @@ def cmd_verify(args) -> int:
         f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(zeros))}"
     )
     _verify_output(args, zeros, reports, extra, a)
+    if m2_bad:
+        print(f"M_MINUS2 candidates above 1: {m2_bad}", file=sys.stderr)
     if distance > spectrum_tol:
         print("numeric-consistency failure: companion spectrum mismatch", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
+    return EXIT_OK if all(r.holds for r in reports) and not m2_bad else EXIT_VIOLATION
 
 
 def _chunks(count: int, draw, keep=None):
@@ -404,6 +408,7 @@ def _chunks(count: int, draw, keep=None):
         found, index = found + len(seeds), indices.stop
         if seeds:
             yield seeds, zs
+        del seeds, zs  # a chunk is not held while the next is drawn
     if found < count:
         raise InvalidInputError("hypothesis filter rejected too many samples")
 
@@ -450,7 +455,7 @@ def cmd_oracle(args) -> int:
 
 
 def _sweep_root(args, ens: Ensemble):
-    """The sweep's ``(reports, line, None)`` records in index order, sampled, solved and evaluated a chunk at a time."""
+    """The sweep's ``(reports, line, False)`` records in index order, drawn, solved and evaluated a chunk at a time."""
     settings = RootSolverSettings(tol_root=args.tol_root)
 
     def draw(indices):  # row by row through sample_one, plus the stacked seed derivation
@@ -459,21 +464,23 @@ def _sweep_root(args, ens: Ensemble):
     for seeds, zs in _chunks(args.count, draw):
         table = evaluate_ensemble(zs, settings)
         for seed, row_pairs, reports in zip(seeds, _pair_array(zs), row_reports(table, args.tol_eq)):
-            yield reports, _record_line("sample", seed, row_pairs.tolist(), reports), None
+            yield reports, _record_line("sample", seed, row_pairs.tolist(), reports), False
+        del seeds, zs, table, row_pairs  # not held while the next chunk is solved; a row view holds all pairs
 
 
 def _sweep_sendov(args, ens: Ensemble):
-    """The sweep's ``(reports, line, M_MINUS2 value)`` records in index order, a chunk of kept samples at a time."""
+    """The sweep's ``(reports, line, confirmed M_MINUS2 candidate)`` records in index order, a chunk at a time."""
     settings = RootSolverSettings(tol_root=args.tol_root)
     keep = (lambda zs: hypothesis_margins(zs) >= 0) if args.hypothesis_filter else None
     for seeds, zs in _chunks(args.count, lambda indices: _samples(ens, indices), keep):
         special = special_case_batch(zs, settings)
-        for seed, row_pairs, a, reports, value in zip(
+        for seed, row_pairs, a, reports, value, candidate in zip(
             seeds, _pair_array(zs), zs[:, 0].real.tolist(), special_case_reports(zs, special, args.tol_eq),
-            special.m_minus2.tolist(),
+            special.m_minus2.tolist(), _confirmed("M_MINUS2", zs, special.m_minus2, settings)[0].tolist(),
         ):
             yield reports, _record_line("sample", seed, row_pairs.tolist(), reports, a=a,
-                                        objective="M_MINUS2", objective_value=value), value
+                                        objective="M_MINUS2", objective_value=value), candidate
+        del seeds, zs, special, row_pairs  # as in _sweep_root
 
 
 def cmd_sweep(args) -> int:
@@ -487,10 +494,10 @@ def cmd_sweep(args) -> int:
     jsonl_path, csv_path = _out_paths(args.out or "sweep")
     sweep = _sweep_sendov if ens.kind == "sendov-boundary" else _sweep_root
     with _atomic_writer(jsonl_path) as handle:
-        for reports, line, m_minus2 in sweep(args, ens):
+        for reports, line, candidate in sweep(args, ens):
             summary.update(_report_items(args.n, reports))
             handle.write(line)
-            m2_bad += m_minus2 is not None and 1.0 + COUNTEREXAMPLE_MARGIN < m_minus2 < math.inf
+            m2_bad += candidate
     rows = summary.rows()
     try:
         _atomic_write(csv_path, _summary_csv(rows))
@@ -523,27 +530,25 @@ def cmd_search(args) -> int:
     # Records and messages name the objective by its canonical id, the one its reports carry.
     name = objective if objective == "M_MINUS2" else lookup(objective, args.n).iid
 
-    def ascents():  # the records of every start, a chunk of starts at a time
+    def ascents():  # every start's record, whether it is a confirmed candidate and its re-score, a chunk at a time
         for seeds, zs in _chunks(args.starts, lambda indices: _samples(ens, indices)):
             starts = [_sendov_instance(row) for row in zs] if kind == "sendov-boundary" else zs
-            # No name holds a chunk's records once they are written, while the next chunk ascends.
-            yield from (rec for rec in maximize_batch(objective, starts, settings, sample_seeds=seeds)
-                        if rec is not None)
+            records = [r for r in maximize_batch(objective, starts, settings, sample_seeds=seeds) if r is not None]
+            confirmed, refined = _confirmed(objective, np.array([r.zeros for r in records]),
+                                            [r.objective_value for r in records], settings.solver)
+            yield from zip(records, confirmed.tolist(), refined.tolist())
+            del records  # no name holds a chunk's records once they are written, while the next chunk ascends
 
     jsonl_path, _csv = _out_paths(args.out or "search")
     count, best, verified_counterexample = 0, None, False
     with _atomic_writer(jsonl_path) as handle:
-        for rec in ascents():
-            kind_tag = "search"
-            if rec.objective_value > 1.0 + COUNTEREXAMPLE_MARGIN:
-                refined = verify_candidate(rec, settings)
-                if refined > 1.0 + COUNTEREXAMPLE_MARGIN:
-                    kind_tag = "counterexample"
-                    verified_counterexample = True
-                    print(f"counterexample candidate verified: {name} = {refined:.9f} zeros {_pairs(rec.zeros)}",
-                          file=sys.stderr)
-            handle.write(_record_line(kind_tag, rec.sample_seed, _pairs(rec.zeros), rec.reports, a=rec.a,
-                                      objective=name, objective_value=rec.objective_value))
+        for rec, confirmed, refined in ascents():
+            if confirmed:
+                verified_counterexample = True
+                print(f"counterexample candidate verified: {name} = {refined:.9f} zeros {_pairs(rec.zeros)}",
+                      file=sys.stderr)
+            handle.write(_record_line("counterexample" if confirmed else "search", rec.sample_seed, _pairs(rec.zeros),
+                                      rec.reports, a=rec.a, objective=name, objective_value=rec.objective_value))
             count += 1
             value = float(rec.objective_value)
             if math.isfinite(value) and (best is None or value > best):

@@ -27,9 +27,9 @@ shrink make a second.  The solver takes no starting points and treats
 each row on its own; a row it cannot solve is scored -inf.  Each row
 stops on its own, when its simplex spread falls below the step tolerance
 or its round budget is spent, so a start's record does not depend on the
-other starts of its batch.  Any objective value above 1 + 1e-6 is a
-counterexample candidate, believed only if :func:`verify_candidate`
-confirms it.
+other starts of its batch.  Any finite objective value above 1 + 1e-6 is
+a counterexample candidate; ``_confirmed`` is the one rule that confirms
+candidates, for every command, and :func:`verify_candidate` is it on one row.
 
 A round is small-batch work: with KT at n = 6 and two starts (six trial
 rows a call), it takes about 260 us on a 2-vCPU VM, timed stage by stage
@@ -76,8 +76,6 @@ ENSEMBLE_KINDS = (
     "sendov-boundary",
 )
 
-# Objective values above 1 + this margin trigger the counterexample protocol.
-COUNTEREXAMPLE_MARGIN = 1e-6
 # A Nelder-Mead row retires when its simplex spread falls below the step
 # tolerance; its start simplex steps coordinate x by the initial step times max(1, |x|).
 _STEP_TOL = 1e-9
@@ -536,15 +534,35 @@ def maximize(objective_id: str, start, settings: SearchSettings | None = None, *
     return record
 
 
-def verify_candidate(record: SearchRecord, settings: SearchSettings | None = None) -> float:
-    """Re-score a record's objective with the solver's gate tightened 100x.
+# A finite objective value above 1 + this margin is a counterexample candidate.
+COUNTEREXAMPLE_MARGIN = 1e-6
 
-    Counterexample protocol: a value above ``1 + COUNTEREXAMPLE_MARGIN`` is
-    only believed if this re-score still exceeds it.  The eigenvalue
-    solver is deterministic, so the re-score equals the untightened score
-    of the record's zeros, or is -inf where they fail the tightened gate:
-    a stricter acceptance test, not an independent method.
+
+def _confirmed(objective_id: str, zs, values, solver: RootSolverSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The counterexample rule: the (b,) confirmed mask of a zeros stack's ``values``, and the values re-scored.
+
+    Only the candidates, finite values above ``1 + COUNTEREXAMPLE_MARGIN``,
+    are re-scored (in a copy of ``values``), in one objective call at the
+    solver's gate tightened 100x; a candidate is confirmed if its re-score
+    still exceeds the margin.  The solver is deterministic, so a re-score
+    equals the first score, or is -inf where the row fails the tightened
+    gate and stays unconfirmed: a stricter acceptance test, not an independent method.
+    """
+    values = np.array(values, dtype=float)
+    candidates = np.isfinite(values) & (values > 1.0 + COUNTEREXAMPLE_MARGIN)
+    if candidates.any():
+        values[candidates] = _Objective(objective_id, zs.shape[1], solver.tightened()).values(zs[candidates])
+    return candidates & (values > 1.0 + COUNTEREXAMPLE_MARGIN), values
+
+
+def verify_candidate(record: SearchRecord, settings: SearchSettings | None = None) -> float:
+    """A record's objective value after the counterexample rule ``_confirmed`` on its one row.
+
+    A candidate, a value above ``1 + COUNTEREXAMPLE_MARGIN``, is re-scored
+    with the solver's gate tightened 100x and believed only if the
+    re-score still exceeds the margin; it is -inf where the tightened gate
+    fails.  A value that is no candidate is returned as it is.
     """
     settings = settings or SearchSettings()
-    obj = _Objective(record.objective_id, len(record.zeros), settings.solver.tightened())
-    return float(obj.values(record.zeros[np.newaxis])[0])
+    _, values = _confirmed(record.objective_id, record.zeros[np.newaxis], [record.objective_value], settings.solver)
+    return float(values[0])

@@ -12,17 +12,18 @@ critical points to the distinguished zero:
   sum |w_k - a|^2 < n - 1 (C2, equivalent to M_2 < 1) hold;
 * without the hypothesis M_2 <= 1 fails (e.g. (z - a)(z + 1)^(n-1) with a
   near 1), while no configuration with M_{-2} > 1 is known.  Whether
-  M_{-2} <= 1 always holds is open; the probe only reports candidates and
-  asserts nothing.
+  M_{-2} <= 1 always holds is open; the probe only reports values and
+  asserts nothing (the commands confirm candidates by ``search._confirmed``).
 
 Batched code holds b instances of degree n as the (b, n) stack of their
 zeros, each row :meth:`SendovInstance.zeros` with the real a first; the
 search decodes to this layout and the archives write it.  M_{-2}, M_2, C1,
 C2, the minimum distance and the exact-hit flag are computed in one place,
 :func:`distance_columns`, from such a stack and its critical points:
-:func:`special_case_batch` applies it after one batched solve, and the
-search objective to its own solves.  :func:`check_special_case` and
-:func:`probe_m_minus2` are :func:`special_case_batch` on a batch of one.
+:func:`special_case_batch` applies it to one batched solve, ``verify`` to
+its spectrum check's points, and the search objective to its own solves.
+:func:`check_special_case` and :func:`probe_m_minus2` are
+:func:`special_case_batch` on a batch of one.
 The hypothesis margin is written once, :func:`hypothesis_margins` of a
 stack; :meth:`SendovInstance.hypothesis_margin` is its row.
 :func:`special_case_reports` turns a stack and its columns into each row's
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL_DISK, TOL_EQ
-from .errors import ConvergenceError, InvalidInputError
+from .errors import InvalidInputError
 from .inequalities import InequalityReport, make_report
 from .poly import as_zeros
 from .rootfind import DEFAULT_SETTINGS, RootSolverSettings, critical_points_batch
@@ -201,8 +202,7 @@ def check_special_case(inst: SendovInstance, settings: RootSolverSettings | None
     When ``condition_holds`` the report should satisfy C1 strictly
     (c1_value > n - 1), C2 strictly (c2_value < n - 1) and
     min_distance < 1; an exact critical hit settles the instance
-    immediately.  This is :func:`special_case_batch` on a batch of one, so
-    an M_{-2} above 1 has passed the tightened re-solve described there.
+    immediately.  This is :func:`special_case_batch` on a batch of one.
     """
     columns = special_case_batch(inst.zeros()[np.newaxis], settings)
     hit, m_minus2, m2, c1, c2, min_distance = (column[0].item() for column in columns)
@@ -221,8 +221,7 @@ def probe_m_minus2(inst: SendovInstance, settings: RootSolverSettings | None = N
     """M_{-2} of the critical-point distances of one instance.
 
     Returns 0.0 (by convention) when some critical point hits a exactly.
-    This is :func:`special_case_batch` on a batch of one, so a value above
-    1 has passed the tightened re-solve described there.
+    This is :func:`special_case_batch` on a batch of one.
     """
     return float(special_case_batch(inst.zeros()[np.newaxis], settings).m_minus2[0])
 
@@ -230,35 +229,12 @@ def probe_m_minus2(inst: SendovInstance, settings: RootSolverSettings | None = N
 def special_case_batch(zs, settings: RootSolverSettings | None = None) -> SpecialCaseColumns:
     """Special-case columns of instances sharing one degree, from one batched solve.
 
-    ``zs`` is the (b, n) a-first zeros stack of the instances.  An
-    ``m_minus2`` above 1 is a counterexample candidate: every candidate
-    row is solved again, all in one batch, with the solver's gate
-    tightened 100x (``settings.tightened()``), and its columns are
-    replaced by that solve's.  The eigenvalue solver is deterministic, so
-    this re-solve is a stricter acceptance test, not an independent
-    method; a candidate that fails the tightened gate raises
-    :class:`ConvergenceError`, whose ``rows`` and ``best`` index the
-    caller's batch.
+    ``zs`` is the (b, n) a-first zeros stack of the instances; the columns
+    are :func:`distance_columns` of its critical points, and no candidate
+    row is solved again (the commands confirm by ``search._confirmed``).
     """
-    settings = settings or DEFAULT_SETTINGS
     zs = np.asarray(zs, dtype=complex)
-    return _confirmed_columns(zs, critical_points_batch(zs, settings), settings)
-
-
-def _confirmed_columns(zs, critical, settings: RootSolverSettings) -> SpecialCaseColumns:
-    """:func:`special_case_batch` of an a-first (b, n) stack whose critical points are solved."""
-    columns = distance_columns(zs, critical)
-    candidates = np.flatnonzero(columns.m_minus2 > 1.0)
-    if candidates.size:
-        try:
-            refined = critical_points_batch(zs[candidates], settings.tightened())
-        except ConvergenceError as err:
-            best = critical.copy()
-            best[candidates] = err.best
-            raise ConvergenceError(str(err), best=best, residual=err.residual, rows=candidates[err.rows]) from None
-        for column, value in zip(columns, distance_columns(zs[candidates], refined)):
-            column[candidates] = value
-    return columns
+    return distance_columns(zs, critical_points_batch(zs, settings or DEFAULT_SETTINGS))
 
 
 def special_case_reports(zs, columns: SpecialCaseColumns, tol_eq: float = TOL_EQ) -> list[list[InequalityReport]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schoenberg import cli, rootfind, search
+from schoenberg import cli, rootfind, search, sendov
 from schoenberg.config import DEFAULT_SEED
 from schoenberg.errors import ConvergenceError
 from schoenberg.cli import main
@@ -325,6 +325,20 @@ def test_search_streams_its_archive(tmp_path, monkeypatch, capsys):
     assert len(read_jsonl(tmp_path / "search.jsonl")) == 1000
 
 
+def test_sweep_holds_one_chunk_at_a_time(tmp_path, monkeypatch, capsys):
+    # A chunk's rows and results are released before the next chunk is
+    # drawn and solved.  With 128 rows a chunk of degree 32, the peak grows
+    # by 0.03 MB from one chunk to two.  Holding the first chunk's results
+    # while the second is solved grew it by 0.28 MB, and holding only the
+    # last row's view of the first chunk's [re, im] pairs by 0.09 MB.
+    monkeypatch.chdir(tmp_path)
+    sweep = ["sweep", "--ensemble", "gaussian", "--n", "32"]
+    assert main([*sweep, "--count", "3"]) == 0  # warm the solver's caches
+    monkeypatch.setattr(cli, "_CHUNK", 128)
+    small, large = (_traced_peak([*sweep, "--count", str(count)]) for count in (128, 256))
+    assert large - small <= 64 << 10
+
+
 def test_search_failing_in_a_later_chunk_leaves_no_archive(tmp_path, monkeypatch, capsys):
     calls, ascend = [], cli.maximize_batch
 
@@ -528,13 +542,21 @@ def _scored_record(value, seed):
                          ids=["verified", "unconfirmed"])
 def test_search_counterexample_protocol(refined, kind, code, tmp_path, monkeypatch, capsys):
     # Start 0 is dropped (None), start 1 is a candidate above 1 + margin, start 2 is not.
+    # The rule (search._confirmed) re-scores the candidate to ``refined``.
     candidate, ordinary = _scored_record(1.25, 11), _scored_record(0.75, 12)
     monkeypatch.setattr(cli, "maximize_batch", lambda *args, **kwargs: [None, candidate, ordinary])
     rechecked = []
-    monkeypatch.setattr(cli, "verify_candidate", lambda rec, settings: rechecked.append(rec) or refined)
+
+    def rule(objective_id, zs, values, solver):
+        rechecked.append((objective_id, zs, values, solver))
+        return np.array([refined > 1.0 + search.COUNTEREXAMPLE_MARGIN, False]), np.array([refined, 0.75])
+
+    monkeypatch.setattr(cli, "_confirmed", rule)
     argv = ["search", "--objective", "KT", "--n", "3", "--starts", "3", "--out", str(tmp_path / "c")]
     assert main(argv) == code
-    assert rechecked == [candidate]
+    ((objective_id, zs, values, solver),) = rechecked  # one call for the chunk's kept records
+    assert (objective_id, values, solver) == ("KT", [1.25, 0.75], rootfind.RootSolverSettings())
+    np.testing.assert_array_equal(zs, [candidate.zeros, ordinary.zeros])
     records = read_jsonl(tmp_path / "c.jsonl")
     assert [(rec["kind"], rec["seed"], rec["objective_value"]) for rec in records] == [(kind, 11, 1.25), ("search", 12, 0.75)]
     out, err = capsys.readouterr()
@@ -839,15 +861,75 @@ def test_a_failed_csv_write_leaves_no_archive(tmp_path, capsys):
 
 def test_sweep_counts_m_minus2_candidates_above_1(tmp_path, monkeypatch, capsys):
     # Only finite values above 1 + 1e-6 count; the C1/C2 reports all hold.
+    # The rule's re-score passes each row's faked value through.
     values = [1.5, 0.5, math.inf, 1.0 + 2e-6, 1.0 + 1e-7]
+    faked = {}  # by each row's a
     batch = cli.special_case_batch
-    monkeypatch.setattr(cli, "special_case_batch", lambda zs, settings: batch(zs, settings)._replace(
-        m_minus2=np.array(values)))
+
+    def special_case_batch(zs, settings):
+        faked.update(zip(zs[:, 0].real.tolist(), values))
+        return batch(zs, settings)._replace(m_minus2=np.array(values))
+
+    monkeypatch.setattr(cli, "special_case_batch", special_case_batch)
+    monkeypatch.setattr(search._Objective, "values",
+                        lambda self, zs: np.array([faked[a] for a in zs[:, 0].real.tolist()]))
     code = main(["sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "5", "--out", str(tmp_path / "m")])
     assert code == 1
     assert capsys.readouterr().err == "M_MINUS2 candidates above 1: 2\n"
     assert [rec["objective_value"] for rec in read_jsonl(tmp_path / "m.jsonl")] == [1.5, 0.5, None, 1.0 + 2e-6, 1.0 + 1e-7]
     assert all(row["violations"] == "0" for row in read_csv_rows(tmp_path / "m.csv"))
+
+
+def _fake_m_minus2(monkeypatch, value, row=None):
+    """Make every M_-2 column read ``value``, or only row ``row`` of the stacks that have one.
+
+    The fake is bound wherever the columns are computed: in ``sendov`` (sweeps), ``cli`` (``verify --a``) and
+    ``search`` (the rule's re-score).
+    """
+    columns = sendov.distance_columns
+
+    def fake(zs, w):
+        out = columns(zs, w)
+        m = out.m_minus2.copy()
+        if row is None:
+            m[:] = value
+        elif len(m) > row:
+            m[row] = value
+        return out._replace(m_minus2=m)
+
+    for module in (sendov, cli, search):
+        monkeypatch.setattr(module, "distance_columns", fake)
+
+
+def test_a_candidate_failing_the_tightened_gate_does_not_sink_a_sweep(tmp_path, monkeypatch, capsys):
+    # Row 3 reads M_-2 = 1.5, and no row passes the tightened gate: the
+    # candidate is unconfirmed, and the sweep writes its archive and exits 0.
+    _fake_m_minus2(monkeypatch, 1.5, row=3)
+    monkeypatch.setattr(rootfind.RootSolverSettings, "tightened", lambda self: rootfind.RootSolverSettings(1e-300))
+    argv = ["sweep", "--ensemble", "sendov-boundary", "--n", "6", "--count", "300"]
+    assert main([*argv, "--out", str(tmp_path / "m")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    values = [rec["objective_value"] for rec in read_jsonl(tmp_path / "m.jsonl")]
+    assert len(values) == 300 and values[3] == 1.5 and max(values[:3] + values[4:]) < 1.0
+    assert all(row["violations"] == "0" for row in read_csv_rows(tmp_path / "m.csv"))
+    assert "records: 300" in out
+
+
+def test_verify_and_sweep_confirm_a_candidate_alike(tmp_path, monkeypatch, capsys):
+    # Every M_-2 reads 1.5, a candidate the re-score confirms; every
+    # inequality of the verified configuration holds.
+    verify = ["verify", "--zeros", "0.2,0.5 -0.3,-0.1 0.1,0.9", "--a", "0.6"]
+    assert main(verify) == 0
+    capsys.readouterr()
+    _fake_m_minus2(monkeypatch, 1.5)
+    assert main(verify) == 1
+    out, err = capsys.readouterr()
+    assert "M-2=1.500000" in out
+    assert err == "M_MINUS2 candidates above 1: 1\n"
+    argv = ["sweep", "--ensemble", "sendov-boundary", "--n", "4", "--count", "5", "--out", str(tmp_path / "m")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "M_MINUS2 candidates above 1: 5\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Ensemble sampling and the derivative-free ascent."""
 
+import dataclasses
 from unittest import mock
 
 import hypothesis
@@ -252,11 +253,19 @@ def test_maximize_unknown_objective():
         maximize("WAT", np.array([1.0, -1.0]), SearchSettings(max_iterations=5))
 
 
-def test_verify_candidate_reproduces_value():
+def test_verify_candidate_reproduces_value(monkeypatch):
     inst = SendovInstance(a=0.9, other_zeros=np.exp(1j * np.array([0.5, 2.0, 4.0])))
     rec = maximize("M_MINUS2", inst, SearchSettings(max_iterations=30))
-    refined = verify_candidate(rec)
-    assert refined == pytest.approx(rec.objective_value, rel=1e-6)
+    calls = []
+    solve = search.critical_points_batch
+    monkeypatch.setattr(search, "critical_points_batch", lambda zs, s: calls.append(s) or solve(zs, s))
+    # A candidate is re-scored in one solve at the tightened gate; the
+    # solver is deterministic, so its re-score is its zeros' own value.
+    assert verify_candidate(dataclasses.replace(rec, objective_value=1.5)) == rec.objective_value < 1.0
+    assert calls == [RootSolverSettings().tightened()]
+    # A value that is no candidate is returned as it is, with no solve.
+    assert verify_candidate(rec) == rec.objective_value
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("changes", [{"max_iterations": -1}])

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from schoenberg import sendov
-from schoenberg.errors import ConvergenceError, InvalidInputError
+from schoenberg import search, sendov
+from schoenberg.errors import InvalidInputError
 from schoenberg.inequalities import eval_order2, make_report
 from schoenberg.rootfind import RootSolverSettings, critical_points, critical_points_batch
 from schoenberg.sendov import (
@@ -219,37 +219,46 @@ def test_probe_batch_matches_single():
         assert rep.condition_holds == (inst.hypothesis_margin() >= 0)
 
 
-def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eigvals):
-    # No natural input has M_-2 > 1: the first solve is faked so that rows
-    # 1 and 4 read it (every distance 2), and later solves are real.
+def test_special_case_batch_makes_one_solve(monkeypatch):
+    # No natural input has M_-2 > 1: the solve is faked so that rows 1 and
+    # 4 read it (every distance 2).  The columns are that solve's, with no
+    # second solve of the candidates.
     a, _, full = disk_instances(167, 6, 5)
-    settings = RootSolverSettings()
-    want = special_case_batch(full, settings)
-    first = critical_points_batch(full, settings)
-    real = first.copy()
+    first = critical_points_batch(full, RootSolverSettings())
     first[[1, 4]] = a[[1, 4], np.newaxis] + 2.0
     calls = []
-
-    def solve(zs, s):
-        calls.append((zs, s))
-        return first if len(calls) == 1 else critical_points_batch(zs, s)
-
-    monkeypatch.setattr(sendov, "critical_points_batch", solve)
-    got = special_case_batch(full, settings)
-    assert len(calls) == 2
-    np.testing.assert_array_equal(calls[1][0], full[[1, 4]])
-    assert calls[1][1] == settings.tightened() and calls[1][1].tol_root == settings.tol_root / 100
-    for got_column, want_column in zip(got, want):
+    monkeypatch.setattr(sendov, "critical_points_batch", lambda zs, s: calls.append(s) or first)
+    got = special_case_batch(full)
+    assert calls == [RootSolverSettings()]
+    assert got.m_minus2[[1, 4]].tolist() == [2.0, 2.0]
+    for got_column, want_column in zip(got, sendov.distance_columns(full, first)):
         np.testing.assert_array_equal(got_column, want_column)
 
-    calls.clear()
-    nan_eigvals(1)  # the second candidate fails the tightened gate
-    with pytest.raises(ConvergenceError) as exc:
-        special_case_batch(full, settings)
-    assert len(calls) == 2
-    # The error names the caller's row 4, and its points are the caller's
-    # batch, with the candidate rows from the re-solve.
-    err = exc.value
-    assert err.rows.tolist() == [4]
-    assert err.best.shape == real.shape == (6, 4)
-    np.testing.assert_array_equal(np.delete(err.best, 4, axis=0), np.delete(real, 4, axis=0))
+
+def test_candidates_are_resolved_once_at_the_tightened_gate(monkeypatch, nan_eigvals):
+    # The rule re-scores only the finite values above 1 + 1e-6 (rows 0, 4
+    # and 6), in one solve at the tightened gate.  Every re-scored distance
+    # is faked to 2, so a candidate is confirmed unless it fails that gate,
+    # as row 6, the third row of the re-scored stack, does.
+    _, _, full = disk_instances(167, 7, 5)
+    settings = RootSolverSettings()
+    columns = sendov.distance_columns
+    monkeypatch.setattr(search, "distance_columns",
+                        lambda zs, w: columns(zs, w)._replace(m_minus2=np.full(len(zs), 2.0)))
+    calls = []
+    solve = search.critical_points_batch
+    monkeypatch.setattr(search, "critical_points_batch", lambda zs, s: calls.append((zs, s)) or solve(zs, s))
+    nan_eigvals(2)
+    values = [1.5, 0.5, math.inf, math.nan, 1.0 + 2e-6, 1.0 + 1e-7, 1.5]
+    confirmed, refined = search._confirmed("M_MINUS2", full, values, settings)
+    ((zs, s),) = calls
+    np.testing.assert_array_equal(zs, full[[0, 4, 6]])
+    assert s == settings.tightened() and s.tol_root == settings.tol_root / 100
+    assert confirmed.tolist() == [True, False, False, False, True, False, False]
+    np.testing.assert_array_equal(refined, [2.0, 0.5, math.inf, math.nan, 2.0, 1.0 + 1e-7, -math.inf])
+    assert values[0] == 1.5  # the caller's values are not written to
+
+    calls.clear()  # with no candidate, nothing is solved and nothing is confirmed
+    confirmed, refined = search._confirmed("M_MINUS2", full, [0.5, 1.0, 1.0 + 1e-6, -math.inf, 0, 0, 0], settings)
+    assert calls == [] and not confirmed.any()
+    assert refined.tolist() == [0.5, 1.0, 1.0 + 1e-6, -math.inf, 0, 0, 0]
