@@ -371,7 +371,7 @@ def cmd_verify(args) -> int:
         )
         m2_bad = int(_confirmed("M_MINUS2", zs, special.m_minus2, settings)[0].sum())
 
-    scale = max(1.0, float(np.max(np.abs(zeros))))
+    scale = float(np.max(np.abs(zeros)))  # the tolerance and the cluster radius are relative at every scale
     worst_cluster = int(np.max(cluster_sizes(spectrum.expected[0], 1e-6 * scale)))
     spectrum_tol = max(SPECTRUM_TOL, args.tol_root ** (1.0 / worst_cluster)) * scale
     extra.append(f"spectrum check: max pairing distance {distance:.3e} (tolerance {spectrum_tol:.1e})")

@@ -137,18 +137,26 @@ def centroid_residual(zeros):
     return float(res) if np.isscalar(res) or res.ndim == 0 else res
 
 
+def _unit_frame(z, *more) -> list:
+    """Complex ``z`` and ``more`` times the exact power of two that puts the largest |re| or |im| of each row of ``z`` in [1/2, 1)."""
+    z = np.ascontiguousarray(z)
+    e = -np.frexp(np.abs(z.view(float)).max(axis=-1, keepdims=True))[1]
+    return [np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex) for a in (z, *more)]
+
+
 def is_collinear(zeros, tol: float = 1e-10) -> bool:
     """True when all zeros lie on one straight line in the complex plane.
 
-    Checks that every ratio ``(z_j - z_0) / (z_ref - z_0)`` is real to
-    ``tol``, where ``z_ref`` is the point farthest from ``z_0``; a
+    Checks that every ratio ``(z_j - z_0) / (z_ref - z_0)``, taken in the zeros' ``_unit_frame`` so
+    alike at every scale, is real to ``tol``, where ``z_ref`` is the point farthest from ``z_0``; a
     configuration of coincident points counts as collinear.
     """
     z = as_zeros(zeros)
     if z.ndim != 1:
         raise InvalidInputError("is_collinear expects a single configuration")
+    (z,) = _unit_frame(z)
     d = z - z[0]
-    scale = np.max(np.abs(z)) or 1.0
+    scale = np.max(np.abs(z))
     ref = np.argmax(np.abs(d))
     if abs(d[ref]) <= tol * scale:
         return True

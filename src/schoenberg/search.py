@@ -17,7 +17,7 @@ The search maximizes either an inequality slack ratio lhs/rhs (how close
 a configuration comes to saturating a bound) or the M_{-2} power mean of
 a Sendov instance, by Nelder-Mead (Nelder & Mead 1965) over the
 real/imaginary parts of the zeros with projection back onto the
-constraint set.
+constraint set; a ratio is scored in its zeros' exact power-of-two frame.
 
 All starts of one search advance in lockstep, as rows of one stack of
 simplices.  One batched critical-point solve scores every start simplex;
@@ -49,7 +49,7 @@ import numpy as np
 from .config import DEFAULT_SEED, TOL_CENTER
 from .errors import ConvergenceError, InvalidInputError, RejectedStartError
 from .inequalities import CENTERED_IDS, evaluate_ensemble, lookup, row_reports
-from .poly import as_zeros, centroid_residual, recenter
+from .poly import _unit_frame, as_zeros, centroid_residual, recenter
 from .rootfind import RootSolverSettings, critical_points, critical_points_batch  # noqa: F401 (perfbench wraps search.critical_points)
 from .sendov import SendovInstance, distance_columns, special_case_reports
 
@@ -59,7 +59,6 @@ __all__ = [
     "sample_seed",
     "sample_one",
     "sample",
-    "sample_array",
     "SearchSettings",
     "SearchRecord",
     "maximize",
@@ -278,11 +277,6 @@ def sample(ensemble: Ensemble):
         yield sample_one(ensemble, i)
 
 
-def sample_array(ensemble: Ensemble) -> np.ndarray:
-    """All samples stacked as a (count, n) zeros array; a Sendov instance's row is ``inst.zeros()``."""
-    return _samples(ensemble, range(ensemble.count))[1]
-
-
 # ---------------------------------------------------------------------------
 # the objective: decode -> solve -> score over stacks of packed coordinates
 
@@ -310,9 +304,8 @@ class _Objective:
         return np.concatenate([zs[:, :1].real, x], axis=1) if self.sendov else x
 
     def decode(self, x) -> np.ndarray:
-        v = x[:, 1:] if self.sendov else x
-        v = v.reshape(x.shape[0], v.shape[1] // 2, 2)
-        z = v[..., 0] + 1j * v[..., 1]
+        """The (rows, n) zeros stack of packed coordinates: their (re, im) pairs viewed as complex, then projected or completed."""
+        z = np.ascontiguousarray(x[:, 1:] if self.sendov else x).view(complex)
         if self.sendov:
             a = np.clip(x[:, :1], 0.0, 1.0)
             return np.concatenate([a.astype(complex), z / np.maximum(1.0, np.abs(z))], axis=1)
@@ -321,7 +314,7 @@ class _Objective:
         return z
 
     def values(self, zs) -> np.ndarray:
-        """Objective values of a zeros stack from one solve; -inf where unsolved, undefined or not finite."""
+        """Values of a zeros stack from one solve, each ratio in its zeros' ``_unit_frame``; -inf where unsolved, undefined or not finite."""
         failed = None
         try:
             w = critical_points_batch(zs, self.solver)
@@ -339,11 +332,7 @@ class _Objective:
             f = distance_columns(zs, w).m_minus2
         else:
             with np.errstate(all="ignore"):
-                f = self._ratios(zs, w)
-                rows = (f == -np.inf).nonzero()[0]
-                if rows.size:  # sides out of range: score again, exactly scaled to a largest coordinate in [0.5, 1)
-                    e = np.frexp(np.abs(zs[rows].view(float)).max(axis=1))[1][:, np.newaxis]
-                    f[rows] = self._ratios(*(np.ldexp(a[rows].view(float), -e).view(complex) for a in (zs, w)))
+                f = self._ratios(*_unit_frame(zs, w))
         if failed is not None:
             f[failed] = -np.inf
         return f

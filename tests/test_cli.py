@@ -173,6 +173,17 @@ def test_verify_roots_of_unity(capsys):
     assert main(["verify", "--zeros", "1,0 0,1 -1,0 0,-1"]) == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_far_below_unit_scale_keeps_its_gates_relative(capsys):
+    # The spectrum tolerance scales with the largest |z|, and the triangle's
+    # S D S is not normal at 1e-300 as at unit scale.
+    assert main(["verify", "--zeros", "1e-300,0 -1e-300,0 0,1e-300"]) == 0
+    out, err = capsys.readouterr()
+    tolerance = float(re.search(r"\(tolerance (\S+)\)", out).group(1))
+    assert 0 < tolerance <= 1e-306
+    assert "collinear=False; normal(SDS)=False" in out and err == ""
+
+
 def test_verify_judges_centered_forms_on_the_recentered_zeros(capsys):
     # 1, 2, 3 recentered is exactly -1, 0, 1: the centered-only rows of the two tables agree.
     tables = []

@@ -15,7 +15,7 @@ from schoenberg.matrices import (
     trace_word,
     verify_spectrum,
 )
-from schoenberg.poly import recenter
+from schoenberg.poly import is_collinear, recenter
 from schoenberg.rootfind import match_multisets
 
 
@@ -173,6 +173,42 @@ def test_is_normal_examples():
     assert is_normal(np.diag([1.0, 2.0 + 3j, -1j]))
     assert is_normal(sds_matrix([1, 0, -1]))
     assert not is_normal(sds_matrix([1, 1j, -1 - 1j]))
+
+
+# (zeros, collinear): triangles, and lines on the real axis and off the origin.
+SHAPES = {
+    "triangle": ([1, -1, 1j], False),
+    "quadrilateral": ([1 + 0.5j, -1, 1j, 0.3 - 2j], False),
+    "real-line": ([1, -1, 3], True),
+    "tilted-line": ((1 + 2j) * np.array([1, -1, 3]) + (0.5 - 1j), True),
+}
+
+
+def scaled_shapes(z):
+    """``(k, 2**k z)`` for every k where the zeros stay finite, subnormal ones included."""
+    x = np.asarray(z, dtype=complex).view(float)
+    for k in range(-1074, 1024):
+        with np.errstate(over="ignore"):
+            zk = np.ldexp(x, k).view(complex)
+        if np.isfinite(zk).all():
+            yield k, zk
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z, collinear", SHAPES.values(), ids=SHAPES)
+def test_collinearity_tests_answer_the_same_at_every_scale(z, collinear):
+    # Both tests run in the power-of-two frame of their input.  Below the
+    # normal range S D S itself rounds to the subnormal grid, and that
+    # matrix is no longer normal to 1e-10: is_normal skips those scales.
+    assert is_collinear(z) == is_normal(sds_matrix(z)) == collinear
+    normal_scales = 0
+    for k, zk in scaled_shapes(z):
+        assert is_collinear(zk) == collinear, k
+        x = np.abs(zk.view(float))
+        if x[x > 0].min() >= np.finfo(float).tiny:
+            assert is_normal(sds_matrix(zk)) == collinear, k
+            normal_scales += 1
+    assert normal_scales > 2000
 
 
 def test_collinear_iff_sds_normal():

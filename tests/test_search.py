@@ -20,7 +20,6 @@ from schoenberg.search import (
     maximize,
     maximize_batch,
     sample,
-    sample_array,
     sample_one,
     sample_seed,
     verify_candidate,
@@ -165,7 +164,7 @@ def test_stacked_pcg64_states_equal_numpy(seeds):
 
 def test_uniform_disk_stays_in_disk():
     ens = Ensemble(kind="uniform-disk", n=8, count=50, seed=3)
-    zs = sample_array(ens)
+    zs = search._samples(ens, range(ens.count))[1]
     assert np.abs(zs).max() <= 1.0
 
 
@@ -186,7 +185,7 @@ def test_roots_of_unity_zero_perturbation_is_exact():
 
 def test_sendov_boundary_samples():
     ens = Ensemble(kind="sendov-boundary", n=5, count=20, seed=11)
-    zs = sample_array(ens)
+    zs = search._samples(ens, range(ens.count))[1]
     # Each row is the a-first zeros of the sampled instance.
     np.testing.assert_array_equal(zs, [inst.zeros() for inst in sample(ens)])
     a_vals, others = zs[:, 0], zs[:, 1:]
@@ -376,6 +375,37 @@ def test_encode_and_decode_invert_each_other_on_stacks(objective):
         free = row[1:] if objective == "M_MINUS2" else row[:-1] if obj.centered else row
         head = [row[0].real] if objective == "M_MINUS2" else []
         assert packed.tobytes() == np.concatenate([head, np.column_stack([free.real, free.imag]).ravel()]).tobytes()
+
+
+@pytest.mark.parametrize("objective", ["S", "KT"])
+def test_decode_keeps_the_sign_of_a_zero_coordinate(objective):
+    # The packed (re, im) pairs are viewed as complex, so -0.0 decodes as -0.0.
+    obj = search._Objective(objective, 3, RootSolverSettings())
+    z = obj.decode(np.array([[-0.0, 0.5, 0.25, -0.0] + ([] if obj.centered else [0.5, 0.5])]))[0]
+    assert np.signbit(z[0].real) and not np.signbit(z[0].imag)
+    assert np.signbit(z[1].imag) and not np.signbit(z[1].real)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("objective", ["KT", "S", "LXZ(2.5)"])
+def test_values_score_each_ratio_row_once(monkeypatch, objective):
+    # A row scaled by 2**600 has sides far out of range unless it is scored
+    # in its power-of-two frame; every row is scored there, in one call.
+    obj = search._Objective(objective, 6, RootSolverSettings())
+    _, zs = search._samples(Ensemble(kind="uniform-disk", n=6, count=1, seed=77, recenter=True), range(1))
+    zs = np.concatenate([zs, np.ldexp(zs.view(float), 600).view(complex)])
+    solo = [obj.values(z[np.newaxis])[0] for z in zs]
+    calls = []
+    ratios = search._Objective._ratios
+
+    def counting(self, zs, w):
+        calls.append(len(zs))
+        return ratios(self, zs, w)
+
+    monkeypatch.setattr(search._Objective, "_ratios", counting)
+    values = obj.values(zs)
+    assert calls == [2]
+    assert np.isfinite(values).all() and values.tolist() == solo and values[0] == values[1]
 
 
 def test_failed_row_scores_minus_inf_and_leaves_batch_mates_alone(monkeypatch, nan_eigvals):

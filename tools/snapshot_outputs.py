@@ -112,6 +112,10 @@ COMMANDS = (
      ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6", "--format", "csv"), True),
     ("verify_scaled", ("verify", "--zeros", "3e6,1e6 -2e6,0 0,-4e6", "--format", "jsonl"), True),
     ("verify_hit_jsonl", ("verify", "--zeros", "0.5,0 0.5,0", "--a", "0.5", "--format", "jsonl"), True),
+    # Far below unit scale: the spectrum tolerance and the collinearity
+    # and normality tests must answer as they do at unit scale.
+    ("verify_tiny_triangle", ("verify", "--zeros", "1e-300,0 -1e-300,0 0,1e-300"), False),
+    ("verify_tiny_line", ("verify", "--zeros", "1e-300,0 -1e-300,0 3e-300,0"), False),
 )
 
 
