@@ -59,7 +59,7 @@ from .inequalities import (
     starstar_trace_oracle,
 )
 from .matrices import is_normal, sds_matrix, verify_spectrum
-from .poly import as_zeros, centroid_residual, is_collinear
+from .poly import _unit_frame, as_zeros, centroid_residual, is_collinear
 from .rootfind import RootSolverSettings, cluster_sizes
 from .search import (
     ENSEMBLE_KINDS,
@@ -377,7 +377,7 @@ def cmd_verify(args) -> int:
     extra.append(f"spectrum check: max pairing distance {distance:.3e} (tolerance {spectrum_tol:.1e})")
     extra.append(
         f"centroid residual {centroid_residual(zeros):.3e}; "
-        f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(zeros))}"
+        f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(_unit_frame(zeros)[0]))}"
     )
     _verify_output(args, zeros, reports, extra, a)
     if m2_bad:
@@ -430,11 +430,9 @@ def cmd_oracle(args) -> int:
         raise InvalidInputError(f"oracle supports n in 2..10, got {args.n}")
     ens = Ensemble(kind="uniform-disk", n=args.n, count=args.samples, seed=args.seed, recenter=True)
     settings = RootSolverSettings(tol_root=args.tol_root)
-    trace_worst = spec_worst = None  # each check's (deviation, normalized zeros) of its worst row so far
+    trace_worst = spec_worst = None  # each check's (deviation, zeros in their _unit_frame) of its worst row so far
     for _seeds, zs in _chunks(args.samples, lambda indices: _samples(ens, indices)):
-        scale = np.abs(zs).max(axis=1)
-        scale[scale == 0] = 1.0
-        zs = zs / scale[:, np.newaxis]
+        (zs,) = _unit_frame(zs)
         star_closed, starstar_closed = order6_bounds(zs)
         trace_dev = np.maximum(np.abs(star_trace_oracle(zs) - star_closed),
                                np.abs(starstar_trace_oracle(zs) - starstar_closed))

@@ -11,8 +11,8 @@ of use.  Two are set per call, and these constants are only their defaults:
 # max(1, root bound)^degree times the leading coefficient.
 TOL_ROOT = 1e-9
 
-# Centroid residual |sum z| / max(1, max |z|) below which a configuration
-# counts as centered.
+# Centroid residual |sum z| / max |z| (taken in the zeros' exact power-of-two
+# frame, 0 for all-zero zeros) below which a configuration counts as centered.
 TOL_CENTER = 1e-10
 
 # Relative tolerance for the holds/equality flags of inequality reports.

@@ -154,9 +154,9 @@ def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> Spectr
     the eigenvalues of Q^T D Q, as the critical-point solver returns them;
     the ``verify`` command reads its critical points from there.
     The expected side is 0 plus one batched Aberth solve of p' for the
-    normalized zeros u = (z - c) / s (whose coefficients stay bounded at
-    any scale), mapped back as c + s r.  The report carries each
-    configuration's greedy multiset-pairing distance between the sides.
+    critical-point solver's normalized zeros u = (z - c) / s (whose coefficients
+    stay bounded at any scale, subnormal s too), mapped back as c + s r.  The report
+    carries each configuration's greedy multiset-pairing distance between the sides.
     Its solves and the pairing run in row blocks of the element budget of
     ``rootfind``, so a large stack does not grow their work arrays.
     """

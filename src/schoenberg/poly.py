@@ -126,15 +126,15 @@ def recenter(zeros) -> np.ndarray:
 
 
 def centroid_residual(zeros):
-    """Scaled centroid magnitude ``|sum z| / max(1, max |z|)``.
+    """Scaled centroid magnitude ``|sum z| / max |z|``, 0 for all-zero zeros.
 
-    Gate for the inequalities that assume a centered configuration: values
-    at or below ``config.TOL_CENTER`` count as centered.
+    Taken in the zeros' ``_unit_frame``, so it is the same at every scale.  Gate for the inequalities
+    that assume a centered configuration: values at or below ``config.TOL_CENTER`` count as centered.
     """
-    z = as_zeros(zeros)
-    scale = np.maximum(1.0, np.max(np.abs(z), axis=-1))
-    res = np.abs(np.sum(z, axis=-1)) / scale
-    return float(res) if np.isscalar(res) or res.ndim == 0 else res
+    (u,) = _unit_frame(as_zeros(zeros))
+    size = np.max(np.abs(u), axis=-1)
+    res = np.divide(np.abs(np.sum(u, axis=-1)), size, out=np.zeros_like(size), where=size > 0)
+    return float(res) if res.ndim == 0 else res
 
 
 def _unit_frame(z, *more) -> list:

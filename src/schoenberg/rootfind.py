@@ -4,9 +4,9 @@ The critical points of p(z) = prod (z - z_j) are the spectrum of the
 compression Q^T diag(z) Q, Q an orthonormal basis of the complement of
 the all-ones vector (Pereira 2003; Malamud 2005).
 :func:`critical_points_batch` takes LAPACK's eigenvalues w for the zeros
-normalized to u = (z - c) / s (c the centroid, s = max |z - c|) and
-returns c + s w.  It forms no coefficients of p', so nothing overflows,
-and needs no starting points or retries.  LAPACK's zgeev is called
+normalized to u = (z - c) / s (c the centroid, s = max |z - c|, divided out
+at its exact power of two first) and returns c + s w.  It forms no coefficients
+of p', so nothing overflows, and needs no starting points or retries.  LAPACK's zgeev is called
 directly, through the numpy gufunc behind ``np.linalg.eigvals``
 (:func:`_eigvals`): a matrix it cannot converge leaves NaN points in its
 own row, which then fails the gate, while its batch mates are solved as
@@ -19,9 +19,9 @@ from which the snap onto repeated zeros bounds each point's distance to them.
 :func:`find_roots_batch` solves general polynomials, and is the
 independent side of ``matrices.verify_spectrum``, by Aberth-Ehrlich
 iteration on all roots at once: initialized on a circle just outside the
-Cauchy root bound, turned by a fixed angular offset drawn from
-``DEFAULT_SEED`` (to break the symmetry of configurations like roots of
-unity), followed by a short Newton polish.
+Cauchy root bound, turned by the fixed angle ``_START_ANGLE`` (to break
+the symmetry of configurations like roots of unity), followed by a short
+Newton polish.
 A cluster of m roots gets the usual reduced accuracy tol**(1/m); an
 exactly zero low-order coefficient block is split off first (lossless).
 
@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .config import DEFAULT_SEED, TOL_ROOT
+from .config import TOL_ROOT
 from .errors import ConvergenceError, InvalidInputError
 from .poly import as_zeros
 
@@ -64,6 +64,8 @@ _EPS = float(np.finfo(float).eps)
 # Aberth iteration budget, and the start radius over the Cauchy bound.
 _MAX_ITERATIONS = 250
 _INITIAL_RADIUS_FACTOR = 0.25
+# The Aberth start angle of every batch (batch == single), once drawn as Generator(PCG64(DEFAULT_SEED)).uniform(0, 2 pi).
+_START_ANGLE = 0.19315786872807164
 # Elements of each (rows, k, k) work array of one kernel call: 2**14
 # complex values are 256 KiB, whatever the degree k.
 _BUDGET = 1 << 14
@@ -161,10 +163,7 @@ def residual_scale(coeffs):
 def _initial_estimates(coeffs):
     d = coeffs.shape[1] - 1
     radius = (1.0 + _INITIAL_RADIUS_FACTOR) * np.maximum(_cauchy_bound(coeffs), 1e-3)
-    # One global start angle, independent of the batch: batch == single.
-    # (Drawn here, not at import, which would load numpy.random eagerly.)
-    offset = np.random.Generator(np.random.PCG64(DEFAULT_SEED)).uniform(0.0, 2.0 * np.pi)
-    angles = 2.0 * np.pi * np.arange(d) / d + offset
+    angles = 2.0 * np.pi * np.arange(d) / d + _START_ANGLE
     return radius[:, np.newaxis] * np.exp(1j * angles)[np.newaxis, :]
 
 
@@ -293,12 +292,11 @@ def find_roots(coeffs, settings: RootSolverSettings | None = None):
 def critical_points(zeros, settings: RootSolverSettings | None = None):
     """Critical points (zeros of p') of the monic polynomial with given zeros.
 
-    Returns exactly n - 1 points with multiplicity.  With u = (z - c) / s
-    the normalized zeros and f(x) = sum 1/(x - u_j) = p'(x)/p(x), each
-    point w passes the backward-error gate ``|f(w)| / sum |w - u_j|**-2 <=
-    tol_root``: to first order, w is a critical point of zeros within
-    ``tol_root * s`` of z.  The error is 0 where w equals a zero, then a
-    repeated one.  This is :func:`critical_points_batch` on a batch of one.
+    Returns exactly n - 1 points with multiplicity.  With u = (z - c) / s the normalized zeros
+    (finite wherever c and s are, subnormal s too) and f(x) = sum 1/(x - u_j) = p'(x)/p(x), each
+    point w passes the backward-error gate ``|f(w)| / sum |w - u_j|**-2 <= tol_root``: to first order,
+    w is a critical point of zeros within ``tol_root * s`` of z.  The error is 0 where w equals a zero,
+    then a repeated one.  This is :func:`critical_points_batch` on a batch of one.
     """
     settings = settings or DEFAULT_SETTINGS
     z = as_zeros(zeros)
@@ -368,13 +366,15 @@ def _complex_basis(n: int) -> np.ndarray:
 
 
 def _normalize(z):
-    """Centroid c, radius s = max |z - c| (1 if 0) and u = (z - c) / s of a (b, n) stack; s is not finite if they overflow."""
+    """Centroid c, radius s = max |z - c| and u = (z - c) / s of a (b, n) stack; s is not finite if they overflow.
+
+    With s = m 2**e, m in [1/2, 1), u is ldexp(z - c, -e) / m: no 1/s of a subnormal s overflows.
+    """
     c = np.add.reduce(z, axis=1, keepdims=True) / z.shape[1]
-    d = z - c
+    d = np.subtract(z, c, order="C")
     s = np.maximum.reduce(np.abs(d), axis=1, keepdims=True)
-    if not np.minimum.reduce(s, axis=None, initial=np.inf) > 0:  # some s is 0 (or NaN)
-        s[s == 0] = 1.0
-    return c, s, d / s
+    m, e = np.frexp(s)  # m = 0 where s = 0: u is 0 there, and c + s w is c
+    return c, s, np.ldexp(d.view(float), -e).view(complex) / np.maximum(m, 0.5)
 
 
 def _backward_error(u, w, newton=True):

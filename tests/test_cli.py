@@ -20,6 +20,7 @@ from schoenberg.config import DEFAULT_SEED
 from schoenberg.errors import ConvergenceError
 from schoenberg.cli import main
 from schoenberg.inequalities import CENTERED_IDS, full_report, make_report
+from schoenberg.poly import _unit_frame
 from schoenberg.search import Ensemble, SearchRecord, SearchSettings, maximize, sample_one, sample_seed
 from schoenberg.sendov import SendovInstance, check_special_case
 
@@ -182,6 +183,25 @@ def test_verify_far_below_unit_scale_keeps_its_gates_relative(capsys):
     tolerance = float(re.search(r"\(tolerance (\S+)\)", out).group(1))
     assert 0 < tolerance <= 1e-306
     assert "collinear=False; normal(SDS)=False" in out and err == ""
+
+
+def test_verify_at_subnormal_scale_prints_only_its_table(capfd):
+    # The solver divides by the radius at its power of two, so LAPACK never
+    # sees a NaN matrix and writes nothing to file descriptor 1.
+    assert main(["verify", "--zeros", "1e-310,0 -1e-310,0 0,1e-310"]) == 0
+    out, err = capfd.readouterr()
+    assert err == "" and "** On entry to" not in out
+    assert out.startswith("spectrum check: max pairing distance 0.000e+00")
+    assert "centroid residual 1.000e+00; collinear=False; normal(SDS)=False" in out
+
+
+def test_verify_judges_a_subnormal_line_normal(capsys):
+    # S D S is built in the zeros' frame, so it is not rounded to the subnormal grid.
+    line = np.array([1.0, -1.0, 3.0])
+    for k in range(-1074, -1040):
+        assert main(["verify", "--zeros", " ".join(f"{x!r},0" for x in np.ldexp(line, k).tolist())]) == 0, k
+        out = capsys.readouterr().out
+        assert "collinear=True; normal(SDS)=True" in out, k
 
 
 def test_verify_judges_centered_forms_on_the_recentered_zeros(capsys):
@@ -395,7 +415,7 @@ def test_oracle_names_the_worst_row_over_all_chunks(bumps, worst_row, monkeypatc
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     code, captured = outputs[0]
     zs = search._samples(Ensemble(kind="uniform-disk", n=5, count=12, recenter=True), range(12))[1]
-    row = zs[worst_row] / np.abs(zs[worst_row]).max()
+    (row,) = _unit_frame(zs[worst_row])
     assert code == 1
     assert captured.err == f"worst trace config: {cli._pairs(row)}\n"
 
@@ -834,6 +854,16 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert done.stdout.strip() == "False"
+
+
+def test_verify_leaves_numpy_random_unloaded():
+    # The solvers draw nothing: the Aberth start angle is a constant.
+    code = ("import sys; import schoenberg.cli as cli; "
+            "assert cli.main(['verify', '--zeros', '1,0 -1,0 0,1']) == 0; print('numpy.random' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_hypothesis_filter_stops_at_its_draw_cap(tmp_path, monkeypatch, capsys):

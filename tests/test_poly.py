@@ -16,6 +16,7 @@ from schoenberg.poly import (
     polyval,
     recenter,
 )
+from schoenberg.search import maximize
 
 
 def convolution_coeffs(roots):
@@ -146,6 +147,18 @@ def test_centroid_residual_examples():
     assert centroid_residual([1, -1]) == 0.0
     assert centroid_residual([1, 0, 0]) == pytest.approx(1.0)
     assert centroid_residual([2, 2j, -2, -2j]) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_centroid_residual_is_relative_below_unit_size():
+    # The centroid of 1e-12 * [1, -1, 1j, 2] is 0.28 times the largest |z|,
+    # so it is not centered; a max(1, max|z|) scale read 2.2e-12 here.
+    z = 1e-12 * np.array([1, -1, 1j, 2])
+    assert centroid_residual(z) == pytest.approx(np.sqrt(5) / 2, rel=1e-15)
+    with pytest.raises(InvalidInputError, match="requires centered starts"):
+        maximize("KT", z)
+    # The same bits wherever 2**k z is exact, while its coordinates stay normal numbers.
+    for k in range(-982, 1063):  # 1e-12 is in [2**-40, 2**-39), and 2e-12 in [2**-39, 2**-38)
+        assert centroid_residual(np.ldexp(z.view(float), k).view(complex)) == centroid_residual(z)
 
 
 def test_is_collinear():

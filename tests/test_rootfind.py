@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from schoenberg import rootfind
+from schoenberg.config import DEFAULT_SEED
 from schoenberg.errors import ConvergenceError, InvalidInputError
 from schoenberg.matrices import verify_spectrum
 from schoenberg.poly import derivative, elementary_symmetric_all, from_roots, polyval
@@ -419,6 +420,10 @@ def test_batch_equals_single_bit_for_bit(n, rows, seed):
         np.testing.assert_array_equal(critical_points_batch(z), w)
     for i in range(rows):
         np.testing.assert_array_equal(critical_points(z[i]), w[i])
+
+
+def test_start_angle_is_the_seeded_draw():
+    assert rootfind._START_ANGLE == np.random.Generator(np.random.PCG64(DEFAULT_SEED)).uniform(0.0, 2.0 * np.pi)
 
 
 # The kernel as it stood before its one-pass rewrite: the executable spec
