@@ -356,10 +356,9 @@ def cmd_verify(args) -> int:
 
     settings = RootSolverSettings(tol_root=args.tol_root)
     zs = (as_zeros(zeros) if a is None else SendovInstance(a=float(a), other_zeros=zeros).zeros())[np.newaxis]
-    # One solve of p': the suite and C1/C2 read the critical points from the
-    # spectrum check's matrix side, after its exact 0.
+    # One solve of p': the suite and C1/C2 read the spectrum check's solver side, after its exact 0.
     spectrum = verify_spectrum(zs, settings)
-    zeros, w, distance = zs[0], spectrum.matrix_eigenvalues[:, 1:], float(spectrum.max_pair_distance[0])
+    zeros, w, distance = zs[0], spectrum.expected[:, 1:], float(spectrum.max_pair_distance[0])
     reports = next(row_reports(_suite_columns(zs, w, settings), args.tol_eq))
     extra, m2_bad = [], 0
     if a is not None:
@@ -371,9 +370,9 @@ def cmd_verify(args) -> int:
         )
         m2_bad = int(_confirmed("M_MINUS2", zs, special.m_minus2, settings)[0].sum())
 
-    scale = float(np.max(np.abs(zeros)))  # the tolerance and the cluster radius are relative at every scale
+    scale = float(np.max(np.abs(zeros)))  # the tolerance (never under one step) and the cluster radius are relative
     worst_cluster = int(np.max(cluster_sizes(spectrum.expected[0], 1e-6 * scale)))
-    spectrum_tol = max(SPECTRUM_TOL, args.tol_root ** (1.0 / worst_cluster)) * scale
+    spectrum_tol = max(max(SPECTRUM_TOL, args.tol_root ** (1.0 / worst_cluster)) * scale, np.spacing(scale))
     extra.append(f"spectrum check: max pairing distance {distance:.3e} (tolerance {spectrum_tol:.1e})")
     extra.append(
         f"centroid residual {centroid_residual(zeros):.3e}; "
@@ -382,7 +381,7 @@ def cmd_verify(args) -> int:
     _verify_output(args, zeros, reports, extra, a)
     if m2_bad:
         print(f"M_MINUS2 candidates above 1: {m2_bad}", file=sys.stderr)
-    if distance > spectrum_tol:
+    if not distance <= spectrum_tol:  # NaN where LAPACK did not converge on D S
         print("numeric-consistency failure: companion spectrum mismatch", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if all(r.holds for r in reports) and not m2_bad else EXIT_VIOLATION

@@ -11,9 +11,9 @@ them and then works slice by slice on (b, n, n) stacks; a single
 configuration is a stack of one.  With S = Q Q^T for an orthonormal
 basis Q of the complement of the all-ones vector, spec(D S) is
 spec(Q^T D Q) union {0}, and ``rootfind.critical_points_batch`` computes
-the critical points as exactly those compression eigenvalues.  The
-spectrum check therefore compares them against an independent method:
-Aberth iteration on the coefficients of p'.
+the critical points as exactly those compression eigenvalues, polished,
+snapped and gated.  The spectrum check compares them with the raw
+eigenvalues of the n x n matrix D S itself.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .poly import _unit_frame, as_zeros, derivative, from_roots
-from .rootfind import RootSolverSettings, _normalize, critical_points_batch, find_roots, find_roots_batch, match_multisets_batch
+from .poly import _unit_frame, as_zeros
+from .rootfind import RootSolverSettings, _eigvals, _in_blocks, _normalize, critical_points_batch, find_roots, match_multisets_batch
 
 __all__ = [
     "build_S",
@@ -136,7 +136,7 @@ def eigenvalues(matrix, settings: RootSolverSettings | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class SpectrumComparison:
-    """Eigenvalues of D S against {0} union the critical points.
+    """``matrix_eigenvalues`` of D S against ``expected``, {0} union the solver's critical points.
 
     For a (b, n) stack the fields are (b, n), (b, n) and (b,) arrays; for
     a single configuration (n,), (n,) and a float.
@@ -150,22 +150,23 @@ class SpectrumComparison:
 def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> SpectrumComparison:
     """Check that D(I - J/n) has spectrum {0} union the critical points.
 
-    Takes one configuration or a (b, n) stack.  The matrix side is 0 plus
-    the eigenvalues of Q^T D Q, as the critical-point solver returns them;
-    the ``verify`` command reads its critical points from there.
-    The expected side is 0 plus one batched Aberth solve of p' for the
-    critical-point solver's normalized zeros u = (z - c) / s (whose coefficients
-    stay bounded at any scale, subnormal s too), mapped back as c + s r.  The report
-    carries each configuration's greedy multiset-pairing distance between the sides.
-    Its solves and the pairing run in row blocks of the element budget of
-    ``rootfind``, so a large stack does not grow their work arrays.
+    Takes one configuration or a (b, n) stack.  The expected side is 0 plus the points of
+    ``critical_points_batch``, where the ``verify`` command reads them.  The matrix side is LAPACK's
+    eigenvalues of D S for the solver's normalized zeros u = (z - c) / s plus 2: 0 and the critical
+    points of u plus 2, all of modulus at least 1 as |u| <= 1.  The least is the structural 0, dropped,
+    and the rest map back as c + s (x - 2); unshifted, a critical point at 0 (zeros z and -z) would form
+    a Jordan block with it and lose half its digits.  The report carries each configuration's greedy
+    multiset-pairing distance between the sides.  The solves and the pairing run in row blocks of the
+    element budget of ``rootfind``, so a large stack does not grow their work arrays.
     """
     z = _configurations(zeros)
     stack = z if z.ndim == 2 else z[np.newaxis, :]
     zero = np.zeros((stack.shape[0], 1), dtype=complex)
-    eigs = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)
+    expected = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)  # first: a row that overflows fails the solver's gate
     c, s, u = _normalize(stack)
-    expected = np.concatenate([zero, c + s * find_roots_batch(derivative(from_roots(u)), settings)], axis=1)
+    x = _in_blocks(lambda block: _eigvals(build_D(block + 2) @ build_S(block.shape[1])), stack.shape[1], u)
+    x = np.take_along_axis(x, np.argsort(np.abs(x), axis=1)[:, 1:], axis=1)
+    eigs = np.concatenate([zero, c + s * (x - 2)], axis=1)
     distance = match_multisets_batch(eigs, expected)
     if z.ndim == 1:
         return SpectrumComparison(eigs[0], expected[0], float(distance[0]))

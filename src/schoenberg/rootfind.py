@@ -16,8 +16,8 @@ the backward error |f(w)| / sum |w - u_j|^-2, which must pass ``tol_root``.
 One pass over the w - u_j gives the error, the step and that denominator,
 from which the snap onto repeated zeros bounds each point's distance to them.
 
-:func:`find_roots_batch` solves general polynomials, and is the
-independent side of ``matrices.verify_spectrum``, by Aberth-Ehrlich
+:func:`find_roots_batch` solves general polynomials from their coefficients
+(``matrices.eigenvalues`` of characteristic polynomials) by Aberth-Ehrlich
 iteration on all roots at once: initialized on a circle just outside the
 Cauchy root bound, turned by the fixed angle ``_START_ANGLE`` (to break
 the symmetry of configurations like roots of unity), followed by a short

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schoenberg import cli, rootfind, search, sendov
+from schoenberg import cli, matrices, rootfind, search, sendov
 from schoenberg.config import DEFAULT_SEED
 from schoenberg.errors import ConvergenceError
 from schoenberg.cli import main
@@ -122,6 +122,15 @@ def test_verify_spectrum_mismatch_is_a_numeric_error(monkeypatch, capsys):
     assert main(["verify", "--zeros", "1,0 0,1 -1,0"]) == 2
     out, err = capsys.readouterr()
     assert "spectrum check: max pairing distance 1.000e+00" in out
+    assert err == "numeric-consistency failure: companion spectrum mismatch\n"
+
+
+def test_verify_nan_spectrum_distance_is_a_numeric_error(monkeypatch, capsys):
+    # NaN is the distance of a D S that LAPACK does not converge on.
+    monkeypatch.setattr(matrices, "_eigvals", lambda m: np.full(m.shape[:-1], np.nan, dtype=complex))
+    assert main(["verify", "--zeros", "1,0 0,1 -1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert "spectrum check: max pairing distance nan " in out
     assert err == "numeric-consistency failure: companion spectrum mismatch\n"
 
 
@@ -238,8 +247,8 @@ def test_verify_out_writes_the_printed_table_and_the_report_csv(zeros, extra, tm
 ], ids=["sendov", "plain"])
 def test_verify_solves_its_configuration_once(argv, monkeypatch, capsys):
     # One compression solve of the zeros serves the suite, C1/C2 and the
-    # spectrum check; the other is of the recentered copy.  Aberth on p' is
-    # the spectrum check's independent side.
+    # spectrum check; the other is of the recentered copy.  The spectrum
+    # check's other side is D S's eigenvalues, not a root solve.
     calls = []
     for name in ("critical_points_batch", "find_roots_batch"):
         original = getattr(rootfind, name)
@@ -252,7 +261,7 @@ def test_verify_solves_its_configuration_once(argv, monkeypatch, capsys):
             if module.__name__.startswith("schoenberg") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     assert main(["verify", *argv]) == 0
-    assert sorted(calls) == ["critical_points_batch", "critical_points_batch", "find_roots_batch"]
+    assert sorted(calls) == ["critical_points_batch", "critical_points_batch"]
 
 
 def test_verify_sendov_instance(capsys):

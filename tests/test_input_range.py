@@ -8,7 +8,7 @@ spacing 1e-4, 1e-8 or 1e-12, or onto one repeated zero.  k runs from where the l
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schoenberg import search
@@ -78,37 +78,32 @@ def _assert_only_the_table(out):
     assert all(len(line.split()) == 7 for line in lines[3:])
 
 
-# The exit-2 diagnostics this range still reaches, both from the spectrum
-# check: its independent side, the Aberth solve of the coefficients of p',
-# or its tolerance (FOUND lines in CHANGES.md; the repros below).
-SPECTRUM_SIDE = ("numeric-consistency failure: companion spectrum mismatch\n", "numeric error: root iteration residual ")
 CLI_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _verify(z, capfd):
+def _assert_verify_exits_0(zeros, capfd):
     capfd.readouterr()
-    code = main(["verify", "--zeros", _zeros_text(z)])
+    code = main(["verify", "--zeros", zeros])
     out, err = capfd.readouterr()  # capfd also sees what LAPACK writes to file descriptor 1
+    assert (code, err) == (0, "")
     _assert_only_the_table(out)
-    return code, err
 
 
 # At n = 64, LOGMAJ products overflow from about 2**16, so the CLI half stops at unit size.
 @CLI_SETTINGS
 @given(z=scaled_shapes(top=0))
-def test_verify_prints_only_its_table_up_to_unit_size(z, capfd):
-    code, err = _verify(z, capfd)
-    # The critical-point solver never fails, and nothing raw is printed.
-    assert err == "" or (err.startswith(SPECTRUM_SIDE) and err.count("\n") == 1)
-    assert code == (2 if err else 0)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND: the spectrum check's independent side, repros below")
-@pytest.mark.filterwarnings("ignore::DeprecationWarning:libcst")  # hypothesis's plugin imports libcst to report the failing draw
-@settings(CLI_SETTINGS, phases=[Phase.generate])  # the first failing draw, unshrunk
-@given(z=scaled_shapes(top=0))
 def test_verify_exits_0_up_to_unit_size(z, capfd):
-    assert _verify(z, capfd) == (0, "")
+    _assert_verify_exits_0(_zeros_text(z), capfd)
+
+
+def test_verify_exits_0_on_high_degree_ensemble_draws(capfd):
+    # The 34 draws of samples 0..4 of Ensemble(seed=0) at n in {8, 16, 24, 33, 40, 48, 56, 64} that a
+    # spectrum check by Aberth on the coefficients of p' failed.
+    draws = [("collinear", 33, [1]), ("collinear", 40, [1, 3]), ("sendov-boundary", 64, [0])]
+    draws += [(kind, n, range(5)) for kind in ("collinear", "roots-of-unity-perturbed") for n in (48, 56, 64)]
+    for kind, n, indices in draws:
+        for z in search._samples(Ensemble(kind=kind, n=n, count=5, seed=0), indices)[1]:
+            _assert_verify_exits_0(_zeros_text(z), capfd)
 
 
 @pytest.mark.parametrize("zeros", [
@@ -116,26 +111,14 @@ def test_verify_exits_0_up_to_unit_size(z, capfd):
                  marks=pytest.mark.xfail(strict=True, raises=(AssertionError, RuntimeWarning), reason=OPEN_NOTE)),
     pytest.param(_zeros_text(1e150 * np.exp(2j * np.pi * np.arange(64) / 64)), id="1e150-roots-of-unity-64",
                  marks=pytest.mark.xfail(strict=True, raises=(AssertionError, RuntimeWarning), reason=OPEN_NOTE)),
-    # Aberth splits the 4-fold critical point at 1 into a ring of radius
-    # about eps**(1/4), wider than the 1e-6 cluster radius that would widen
-    # the tolerance.
-    pytest.param("1,0 1,0 1,0 1,0 1,0 -1,0 0,1 0,-1", id="five-fold-zero",
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND: spectrum check, repeated zero")),
-    # The coefficients of p' of 40 zeros on a line are ill-conditioned.
-    pytest.param(_zeros_text(np.arange(40) / 40), id="line-of-40",
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND: spectrum check, high degree")),
-    # The centroid of 35 zeros at 0.1 rounds off 0.1, so u is 35 copies of
-    # 1, and Aberth starts p' = 35 (x - 1)**34 on a circle of radius about
-    # 3e9, where its evaluation overflows.
-    pytest.param(" ".join(["0.1,0"] * 35), id="35-coincident-zeros",
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND: spectrum check, coincident zeros")),
-    # The tolerance, 1e-7 max |z|, is under one subnormal step below about
-    # 5e-317: here it is 0, and the pairing distance one step.
-    pytest.param("-1.5e-323,2e-323 1e-323,-3e-323", id="subnormal-tolerance",
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND: spectrum tolerance underflows")),
+    # A zero of multiplicity 5: a 4-fold critical point at 1, semisimple in D S (eigenvectors e_i - e_j).
+    pytest.param("1,0 1,0 1,0 1,0 1,0 -1,0 0,1 0,-1", id="five-fold-zero"),
+    # The coefficients of p' of 40 zeros on a line are ill-conditioned; D S's eigenvalues are not.
+    pytest.param(_zeros_text(np.arange(40) / 40), id="line-of-40"),
+    # The centroid of 35 zeros at 0.1 rounds off 0.1, so u is 35 copies of 1.
+    pytest.param(" ".join(["0.1,0"] * 35), id="35-coincident-zeros"),
+    # 1e-7 max |z| rounds to 0 here; the tolerance is one subnormal step, the pairing distance.
+    pytest.param("-1.5e-323,2e-323 1e-323,-3e-323", id="subnormal-tolerance"),
 ])
 def test_verify_exits_0_with_only_its_table(zeros, capfd):
-    code = main(["verify", "--zeros", zeros])
-    out, err = capfd.readouterr()
-    assert (code, err) == (0, "")
-    _assert_only_the_table(out)
+    _assert_verify_exits_0(zeros, capfd)

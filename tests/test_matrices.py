@@ -118,7 +118,9 @@ def test_verify_spectrum_examples():
     assert cmp2.max_pair_distance <= 1e-12
     np.testing.assert_allclose(np.sort_complex(cmp2.expected), [0, 0], atol=1e-15)
 
-    # roots of unity: DS is nilpotent, zp'(z) = 4z^4; cluster tolerance applies
+    # roots of unity: zp'(z) = 4z^4, and the 3-fold critical point 0 is a
+    # Jordan block of D S, its eigenvalues split by about eps**(1/3); the
+    # cluster tolerance applies
     cmp4 = verify_spectrum([1, 1j, -1, -1j])
     assert cmp4.max_pair_distance <= 1e-9 ** (1 / 4)
 
@@ -148,6 +150,16 @@ def test_spectrum_check_does_not_share_the_root_solver(monkeypatch):
     # along and the distance would stay at round-off.
     solve = matrices.critical_points_batch
     monkeypatch.setattr(matrices, "critical_points_batch", lambda *a, **k: solve(*a, **k) * (1 + 1e-3))
+    assert verify_spectrum([1, 2, 3j, -1 - 1j]).max_pair_distance >= 1e-4
+    z = random_configs(np.random.default_rng(77), 20, 6)
+    assert np.all(verify_spectrum(z).max_pair_distance >= 1e-4)
+
+
+def test_spectrum_check_does_not_share_the_compression_eigenvalues(monkeypatch):
+    # Scale every eigenvalue of D S by 1 + 1e-3.  The critical-point solver
+    # binds LAPACK of its own, so only the matrix side moves.
+    eigvals = matrices._eigvals
+    monkeypatch.setattr(matrices, "_eigvals", lambda m: eigvals(m) * (1 + 1e-3))
     assert verify_spectrum([1, 2, 3j, -1 - 1j]).max_pair_distance >= 1e-4
     z = random_configs(np.random.default_rng(77), 20, 6)
     assert np.all(verify_spectrum(z).max_pair_distance >= 1e-4)

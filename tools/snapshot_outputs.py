@@ -116,10 +116,17 @@ COMMANDS = (
     # and normality tests must answer as they do at unit scale.
     ("verify_tiny_triangle", ("verify", "--zeros", "1e-300,0 -1e-300,0 0,1e-300"), False),
     ("verify_tiny_line", ("verify", "--zeros", "1e-300,0 -1e-300,0 3e-300,0"), False),
-    # Subnormal scale: the solver's radius and the spectrum tolerance leave
-    # the normal range.
+    # Subnormal scale: the solver's radius leaves the normal range, and below
+    # about 5e-317 the spectrum tolerance is one subnormal step.
     ("verify_subnormal_triangle", ("verify", "--zeros", "1e-310,0 -1e-310,0 0,1e-310"), False),
     ("verify_subnormal_line", ("verify", "--zeros", "1e-320,0 -1e-320,0 3e-320,0"), False),
+    ("verify_subnormal_tolerance", ("verify", "--zeros", "-1.5e-323,2e-323 1e-323,-3e-323"), False),
+    # The spectrum check's matrix side, D S, where the coefficients of p'
+    # are ill-conditioned: a zero of multiplicity 5, 40 zeros on a line, and
+    # 35 coincident zeros whose centroid rounds off them.
+    ("verify_five_fold_zero", ("verify", "--zeros", "1,0 1,0 1,0 1,0 1,0 -1,0 0,1 0,-1"), False),
+    ("verify_line_of_40", ("verify", "--zeros", " ".join(f"{k / 40!r},0" for k in range(40))), False),
+    ("verify_coincident_35", ("verify", "--zeros", " ".join(["0.1,0"] * 35)), False),
     # Far above unit scale the order-6 and LXZ(6) sums overflow (the ROADMAP's
     # North star, Open): a false violation with raw warnings.
     ("verify_huge_triangle", ("verify", "--zeros", "1e60,0 -1e60,0 0,1e60"), False),
