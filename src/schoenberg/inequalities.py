@@ -7,7 +7,10 @@ its left-hand kernel (critical points), its right-hand side (the zeros'
 sums, or the moduli polynomial's critical points ``xi``) and whether it
 assumes a centered configuration.  To add one, append an entry; its
 kernels map a :class:`_Sums` (plus k or r for a family) to one value per
-configuration, and a quantity ``_Sums`` lacks goes into ``_Sums._LAZY``.
+configuration.  A kernel reads each power sum through the one cached rule,
+``s.zp(r)`` for sum|z|^r and ``s.wp(r)`` for sum|w|^r, and every other
+sum (the S bound, sum z^2, e_k) as a lazy attribute of ``_Sums``, so one
+stack forms each sum once; a quantity ``_Sums`` lacks goes into ``_LAZY``.
 
 Every evaluator selects from the table over a (b, n) batch:
 :func:`evaluate_ensemble` evaluates every entry into one :class:`Column`
@@ -152,39 +155,24 @@ def _abs2(c):
     return c.real * c.real + c.imag * c.imag
 
 
-def _abs_pow_sum(v, r):
-    """sum |v|**r along the trailing axis, with fast paths for r in 1,2,4,6."""
-    a2 = _abs2(v)
-    if r == 1:
-        return np.sqrt(a2).sum(axis=-1)
-    if r == 2:
-        return a2.sum(axis=-1)
-    if r == 4:
-        return (a2 * a2).sum(axis=-1)
-    if r == 6:
-        return (a2 * a2 * a2).sum(axis=-1)
-    return (a2 ** (r / 2.0)).sum(axis=-1)
-
-
 class _Sums:
     """Sums of a (b, n) stack of zeros ``z`` and of its critical points ``w``.
 
     Each ``_LAZY`` quantity is computed on first use, so one entry costs only
-    what it reads.  ``xi`` may be given instead of computed.
+    what it reads, and :meth:`zp` and :meth:`wp`, the one power-sum rule,
+    form each sum once per r.  ``xi`` may be given instead of computed.
     """
 
     _LAZY = {
         "m2": lambda s: _abs2(s.z),  # |z|^2
+        "wm2": lambda s: _abs2(s.w),  # |w|^2
         "z2": lambda s: s.z * s.z,
-        "a1": lambda s: np.sqrt(s.m2).sum(axis=-1),  # sum |z|
-        "a2": lambda s: s.m2.sum(axis=-1),  # sum |z|^2
-        "a4": lambda s: (s.m2 * s.m2).sum(axis=-1),  # sum |z|^4
-        "a6": lambda s: (s.m2 * s.m2 * s.m2).sum(axis=-1),  # sum |z|^6
         "t1": lambda s: s.z.sum(axis=-1),  # sum z
         "t2": lambda s: s.z2.sum(axis=-1),  # sum z^2
         "t3": lambda s: (s.z2 * s.z).sum(axis=-1),  # sum z^3
         "u": lambda s: (s.z * s.m2).sum(axis=-1),  # sum z |z|^2
         "v": lambda s: (s.z2 * s.m2).sum(axis=-1),  # sum z^2 |z|^2
+        "bound_s": lambda s: (s.n - 2.0) / s.n * s.zp(2) + _abs2(s.t1) / s.n**2,  # the S right-hand side
         "ez": lambda s: elementary_symmetric_all(np.abs(s.z)),  # e_0..e_n of |z|
         "ew": lambda s: elementary_symmetric_all(np.abs(s.w)),  # e_0..e_{n-1} of |w|
         # running products of the largest |w| and of xi (sorted descending)
@@ -192,9 +180,12 @@ class _Sums:
         "xi": lambda s: moduli_critical_points_batch(s.z),
         "top_xi": lambda s: np.cumprod(s.xi, axis=-1),
     }
+    # The terms |v|^r of a power sum from a2 = |v|^2, without a power for r in 1, 2, 4 and 6.
+    _FAST_TERMS = {1: np.sqrt, 2: lambda a2: a2, 4: lambda a2: a2 * a2, 6: lambda a2: a2 * a2 * a2}
 
     def __init__(self, z, w=None, xi=None):
         self.z, self.w, self.n = z, w, z.shape[-1]
+        self._powers = {}
         if xi is not None:
             self.xi = xi
 
@@ -205,33 +196,44 @@ class _Sums:
         setattr(self, name, value)
         return value
 
+    def zp(self, r):
+        """sum |z|^r of each row, formed once per r."""
+        return self._power_sum("m2", r)
+
+    def wp(self, r):
+        """sum |w|^r of each row, formed once per r."""
+        return self._power_sum("wm2", r)
+
+    def _power_sum(self, squares: str, r):
+        """sum |v|^r of each row from the lazy squared moduli ``squares`` of v, cached per (squares, r)."""
+        if (squares, r) not in self._powers:
+            a2 = getattr(self, squares)
+            self._powers[squares, r] = (self._FAST_TERMS[r](a2) if r in self._FAST_TERMS else a2 ** (r / 2.0)).sum(axis=-1)
+        return self._powers[squares, r]
+
 
 # ---------------------------------------------------------------------------
 # the table
 
-def _rhs_s(s: _Sums):
-    return (s.n - 2.0) / s.n * s.a2 + _abs2(s.t1) / s.n**2
-
-
 def _rhs_star(s: _Sums):
     n = s.n
     return (
-        (n - 6.0) / n * s.a6
-        + 6.0 / n**2 * s.a4 * s.a2
+        (n - 6.0) / n * s.zp(6)
+        + 6.0 / n**2 * s.zp(4) * s.zp(2)
         + 3.0 / n**2 * _abs2(s.u)
-        - 2.0 / n**3 * s.a2**3
+        - 2.0 / n**3 * s.zp(2) ** 3
     )
 
 
 def _rhs_starstar(s: _Sums):
     n = s.n
     return (
-        (n - 6.0) / n * s.a6
-        + 2.0 / n**2 * s.a4 * s.a2
+        (n - 6.0) / n * s.zp(6)
+        + 2.0 / n**2 * s.zp(4) * s.zp(2)
         + 4.0 / n**2 * (s.v * np.conj(s.t2)).real
         + 2.0 / n**2 * _abs2(s.u)
         + 1.0 / n**2 * _abs2(s.t3)
-        - 2.0 / n**3 * s.a2 * _abs2(s.t2)
+        - 2.0 / n**3 * s.zp(2) * _abs2(s.t2)
     )
 
 
@@ -239,7 +241,7 @@ def _rhs_lxz(s: _Sums, r: float):
     n = s.n
     return (n - 1.0) ** (r - 2.0) / n**r * np.abs(s.t1) ** r + (
         (n - 1.0) ** (r - 2.0) * (n - 2.0) / n ** (r / 2.0)
-    ) * s.a2 ** (r / 2.0)
+    ) * s.zp(2) ** (r / 2.0)
 
 
 @dataclass(frozen=True)
@@ -289,24 +291,20 @@ class Inequality:
         return self.sides(_Sums(zs, ws))
 
 
-def _power(r):
-    return lambda s: _abs_pow_sum(s.w, r)
-
-
 # In report order.
 _TABLE = (
-    Inequality("S0", _power(2), lambda s: (s.n - 2.0) / s.n * s.a2, centered=True),
-    Inequality("S", _power(2), _rhs_s),
-    Inequality("BS", _power(4), lambda s: (s.n - 4.0) / s.n * s.a4 + 2.0 / s.n**2 * s.a2**2, centered=True),
-    Inequality("KT", _power(4), lambda s: (s.n - 4.0) / s.n * s.a4 + (s.a2**2 + _abs2(s.t2)) / s.n**2, centered=True),
-    Inequality("STAR", _power(6), _rhs_star, centered=True),
-    Inequality("STARSTAR", _power(6), _rhs_starstar, centered=True),
-    Inequality("BSEN", _power(1), lambda s: (s.n - 1.0) / s.n * s.a1),
-    Inequality("ST1", _power(1), lambda s: np.sqrt((s.n - 2.0) / s.n) * s.a1, centered=True),
+    Inequality("S0", lambda s: s.wp(2), lambda s: (s.n - 2.0) / s.n * s.zp(2), centered=True),
+    Inequality("S", lambda s: s.wp(2), lambda s: s.bound_s),
+    Inequality("BS", lambda s: s.wp(4), lambda s: (s.n - 4.0) / s.n * s.zp(4) + 2.0 / s.n**2 * s.zp(2) ** 2, centered=True),
+    Inequality("KT", lambda s: s.wp(4), lambda s: (s.n - 4.0) / s.n * s.zp(4) + (s.zp(2) ** 2 + _abs2(s.t2)) / s.n**2, centered=True),
+    Inequality("STAR", lambda s: s.wp(6), _rhs_star, centered=True),
+    Inequality("STARSTAR", lambda s: s.wp(6), _rhs_starstar, centered=True),
+    Inequality("BSEN", lambda s: s.wp(1), lambda s: (s.n - 1.0) / s.n * s.zp(1)),
+    Inequality("ST1", lambda s: s.wp(1), lambda s: np.sqrt((s.n - 2.0) / s.n) * s.zp(1), centered=True),
     Inequality("EK", lambda s, k: s.ew[..., k], lambda s, k: (s.n - k) / s.n * s.ez[..., k], param="k"),
     Inequality("LOGMAJ", lambda s, k: s.top_w[..., k - 1], lambda s, k: s.top_xi[..., k - 1], param="k"),
-    Inequality("LXZ", lambda s, r: _abs_pow_sum(s.w, r), _rhs_lxz, param="r"),
-    Inequality("IMPRO", lambda s, r: _abs_pow_sum(s.w, r), lambda s, r: _rhs_s(s) ** (r / 2.0), param="r"),
+    Inequality("LXZ", lambda s, r: s.wp(r), _rhs_lxz, param="r"),
+    Inequality("IMPRO", lambda s, r: s.wp(r), lambda s, r: s.bound_s ** (r / 2.0), param="r"),
 )
 
 _BY_FAMILY = {entry.family: entry for entry in _TABLE}
@@ -338,10 +336,9 @@ def _suite(n: int) -> list[Inequality]:
     return fixed + by_k + by_r
 
 
-def _columns(z, w, forms, *, xi=None) -> dict[str, Column]:
-    """Both sides of each form over a (b, n) stack and its critical points, as given."""
-    s = _Sums(z, w, xi)
-    return {form.iid: Column(*form.sides(s), form.centered) for form in forms}
+def _columns(forms, raw: _Sums, centered: _Sums) -> dict[str, Column]:
+    """Both sides of each form, the centered-only forms read from ``centered`` and the others from ``raw``."""
+    return {form.iid: Column(*form.sides(centered if form.centered else raw), form.centered) for form in forms}
 
 
 def row_reports(table: dict[str, Column], tol_eq: float = TOL_EQ, centered: bool = True):
@@ -380,8 +377,8 @@ def _single(zeros, critical, families, value=None, *, tol_eq, xi=None):
     """Reports of the given families (bound to ``value``) on one configuration, as is."""
     z, w = _checked_pair(zeros, critical)
     forms = [_BY_FAMILY[family].bind(value, z.shape[0]) for family in families]
-    table = _columns(z[np.newaxis], w[np.newaxis], forms, xi=xi)
-    return next(row_reports(table, tol_eq, bool(centroid_residual(z) <= TOL_CENTER)))
+    s = _Sums(z[np.newaxis], w[np.newaxis], xi)
+    return next(row_reports(_columns(forms, s, s), tol_eq, bool(centroid_residual(z) <= TOL_CENTER)))
 
 
 def eval_order2(zeros, critical, *, tol_eq: float = TOL_EQ):
@@ -488,10 +485,7 @@ def order6_bounds(zs):
 
     Only valid for centered configurations; no critical points needed.
     """
-    z = as_zeros(zs)
-    if z.ndim == 1:
-        z = z[np.newaxis, :]
-    s = _Sums(z)
+    s = _Sums(np.atleast_2d(as_zeros(zs)))
     return _rhs_star(s), _rhs_starstar(s)
 
 
@@ -507,9 +501,7 @@ def evaluate_ensemble(zs, settings: RootSolverSettings | None = None) -> dict[st
     and their own critical points, the general forms on the configurations
     as given, so every entry is valid for every sample.
     """
-    z = as_zeros(zs)
-    if z.ndim == 1:
-        z = z[np.newaxis, :]
+    z = np.atleast_2d(as_zeros(zs))
     return _suite_columns(z, critical_points_batch(z, settings), settings)
 
 
@@ -520,8 +512,7 @@ def _suite_columns(z, w, settings: RootSolverSettings | None) -> dict[str, Colum
     points solved from it, the general forms ``(z, w)``.
     """
     zc = recenter(z)
-    raw, centered = _Sums(z, w), _Sums(zc, critical_points_batch(zc, settings))
-    return {form.iid: Column(*form.sides(centered if form.centered else raw), form.centered) for form in _suite(z.shape[-1])}
+    return _columns(_suite(z.shape[-1]), _Sums(z, w), _Sums(zc, critical_points_batch(zc, settings)))
 
 
 def full_report(

@@ -164,7 +164,7 @@ def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> Spectr
     zero = np.zeros((stack.shape[0], 1), dtype=complex)
     expected = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)  # first: a row that overflows fails the solver's gate
     c, s, u = _normalize(stack)
-    x = _in_blocks(lambda block: _eigvals(build_D(block + 2) @ build_S(block.shape[1])), stack.shape[1], u)
+    x = _in_blocks(lambda block: _eigvals(build_D(block + 2) @ build_S(block.shape[1])), stack.shape[1] ** 2, u)
     x = np.take_along_axis(x, np.argsort(np.abs(x), axis=1)[:, 1:], axis=1)
     eigs = np.concatenate([zero, c + s * (x - 2)], axis=1)
     distance = match_multisets_batch(eigs, expected)

@@ -71,13 +71,13 @@ _START_ANGLE = 0.19315786872807164
 _BUDGET = 1 << 14
 
 
-def _in_blocks(solve, k, *stacks):
-    """``solve(*stacks)`` row block by row block, at most ``max(1, _BUDGET // k**2)`` rows each, joined.
+def _in_blocks(solve, size, *stacks, budget=None):
+    """``solve(*stacks)`` row block by row block, at most ``max(1, budget // size)`` rows each, joined.
 
-    ``solve`` maps (rows, ...) stacks to an array or a tuple of arrays of
-    rows, each row on its own, so the joined result is that of one call.
+    ``size`` elements is a row's work, ``budget`` (``_BUDGET`` unless given) a block's.  ``solve`` maps
+    (rows, ...) stacks to rows, each row on its own, so the joined result is that of one call.
     """
-    step = max(1, _BUDGET // max(1, k) ** 2)
+    step = max(1, (budget or _BUDGET) // max(1, size))
     rows = stacks[0].shape[0]
     if rows <= step:
         return solve(*stacks)
@@ -262,7 +262,7 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
             rows = np.flatnonzero(first_nz == m)
             sub = c[rows][:, m:]
             if sub.shape[1] > 1:
-                roots[rows[:, np.newaxis], np.arange(d - m)] = _in_blocks(_solve_uniform, d - m, sub)
+                roots[rows[:, np.newaxis], np.arange(d - m)] = _in_blocks(_solve_uniform, (d - m) ** 2, sub)
         p, _, _ = _eval_with_bound(c, roots)
         # inf / inf where the evaluation overflows: the residual is unbounded.
         scaled = np.nan_to_num(np.max(np.abs(p), axis=1) / residual_scale(c), nan=np.inf)
@@ -318,7 +318,7 @@ def critical_points_batch(zs, settings: RootSolverSettings | None = None):
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
-    out, error = _in_blocks(lambda block: _compression_eigenvalues(block, settings.tol_root), z.shape[1], z)
+    out, error = _in_blocks(lambda block: _compression_eigenvalues(block, settings.tol_root), z.shape[1] ** 2, z)
     worst = np.maximum.reduce(error, axis=None, initial=0.0)
     if not worst <= settings.tol_root:
         failed = np.flatnonzero(~(error <= settings.tol_root))
@@ -475,7 +475,7 @@ def moduli_critical_points_batch(zs):
     z = as_zeros(zs)
     if z.ndim == 1:
         z = z[np.newaxis, :]
-    return _in_blocks(_moduli_eigenvalues, z.shape[1], z)
+    return _in_blocks(_moduli_eigenvalues, z.shape[1] ** 2, z)
 
 
 def _moduli_eigenvalues(z):
@@ -504,7 +504,7 @@ def match_multisets_batch(a, b) -> np.ndarray:
     if av.ndim != 2 or av.shape != bv.shape:
         raise InvalidInputError(f"expected two (b, m) stacks of one shape, got {av.shape} and {bv.shape}")
     # The (rows, m, m) distances are matched a row block at a time.
-    return _in_blocks(_greedy_match, av.shape[1], av, bv)
+    return _in_blocks(_greedy_match, av.shape[1] ** 2, av, bv)
 
 
 def _greedy_match(av, bv):

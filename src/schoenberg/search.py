@@ -19,8 +19,8 @@ a Sendov instance, by Nelder-Mead (Nelder & Mead 1965) over the
 real/imaginary parts of the zeros with projection back onto the
 constraint set; a ratio is scored in its zeros' exact power-of-two frame.
 
-All starts of one search advance in lockstep, as rows of one stack of
-simplices.  One batched critical-point solve scores every start simplex;
+The starts of one search advance in lockstep, in ``rootfind._in_blocks``
+row blocks.  One batched critical-point solve scores every start simplex;
 then each round evaluates the reflection, expansion and inside
 contraction of every active row with one more, and only the rows that
 shrink make a second.  The solver takes no starting points and treats
@@ -50,7 +50,7 @@ from .config import DEFAULT_SEED, TOL_CENTER
 from .errors import ConvergenceError, InvalidInputError, RejectedStartError
 from .inequalities import CENTERED_IDS, evaluate_ensemble, lookup, row_reports
 from .poly import _unit_frame, as_zeros, centroid_residual, recenter
-from .rootfind import RootSolverSettings, critical_points, critical_points_batch  # noqa: F401 (perfbench wraps search.critical_points)
+from .rootfind import RootSolverSettings, _in_blocks, critical_points, critical_points_batch  # noqa: F401 (perfbench wraps search.critical_points)
 from .sendov import SendovInstance, distance_columns, special_case_reports
 
 __all__ = [
@@ -79,6 +79,8 @@ ENSEMBLE_KINDS = (
 # tolerance; its start simplex steps coordinate x by the initial step times max(1, |x|).
 _STEP_TOL = 1e-9
 _INITIAL_STEP = 0.1
+# Elements of one lockstep block's decoded simplices (rows, dim + 1, n): 1 MiB, 32 starts at n = 32.
+_LOCKSTEP_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -473,9 +475,11 @@ def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = 
     rows of one stack of simplices: one batched call scores every start
     simplex, each Nelder-Mead round solves the trial points of every
     active row in one more, and the final reports of all ascents take one
-    batched evaluation.  The solver treats each row on its own, a row it
-    cannot solve is scored -inf, and each row stops on its own, so every
-    record equals that of :func:`maximize` on its start alone, bit for bit.
+    batched evaluation.  The lockstep runs in ``rootfind._in_blocks`` row
+    blocks of at most ``_LOCKSTEP_BUDGET`` decoded zeros, so its memory
+    is bounded.  The solver treats each row on its own, a row it cannot
+    solve is scored -inf, and each row stops on its own, so every record
+    equals that of :func:`maximize` on its start alone, bit for bit.
     """
     settings = settings or SearchSettings()
     starts = list(starts)
@@ -486,10 +490,15 @@ def maximize_batch(objective_id: str, starts, settings: SearchSettings | None = 
         return []
     zs = _start_stack(objective_id, starts)
     obj = _Objective(objective_id, zs.shape[1], settings.solver)
-    kept, start, best_f, best_x, rounds = _nelder_mead(obj, obj.encode(zs), settings.max_iterations)
+
+    def lockstep(x0):  # the kept rows as a mask, so row blocks join as one call
+        kept, *rest = _nelder_mead(obj, x0, settings.max_iterations)
+        return np.isin(np.arange(x0.shape[0]), kept), *rest
+    x0 = obj.encode(zs)
+    mask, start, best_f, best_x, rounds = _in_blocks(lockstep, (x0.shape[1] + 1) * zs.shape[1], x0, budget=_LOCKSTEP_BUDGET)
     best = obj.decode(best_x)
     records = [None] * len(starts)
-    for i, zeros, value, start_value, its, reports in zip(kept, best, -best_f, -start, rounds, obj.reports(best)):
+    for i, zeros, value, start_value, its, reports in zip(np.flatnonzero(mask), best, -best_f, -start, rounds, obj.reports(best)):
         records[i] = SearchRecord(
             sample_seed=seeds[i],
             zeros=zeros,

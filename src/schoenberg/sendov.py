@@ -27,8 +27,8 @@ its spectrum check's points, and the search objective to its own solves.
 The hypothesis margin is written once, :func:`hypothesis_margins` of a
 stack; :meth:`SendovInstance.hypothesis_margin` is its row.
 :func:`special_case_reports` turns a stack and its columns into each row's
-C1 and C2 reports; it is the one place C1 and C2 become reports, and the
-one place the hypothesis gates them.
+C1 and C2 reports, as :func:`row_reports` of a two-column (C1, C2) table of the
+rows inside the hypothesis; it is the one place the hypothesis gates them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import TOL_DISK, TOL_EQ
 from .errors import InvalidInputError
-from .inequalities import InequalityReport, make_report
+from .inequalities import Column, InequalityReport, row_reports
 from .poly import as_zeros
 from .rootfind import DEFAULT_SETTINGS, RootSolverSettings, critical_points_batch
 
@@ -241,12 +241,12 @@ def special_case_reports(zs, columns: SpecialCaseColumns, tol_eq: float = TOL_EQ
     """The C1 report (n - 1 <= c1) and C2 report (c2 <= n - 1) of each row of an a-first zeros stack.
 
     ``columns`` are the rows' :class:`SpecialCaseColumns`.  C1 and C2 are
-    theorems only under the centroid hypothesis, so a row outside it
-    (margin below 0) gets no reports.
+    theorems only under the centroid hypothesis, so the rows inside it form
+    a two-column table that ``row_reports`` turns into reports, and a row
+    outside it (margin below 0) gets none.
     """
     zs = np.asarray(zs)
-    side = float(zs.shape[1] - 1)
-    return [
-        [make_report("C1", side, c1, tol_eq), make_report("C2", c2, side, tol_eq)] if inside else []
-        for inside, c1, c2 in zip((hypothesis_margins(zs) >= 0.0).tolist(), columns.c1.tolist(), columns.c2.tolist())
-    ]
+    inside = hypothesis_margins(zs) >= 0.0
+    side = np.full(np.count_nonzero(inside), zs.shape[1] - 1.0)
+    rows = row_reports({"C1": Column(side, columns.c1[inside], False), "C2": Column(columns.c2[inside], side, False)}, tol_eq)
+    return [next(rows) if row_inside else [] for row_inside in inside.tolist()]

@@ -669,6 +669,15 @@ def test_report_roundtrip(tmp_path, capsys):
         assert out_csv.read_text() == (tmp_path / f"{ensemble}.csv").read_text()
 
 
+def test_report_skips_blank_lines_between_records(tmp_path, capsys):
+    main(["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "5", "--seed", "3", "--out", str(tmp_path / "s")])
+    lines = (tmp_path / "s.jsonl").read_text().splitlines(keepends=True)
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + "\n  \n".join(lines) + "\t\n")
+    assert main(["report", "--input", str(spaced), "--out", str(tmp_path / "spaced.csv")]) == 0
+    assert (tmp_path / "spaced.csv").read_text() == (tmp_path / "s.csv").read_text()
+
+
 def test_report_has_no_jsonl_format(tmp_path, capsys):
     base = tmp_path / "sw"
     assert main(["sweep", "--ensemble", "gaussian", "--n", "3", "--count", "4", "--out", str(base)]) == 0
@@ -846,6 +855,24 @@ def test_bad_tol_eq_is_usage_error(value, tmp_path, capsys):
     assert exc.value.code == 2
     assert "error: argument --tol-eq" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_valid_tol_eq_reaches_the_flags(tmp_path, capsys):
+    # Inside the Sendov hypothesis (Re sum of the others 1.0 >= 0.6), so C1 and C2 are reported too.
+    verify = ["verify", "--zeros", "0.5,0.1 0.4,0.2 0.1,-0.4", "--a", "0.6", "--format", "jsonl"]
+    sweep = ["sweep", "--ensemble", "gaussian", "--n", "4", "--count", "6", "--seed", "3"]
+    for tol, name in (([], "default"), (["--tol-eq", "10"], "wide")):
+        assert main([*verify, *tol, "--out", str(tmp_path / f"v_{name}.jsonl")]) == 0
+        assert main([*sweep, *tol, "--out", str(tmp_path / f"s_{name}")]) == 0
+    capsys.readouterr()
+    default, wide = (read_jsonl(tmp_path / f"v_{name}.jsonl")[0]["reports"] for name in ("default", "wide"))
+    assert {"C1", "C2"} <= {r["id"] for r in wide}
+    assert not any(r["equality"] for r in default)
+    assert all(r["equality"] and r["holds"] for r in wide)
+    assert [r["id"] for r in default] == [r["id"] for r in wide]
+    default, wide = (read_csv_rows(tmp_path / f"s_{name}.csv") for name in ("default", "wide"))
+    assert any(row["equality_count"] != "6" for row in default)
+    assert all(row["equality_count"] == "6" for row in wide)
 
 
 @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])

@@ -58,6 +58,17 @@ def test_find_roots_linear():
     np.testing.assert_array_equal(find_roots([0, 2]), [0])
 
 
+def test_find_roots_linear_nonzero_root():
+    # -6 + 2z: no zero root to split off, so the degree-1 solve itself answers.
+    np.testing.assert_array_equal(find_roots([-6, 2]), [3])
+    coeffs = np.array([[-6, 2], [1j, 4], [5, -1], [2.5, 0.5 + 0.5j]])
+    batch = find_roots_batch(coeffs)
+    assert batch.shape == (4, 1)
+    for row, c in zip(batch, coeffs):
+        np.testing.assert_array_equal(row, find_roots(c))
+        np.testing.assert_array_equal(row, [-c[0] / c[1]])
+
+
 def test_find_roots_quadratic_formula_oracle():
     # 3z^2 - 12z + 11: roots 2 +- 1/sqrt(3) by the quadratic formula
     got = np.sort_complex(find_roots([11, -12, 3]))

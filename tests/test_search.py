@@ -332,6 +332,35 @@ def test_batched_search_equals_single_ascents(monkeypatch, objective, kind, n):
         assert rec.reports == one.reports
 
 
+def test_lockstep_runs_in_row_blocks_and_joins_as_one_call(monkeypatch):
+    # KT at n = 4 packs dim = 6 coordinates; a budget of 2 * 7 * 4 elements gives blocks of 2 starts.
+    starts = list(sample(Ensemble(kind="uniform-disk", n=4, count=6, seed=11, recenter=True)))
+    starts.insert(2, np.zeros(4, dtype=complex))  # undefined: dropped inside the second block
+    seeds = list(range(len(starts)))
+    settings = SearchSettings(max_iterations=40)
+    whole = maximize_batch("KT", starts, settings, sample_seeds=seeds)
+    blocks = []
+    nelder_mead = search._nelder_mead
+
+    def counting(obj, x0, budget):
+        blocks.append(len(x0))
+        return nelder_mead(obj, x0, budget)
+
+    monkeypatch.setattr(search, "_nelder_mead", counting)
+    monkeypatch.setattr(search, "_LOCKSTEP_BUDGET", 2 * 7 * 4)
+    blocked = maximize_batch("KT", starts, settings, sample_seeds=seeds)
+    assert blocks == [2, 2, 2, 1]
+    assert [rec is None for rec in blocked] == [i == 2 for i in range(7)]
+    for rec, one in zip(blocked, whole):
+        if one is None:
+            assert rec is None
+            continue
+        np.testing.assert_array_equal(rec.zeros, one.zeros)
+        assert (rec.sample_seed, rec.objective_value, rec.start_value, rec.iterations, rec.reports) == (
+            one.sample_seed, one.objective_value, one.start_value, one.iterations, one.reports
+        )
+
+
 @pytest.mark.parametrize("given", [1, 3])
 def test_sample_seeds_must_match_the_starts(monkeypatch, given):
     starts = list(sample(Ensemble(kind="gaussian", n=4, count=2, seed=5)))

@@ -100,6 +100,10 @@ COMMANDS = (
      ("sweep", "--ensemble", "sendov-boundary", "--n", "5", "--count", "2500", "--hypothesis-filter"), True),
     ("search_kt_n4_chunks",
      ("search", "--objective", "KT", "--n", "4", "--starts", "1100", "--max-iterations", "3"), True),
+    # The search's lockstep runs in row blocks of at most 2**16 // ((dim + 1) * n) starts:
+    # at n = 32 the packed dimension dim = 62 gives blocks of 32 and 8 starts.
+    ("search_kt_n32_blocks",
+     ("search", "--objective", "KT", "--n", "32", "--starts", "40", "--max-iterations", "3"), True),
     ("verify_sendov", ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6"), False),
     ("verify_sendov_jsonl",
      ("verify", "--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4", "--a", "0.6", "--format", "jsonl"), True),
