@@ -59,7 +59,7 @@ from .inequalities import (
     starstar_trace_oracle,
 )
 from .matrices import is_normal, sds_matrix, verify_spectrum
-from .poly import _unit_frame, as_zeros, centroid_residual, is_collinear
+from .poly import _frame, _unit_frame, as_zeros, centroid_residual, is_collinear
 from .rootfind import RootSolverSettings, cluster_sizes
 from .search import (
     ENSEMBLE_KINDS,
@@ -370,13 +370,16 @@ def cmd_verify(args) -> int:
         )
         m2_bad = int(_confirmed("M_MINUS2", zs, special.m_minus2, settings)[0].sum())
 
-    scale = float(np.max(np.abs(zeros)))  # the tolerance (never under one step) and the cluster radius are relative
-    worst_cluster = int(np.max(cluster_sizes(spectrum.expected[0], 1e-6 * scale)))
-    spectrum_tol = max(max(SPECTRUM_TOL, args.tol_root ** (1.0 / worst_cluster)) * scale, np.spacing(scale))
+    framed, (e,) = _frame(zeros)  # the tolerance and the cluster radius are relative to the framed largest |z|
+    unit = np.abs(framed).max()
+    worst_cluster = int(np.max(cluster_sizes(spectrum.expected[0], np.ldexp(1e-6 * unit, -e))))
+    with np.errstate(over="ignore"):  # never under one step of max |z|: NaN where max |z| overflows, which fmax skips
+        relative = np.ldexp(max(SPECTRUM_TOL, args.tol_root ** (1.0 / worst_cluster)) * unit, -e)
+        spectrum_tol = float(np.fmax(relative, np.spacing(np.ldexp(unit, -e))))
     extra.append(f"spectrum check: max pairing distance {distance:.3e} (tolerance {spectrum_tol:.1e})")
     extra.append(
         f"centroid residual {centroid_residual(zeros):.3e}; "
-        f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(_unit_frame(zeros)[0]))}"
+        f"collinear={is_collinear(zeros)}; normal(SDS)={is_normal(sds_matrix(framed))}"
     )
     _verify_output(args, zeros, reports, extra, a)
     if m2_bad:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .poly import _unit_frame, as_zeros
+from .poly import _frame, _unit_frame, as_zeros
 from .rootfind import RootSolverSettings, _eigvals, _in_blocks, _normalize, critical_points_batch, find_roots, match_multisets_batch
 
 __all__ = [
@@ -152,21 +152,21 @@ def verify_spectrum(zeros, settings: RootSolverSettings | None = None) -> Spectr
 
     Takes one configuration or a (b, n) stack.  The expected side is 0 plus the points of
     ``critical_points_batch``, where the ``verify`` command reads them.  The matrix side is LAPACK's
-    eigenvalues of D S for the solver's normalized zeros u = (z - c) / s plus 2: 0 and the critical
-    points of u plus 2, all of modulus at least 1 as |u| <= 1.  The least is the structural 0, dropped,
-    and the rest map back as c + s (x - 2); unshifted, a critical point at 0 (zeros z and -z) would form
-    a Jordan block with it and lose half its digits.  The report carries each configuration's greedy
-    multiset-pairing distance between the sides.  The solves and the pairing run in row blocks of the
-    element budget of ``rootfind``, so a large stack does not grow their work arrays.
+    eigenvalues of D S for the solver's normalized zeros u = (2**e z - c) / s plus 2: 0 and the
+    critical points of u plus 2, all of modulus at least 1 as |u| <= 1.  The least is the structural 0,
+    dropped, and the rest map back as 2**-e (c + s (x - 2)); unshifted, a critical point at 0 (zeros z
+    and -z) would form a Jordan block with it and lose half its digits.  The report carries each
+    configuration's greedy multiset-pairing distance between the sides.  The solves and the pairing run
+    in row blocks of the element budget of ``rootfind``, so a large stack does not grow their work arrays.
     """
     z = _configurations(zeros)
     stack = z if z.ndim == 2 else z[np.newaxis, :]
     zero = np.zeros((stack.shape[0], 1), dtype=complex)
-    expected = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)  # first: a row that overflows fails the solver's gate
-    c, s, u = _normalize(stack)
+    expected = np.concatenate([zero, critical_points_batch(stack, settings)], axis=1)  # first: a row that fails the gate raises
+    c, s, u, e = _normalize(stack)
     x = _in_blocks(lambda block: _eigvals(build_D(block + 2) @ build_S(block.shape[1])), stack.shape[1] ** 2, u)
     x = np.take_along_axis(x, np.argsort(np.abs(x), axis=1)[:, 1:], axis=1)
-    eigs = np.concatenate([zero, c + s * (x - 2)], axis=1)
+    eigs = np.concatenate([zero, _frame(c + s * (x - 2), -e)[0]], axis=1)
     distance = match_multisets_batch(eigs, expected)
     if z.ndim == 1:
         return SpectrumComparison(eigs[0], expected[0], float(distance[0]))

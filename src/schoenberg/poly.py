@@ -118,11 +118,11 @@ def elementary_symmetric(values, k: int):
 def recenter(zeros) -> np.ndarray:
     """Translate a configuration so its centroid sits at the origin.
 
-    Idempotent up to round-off; the returned configuration has
-    ``sum(z) == 0`` to machine precision.
+    Idempotent up to round-off, with ``sum(z) == 0`` to machine precision.
+    The centroid is formed in the zeros' ``_frame``: finite for finite zeros.
     """
-    z = as_zeros(zeros)
-    return z - np.mean(z, axis=-1, keepdims=True)
+    x, e = _frame(as_zeros(zeros))
+    return _frame(x - np.mean(x, axis=-1, keepdims=True), -e)[0]
 
 
 def centroid_residual(zeros):
@@ -137,11 +137,17 @@ def centroid_residual(zeros):
     return float(res) if res.ndim == 0 else res
 
 
+def _frame(z, e=None) -> tuple:
+    """``(2**e z, e)`` for complex ``z``, exact where 2**e z is normal; e defaults to each row's frame, its largest |re| or |im| in [1/2, 1)."""
+    x = np.ascontiguousarray(z).view(float)
+    e = -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1] if e is None else e
+    return np.ldexp(x, e).view(complex), e
+
+
 def _unit_frame(z, *more) -> list:
     """Complex ``z`` and ``more`` times the exact power of two that puts the largest |re| or |im| of each row of ``z`` in [1/2, 1)."""
-    z = np.ascontiguousarray(z)
-    e = -np.frexp(np.abs(z.view(float)).max(axis=-1, keepdims=True))[1]
-    return [np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex) for a in (z, *more)]
+    x, e = _frame(z)
+    return [x, *(_frame(a, e)[0] for a in more)]
 
 
 def is_collinear(zeros, tol: float = 1e-10) -> bool:

@@ -3,10 +3,11 @@
 The critical points of p(z) = prod (z - z_j) are the spectrum of the
 compression Q^T diag(z) Q, Q an orthonormal basis of the complement of
 the all-ones vector (Pereira 2003; Malamud 2005).
-:func:`critical_points_batch` takes LAPACK's eigenvalues w for the zeros
-normalized to u = (z - c) / s (c the centroid, s = max |z - c|, divided out
-at its exact power of two first) and returns c + s w.  It forms no coefficients
-of p', so nothing overflows, and needs no starting points or retries.  LAPACK's zgeev is called
+:func:`critical_points_batch` takes LAPACK's eigenvalues w for u = (x - c) / s,
+x = 2**e z the zeros in their frame (each row's largest |re| or |im| in [1/2, 1)),
+c the centroid and s = max |x - c|, and returns 2**-e (c + s w).  So every finite
+row solves, the points of 2**k z are those of z times 2**k, rounded once, and no
+coefficients of p', starting points or retries are needed.  LAPACK's zgeev is called
 directly, through the numpy gufunc behind ``np.linalg.eigvals``
 (:func:`_eigvals`): a matrix it cannot converge leaves NaN points in its
 own row, which then fails the gate, while its batch mates are solved as
@@ -44,7 +45,7 @@ from numpy.linalg import _umath_linalg
 
 from .config import TOL_ROOT
 from .errors import ConvergenceError, InvalidInputError
-from .poly import as_zeros
+from .poly import _frame, as_zeros
 
 __all__ = [
     "RootSolverSettings",
@@ -292,13 +293,12 @@ def find_roots(coeffs, settings: RootSolverSettings | None = None):
 def critical_points(zeros, settings: RootSolverSettings | None = None):
     """Critical points (zeros of p') of the monic polynomial with given zeros.
 
-    Returns exactly n - 1 points with multiplicity.  With u = (z - c) / s the normalized zeros
-    (finite wherever c and s are, subnormal s too) and f(x) = sum 1/(x - u_j) = p'(x)/p(x), each
+    Returns exactly n - 1 points with multiplicity.  With u = (2**e z - c) / s the normalized zeros
+    of the zeros' frame (finite for all finite zeros) and f(x) = sum 1/(x - u_j) = p'(x)/p(x), each
     point w passes the backward-error gate ``|f(w)| / sum |w - u_j|**-2 <= tol_root``: to first order,
-    w is a critical point of zeros within ``tol_root * s`` of z.  The error is 0 where w equals a zero,
-    then a repeated one.  This is :func:`critical_points_batch` on a batch of one.
+    w is a critical point of zeros within ``tol_root * 2**-e s`` of z.  The error is 0 where w equals a
+    zero, then a repeated one.  This is :func:`critical_points_batch` on a batch of one.
     """
-    settings = settings or DEFAULT_SETTINGS
     z = as_zeros(zeros)
     if z.ndim != 1:
         raise InvalidInputError("critical_points expects a single configuration; use critical_points_batch")
@@ -306,18 +306,16 @@ def critical_points(zeros, settings: RootSolverSettings | None = None):
 
 
 def critical_points_batch(zs, settings: RootSolverSettings | None = None):
-    """Critical points of a (b, n) stack of configurations; returns (b, n-1).
+    """Critical points of a (b, n) stack of configurations, or of one as a batch of one; returns (b, n-1).
 
-    Each kernel call solves at most ``max(1, _BUDGET // n**2)`` rows, which
-    bounds its (rows, n - 1, n) work arrays in bytes.  If any row
-    fails the gate of :func:`critical_points`, the
-    :class:`ConvergenceError` carries all b rows of points, the worst
-    backward error and the indices of the failed rows.
+    Each row is solved in its own frame, so every finite row has points.  Each kernel
+    call solves at most ``max(1, _BUDGET // n**2)`` rows, which bounds its
+    (rows, n - 1, n) work arrays in bytes.  If any row fails the gate of
+    :func:`critical_points`, the :class:`ConvergenceError` carries all b rows
+    of points, the worst backward error and the indices of the failed rows.
     """
     settings = settings or DEFAULT_SETTINGS
-    z = as_zeros(zs)
-    if z.ndim == 1:
-        z = z[np.newaxis, :]
+    z = np.atleast_2d(as_zeros(zs))
     out, error = _in_blocks(lambda block: _compression_eigenvalues(block, settings.tol_root), z.shape[1] ** 2, z)
     worst = np.maximum.reduce(error, axis=None, initial=0.0)
     if not worst <= settings.tol_root:
@@ -366,15 +364,16 @@ def _complex_basis(n: int) -> np.ndarray:
 
 
 def _normalize(z):
-    """Centroid c, radius s = max |z - c| and u = (z - c) / s of a (b, n) stack; s is not finite if they overflow.
+    """Centroid c, radius s = max |x - c|, u = (x - c) / s and e of each row x = 2**e z of a (b, n) stack's ``_frame``.
 
-    With s = m 2**e, m in [1/2, 1), u is ldexp(z - c, -e) / m: no 1/s of a subnormal s overflows.
+    All are finite for a finite row; u is ldexp(x - c, -k) / m for s = m 2**k, m in [1/2, 1), so no 1/s overflows.
     """
-    c = np.add.reduce(z, axis=1, keepdims=True) / z.shape[1]
-    d = np.subtract(z, c, order="C")
+    x, e = _frame(z)
+    c = np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+    d = np.subtract(x, c, order="C")
     s = np.maximum.reduce(np.abs(d), axis=1, keepdims=True)
-    m, e = np.frexp(s)  # m = 0 where s = 0: u is 0 there, and c + s w is c
-    return c, s, np.ldexp(d.view(float), -e).view(complex) / np.maximum(m, 0.5)
+    m, k = np.frexp(s)  # m = 0 where s = 0: u is 0 there, and c + s w is c
+    return c, s, np.ldexp(d.view(float), -k).view(complex) / np.maximum(m, 0.5), e
 
 
 def _backward_error(u, w, newton=True):
@@ -406,12 +405,7 @@ def _compression_eigenvalues(z, tol):
     """Critical points of a (b, n) stack and the worst backward error of each row."""
     n = z.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c, s, u = _normalize(z)
-        if not np.maximum.reduce(s, axis=None, initial=0.0) < np.inf:  # a row with no normalized zeros fails the gate with NaN points
-            kept = np.isfinite(s[:, 0])
-            out, error = np.full((z.shape[0], n - 1), np.nan, dtype=complex), np.full(z.shape[0], np.inf)
-            out[kept], error[kept] = _compression_eigenvalues(z[kept], tol)
-            return out, error
+        c, s, u, e = _normalize(z)
         q = _complex_basis(n)
         w = _eigvals((q.T * u[:, np.newaxis, :]) @ q)
         error, step, weight = _backward_error(u, w)
@@ -440,7 +434,7 @@ def _compression_eigenvalues(z, tol):
     # eigenvalues find to round-off: a point within 8 n eps of a zero is it.
     # Only a point whose weight allows a zero within twice that is measured;
     # the largest weight is NaN if some point is on a zero.
-    out = c + s * w
+    out = _frame(c + s * w, -e)[0]
     snap = 8 * n * _EPS
     if not np.maximum.reduce(weight, axis=None, initial=0.0) < (2.0 * snap) ** -2:
         i, k = (~(weight < (2.0 * snap) ** -2)).nonzero()
@@ -472,16 +466,15 @@ def moduli_critical_points_batch(zs):
     Like the critical points, a large stack is solved in row blocks of
     the element budget.
     """
-    z = as_zeros(zs)
-    if z.ndim == 1:
-        z = z[np.newaxis, :]
+    z = np.atleast_2d(as_zeros(zs))
     return _in_blocks(_moduli_eigenvalues, z.shape[1] ** 2, z)
 
 
 def _moduli_eigenvalues(z):
+    x, e = _frame(z)  # in the frame, LAPACK scales no matrix by a factor of its own
     q = _complement_basis(z.shape[1])
-    xi = np.linalg.eigvalsh((q.T * np.abs(z)[:, np.newaxis, :]) @ q)
-    return np.maximum(xi[:, ::-1], 0.0)
+    xi = np.linalg.eigvalsh((q.T * np.abs(x)[:, np.newaxis, :]) @ q)
+    return np.ldexp(np.maximum(xi[:, ::-1], 0.0), -e)
 
 
 def match_multisets(a, b) -> float:

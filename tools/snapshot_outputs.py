@@ -7,7 +7,9 @@ package of this checkout (``PYTHONPATH=src``), one subprocess each, with
 ``OUT_DIR`` as the working directory.  Run ``NAME`` at seed ``S`` leaves
 ``NAME_S.stdout``, ``NAME_S.stderr`` and ``NAME_S.exit`` in ``OUT_DIR``,
 next to the JSONL and CSV files it writes as ``--out NAME_S``.  Output
-paths are relative, so two checkouts side by side give comparable trees:
+paths are relative, and the checkout's path in a raw warning on stderr
+is written ``<checkout>``, so two checkouts side by side give comparable
+trees:
 
     (cd old && python3 tools/snapshot_outputs.py ../before)
     (cd new && python3 tools/snapshot_outputs.py ../after)
@@ -120,8 +122,9 @@ COMMANDS = (
     # and normality tests must answer as they do at unit scale.
     ("verify_tiny_triangle", ("verify", "--zeros", "1e-300,0 -1e-300,0 0,1e-300"), False),
     ("verify_tiny_line", ("verify", "--zeros", "1e-300,0 -1e-300,0 3e-300,0"), False),
-    # Subnormal scale: the solver's radius leaves the normal range, and below
-    # about 5e-317 the spectrum tolerance is one subnormal step.
+    # Subnormal scale: the zeros leave the normal range, which the solver's
+    # frame undoes, and below about 5e-317 the spectrum tolerance is one
+    # subnormal step.
     ("verify_subnormal_triangle", ("verify", "--zeros", "1e-310,0 -1e-310,0 0,1e-310"), False),
     ("verify_subnormal_line", ("verify", "--zeros", "1e-320,0 -1e-320,0 3e-320,0"), False),
     ("verify_subnormal_tolerance", ("verify", "--zeros", "-1.5e-323,2e-323 1e-323,-3e-323"), False),
@@ -134,6 +137,11 @@ COMMANDS = (
     # Far above unit scale the order-6 and LXZ(6) sums overflow (the ROADMAP's
     # North star, Open): a false violation with raw warnings.
     ("verify_huge_triangle", ("verify", "--zeros", "1e60,0 -1e60,0 0,1e60"), False),
+    # The top of the range: max |z| or the sum of the zeros overflows, though
+    # every component is finite.  The solve and the spectrum tolerance work in
+    # the zeros' frame; the order-6 sums overflow as above.
+    ("verify_top_moduli", ("verify", "--zeros", "1.5e308,1.5e308 -1.5e308,-1.5e308 0,0"), False),
+    ("verify_top_sum", ("verify", "--zeros", "1e308,0 1e308,0 0,1e308"), False),
 )
 
 
@@ -164,7 +172,7 @@ def main(argv: list[str]) -> int:
                 cmd += ["--out", tag + (".jsonl" if args[0] == "verify" else "")]
             done = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
             (out / f"{tag}.stdout").write_text(done.stdout)
-            (out / f"{tag}.stderr").write_text(done.stderr)
+            (out / f"{tag}.stderr").write_text(done.stderr.replace(str(ROOT), "<checkout>"))
             (out / f"{tag}.exit").write_text(f"{done.returncode}\n")
             print(f"{tag}: exit {done.returncode}")
     return 0
