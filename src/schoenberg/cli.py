@@ -59,7 +59,7 @@ from .inequalities import (
     starstar_trace_oracle,
 )
 from .matrices import is_normal, sds_matrix, verify_spectrum
-from .poly import _frame, _unit_frame, as_zeros, centroid_residual, is_collinear
+from .poly import _frame, as_zeros, centroid_residual, is_collinear
 from .rootfind import RootSolverSettings, cluster_sizes
 from .search import (
     ENSEMBLE_KINDS,
@@ -385,7 +385,7 @@ def cmd_verify(args) -> int:
     if m2_bad:
         print(f"M_MINUS2 candidates above 1: {m2_bad}", file=sys.stderr)
     if not distance <= spectrum_tol:  # NaN where LAPACK did not converge on D S
-        print("numeric-consistency failure: companion spectrum mismatch", file=sys.stderr)
+        print("numeric-consistency failure: D S spectrum mismatch", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if all(r.holds for r in reports) and not m2_bad else EXIT_VIOLATION
 
@@ -432,9 +432,9 @@ def cmd_oracle(args) -> int:
         raise InvalidInputError(f"oracle supports n in 2..10, got {args.n}")
     ens = Ensemble(kind="uniform-disk", n=args.n, count=args.samples, seed=args.seed, recenter=True)
     settings = RootSolverSettings(tol_root=args.tol_root)
-    trace_worst = spec_worst = None  # each check's (deviation, zeros in their _unit_frame) of its worst row so far
+    trace_worst = spec_worst = None  # each check's (deviation, zeros in their _frame) of its worst row so far
     for _seeds, zs in _chunks(args.samples, lambda indices: _samples(ens, indices)):
-        (zs,) = _unit_frame(zs)
+        zs, _ = _frame(zs)
         star_closed, starstar_closed = order6_bounds(zs)
         trace_dev = np.maximum(np.abs(star_trace_oracle(zs) - star_closed),
                                np.abs(starstar_trace_oracle(zs) - starstar_closed))

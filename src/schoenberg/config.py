@@ -7,8 +7,8 @@ of use.  Two are set per call, and these constants are only their defaults:
 """
 
 # Acceptance tolerance of the solvers: the backward error of a critical point
-# in the normalized zeros, or a polynomial root's residual relative to
-# max(1, root bound)^degree times the leading coefficient.
+# in the normalized zeros, or of a polynomial root r, |p(r)| over the running
+# bound of the Horner sums that evaluate p(r).
 TOL_ROOT = 1e-9
 
 # Centroid residual |sum z| / max |z| (taken in the zeros' exact power-of-two

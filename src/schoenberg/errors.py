@@ -14,9 +14,9 @@ class UnsupportedSizeError(InvalidInputError):
 class ConvergenceError(RuntimeError):
     """A root or critical-point solve failed its acceptance gate.
 
-    Carries the best iterates, the worst gated quantity (scaled residual or
-    backward error) and the indices of the batch rows that failed, so
-    callers can keep the rows that passed.
+    Carries the best iterates, the worst gated quantity (a backward error)
+    and the indices of the batch rows that failed, so callers can keep the
+    rows that passed.
     """
 
     def __init__(self, message, best=None, residual=None, rows=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .poly import _frame, _unit_frame, as_zeros
+from .poly import _frame, as_zeros
 from .rootfind import RootSolverSettings, _eigvals, _in_blocks, _normalize, critical_points_batch, find_roots, match_multisets_batch
 
 __all__ = [
@@ -177,10 +177,10 @@ def is_normal(matrix, tol: float = 1e-10) -> bool:
     """Commutator test: ||M*M - MM*||_F <= tol * ||M||_F**2.
 
     For M = S D S this holds exactly when all zeros are collinear, the equality case of the
-    even-order bounds.  Both sides have degree 2, so it runs in M's ``_unit_frame``, alike at every scale.
+    even-order bounds.  Both sides have degree 2, so it runs in M's ``_frame``, alike at every scale.
     """
     m = _as_square(matrix)
-    m = _unit_frame(m.ravel())[0].reshape(m.shape)
+    m = _frame(m.ravel())[0].reshape(m.shape)
     mh = m.conj().T
     comm = mh @ m - m @ mh
     scale = np.linalg.norm(m) ** 2

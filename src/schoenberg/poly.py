@@ -128,10 +128,10 @@ def recenter(zeros) -> np.ndarray:
 def centroid_residual(zeros):
     """Scaled centroid magnitude ``|sum z| / max |z|``, 0 for all-zero zeros.
 
-    Taken in the zeros' ``_unit_frame``, so it is the same at every scale.  Gate for the inequalities
+    Taken in the zeros' ``_frame``, so it is the same at every scale.  Gate for the inequalities
     that assume a centered configuration: values at or below ``config.TOL_CENTER`` count as centered.
     """
-    (u,) = _unit_frame(as_zeros(zeros))
+    u, _ = _frame(as_zeros(zeros))
     size = np.max(np.abs(u), axis=-1)
     res = np.divide(np.abs(np.sum(u, axis=-1)), size, out=np.zeros_like(size), where=size > 0)
     return float(res) if res.ndim == 0 else res
@@ -144,23 +144,17 @@ def _frame(z, e=None) -> tuple:
     return np.ldexp(x, e).view(complex), e
 
 
-def _unit_frame(z, *more) -> list:
-    """Complex ``z`` and ``more`` times the exact power of two that puts the largest |re| or |im| of each row of ``z`` in [1/2, 1)."""
-    x, e = _frame(z)
-    return [x, *(_frame(a, e)[0] for a in more)]
-
-
 def is_collinear(zeros, tol: float = 1e-10) -> bool:
     """True when all zeros lie on one straight line in the complex plane.
 
-    Checks that every ratio ``(z_j - z_0) / (z_ref - z_0)``, taken in the zeros' ``_unit_frame`` so
+    Checks that every ratio ``(z_j - z_0) / (z_ref - z_0)``, taken in the zeros' ``_frame`` so
     alike at every scale, is real to ``tol``, where ``z_ref`` is the point farthest from ``z_0``; a
     configuration of coincident points counts as collinear.
     """
     z = as_zeros(zeros)
     if z.ndim != 1:
         raise InvalidInputError("is_collinear expects a single configuration")
-    (z,) = _unit_frame(z)
+    z, _ = _frame(z)
     d = z - z[0]
     scale = np.max(np.abs(z))
     ref = np.argmax(np.abs(d))

@@ -19,12 +19,13 @@ from which the snap onto repeated zeros bounds each point's distance to them.
 
 :func:`find_roots_batch` solves general polynomials from their coefficients
 (``matrices.eigenvalues`` of characteristic polynomials) by Aberth-Ehrlich
-iteration on all roots at once: initialized on a circle just outside the
-Cauchy root bound, turned by the fixed angle ``_START_ANGLE`` (to break
-the symmetry of configurations like roots of unity), followed by a short
-Newton polish.
-A cluster of m roots gets the usual reduced accuracy tol**(1/m); an
-exactly zero low-order coefficient block is split off first (lossless).
+iteration on all roots at once, started on the circle of the roots' geometric
+mean modulus |c_0 / c_d|**(1/d) (Bini's Newton-polygon start radii, one segment)
+turned by the fixed angle ``_START_ANGLE`` (against symmetric configurations like
+roots of unity), then a short Newton polish.  Each root r passes the backward-error
+gate |p(r)| / e(r) <= ``tol_root``, e the Horner bound that the round-off test reads.
+A cluster of m roots gets the usual reduced accuracy tol**(1/m); an exactly
+zero low-order coefficient block is split off first (lossless).
 
 Everything is deterministic, and a row solved inside a batch yields
 bit-identical results to the same row solved alone.  That lets both
@@ -62,9 +63,8 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-# Aberth iteration budget, and the start radius over the Cauchy bound.
+# Aberth iteration budget.
 _MAX_ITERATIONS = 250
-_INITIAL_RADIUS_FACTOR = 0.25
 # The Aberth start angle of every batch (batch == single), once drawn as Generator(PCG64(DEFAULT_SEED)).uniform(0, 2 pi).
 _START_ANGLE = 0.19315786872807164
 # Elements of each (rows, k, k) work array of one kernel call: 2**14
@@ -93,7 +93,7 @@ class RootSolverSettings:
     """Acceptance tolerance of the root solvers.
 
     ``tol_root`` is the backward-error gate of :func:`critical_points_batch`
-    and the scaled-residual gate of :func:`find_roots_batch`.
+    and of :func:`find_roots_batch`.
     """
 
     tol_root: float = TOL_ROOT
@@ -144,26 +144,10 @@ def _eval_with_bound(coeffs, x):
     return p, dp, e
 
 
-def _cauchy_bound(coeffs):
-    """Per-polynomial bound: every root has modulus < 1 + max|c_k / c_d|."""
-    return 1.0 + np.max(np.abs(coeffs[..., :-1] / coeffs[..., -1:]), axis=-1)
-
-
-def residual_scale(coeffs):
-    """Residual normalization ``|c_d| * max(1, cauchy bound)**d``.
-
-    ``|p(r)| <= tol_root * residual_scale`` is the acceptance test for a
-    computed root r; the scale accounts for how large p legitimately is on
-    the disk that contains all roots.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    d = c.shape[-1] - 1
-    return np.abs(c[..., -1]) * np.maximum(1.0, _cauchy_bound(c)) ** d
-
-
 def _initial_estimates(coeffs):
+    """d points on the circle of radius |c_0 / c_d|**(1/d), the geometric mean of the roots' moduli (c_0 != 0)."""
     d = coeffs.shape[1] - 1
-    radius = (1.0 + _INITIAL_RADIUS_FACTOR) * np.maximum(_cauchy_bound(coeffs), 1e-3)
+    radius = np.exp((np.log(np.abs(coeffs[:, 0])) - np.log(np.abs(coeffs[:, -1]))) / d)
     angles = 2.0 * np.pi * np.arange(d) / d + _START_ANGLE
     return radius[:, np.newaxis] * np.exp(1j * angles)[np.newaxis, :]
 
@@ -182,15 +166,6 @@ def _aberth_iterate(coeffs, x):
     for _ in range(_MAX_ITERATIONS):
         p, dp, e = _eval_with_bound(coeffs, x)
         at_floor = np.abs(p) <= 4.0 * _EPS * e
-        done = at_floor.all(axis=1)
-        if done.any():
-            out[active[done]] = x[done]
-            if done.all():
-                return out
-            moving = ~done
-            active, coeffs, x, p, dp, at_floor, stalled_prev = (
-                v[moving] for v in (active, coeffs, x, p, dp, at_floor, stalled_prev)
-            )
         newton = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
         pair = x[:, :, np.newaxis] - x[:, np.newaxis, :]
         coincide = pair == 0
@@ -231,7 +206,7 @@ def _newton_polish(coeffs, x, steps: int = 2):
 
 
 def _solve_uniform(coeffs):
-    """Roots of a batch of same-degree polynomials, no residual enforcement."""
+    """Roots of a batch of same-degree polynomials with c_0 != 0, not gated."""
     if coeffs.shape[1] == 2:
         return (-coeffs[:, :1] / coeffs[:, 1:]).astype(complex)
     return _newton_polish(coeffs, _aberth_iterate(coeffs, _initial_estimates(coeffs)))
@@ -242,12 +217,12 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
 
     ``coeffs`` has shape (b, d+1), ascending order; returns shape (b, d).
     Row blocks of the element budget bound the (rows, d, d) Aberth arrays.
-    Raises :class:`ConvergenceError` if any polynomial fails the residual
-    test ``|p(r)| <= tol_root * residual_scale``; the error carries the
-    best iterates of every row, the worst scaled residual and the indices
-    of the failed rows.  A row whose evaluation overflows fails that test
-    with residual inf, and is reported only through the error, never by a
-    numpy warning.
+    Raises :class:`ConvergenceError` if any root r fails the backward-error
+    test ``|p(r)| / e(r) <= tol_root``, e the running bound of the Horner
+    sums (0 where p(r) = 0); the error carries the best iterates of every
+    row, the worst backward error and the indices of the failed rows.  A
+    row whose evaluation overflows fails that test with backward error inf,
+    and is reported only through the error, never by a numpy warning.
     """
     settings = settings or DEFAULT_SETTINGS
     c = _as_coeff_batch(coeffs)
@@ -264,14 +239,15 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
             sub = c[rows][:, m:]
             if sub.shape[1] > 1:
                 roots[rows[:, np.newaxis], np.arange(d - m)] = _in_blocks(_solve_uniform, (d - m) ** 2, sub)
-        p, _, _ = _eval_with_bound(c, roots)
-        # inf / inf where the evaluation overflows: the residual is unbounded.
-        scaled = np.nan_to_num(np.max(np.abs(p), axis=1) / residual_scale(c), nan=np.inf)
-    failed = np.flatnonzero(~(scaled <= settings.tol_root))
+        p, _, e = _eval_with_bound(c, roots)
+        # NaN (inf / inf, or an overflowed p) where the evaluation overflows: the error is unbounded.
+        error = np.max(np.divide(np.abs(p), e, out=np.zeros(p.shape), where=p != 0), axis=1)
+        error = np.nan_to_num(error, nan=np.inf)
+    failed = np.flatnonzero(~(error <= settings.tol_root))
     if failed.size:
-        worst = float(np.max(scaled))
+        worst = float(np.max(error))
         raise ConvergenceError(
-            f"root iteration residual {worst:.3e} above tol_root {settings.tol_root:.1e} "
+            f"root iteration backward error {worst:.3e} above tol_root {settings.tol_root:.1e} "
             f"after {_MAX_ITERATIONS} iterations in {failed.size} of {b} rows",
             best=roots,
             residual=worst,
@@ -474,7 +450,8 @@ def _moduli_eigenvalues(z):
     x, e = _frame(z)  # in the frame, LAPACK scales no matrix by a factor of its own
     q = _complement_basis(z.shape[1])
     xi = np.linalg.eigvalsh((q.T * np.abs(x)[:, np.newaxis, :]) @ q)
-    return np.ldexp(np.maximum(xi[:, ::-1], 0.0), -e)
+    with np.errstate(over="ignore"):  # a point past the double range is inf, never a numpy warning
+        return np.ldexp(np.maximum(xi[:, ::-1], 0.0), -e)
 
 
 def match_multisets(a, b) -> float:

@@ -49,7 +49,7 @@ import numpy as np
 from .config import DEFAULT_SEED, TOL_CENTER
 from .errors import ConvergenceError, InvalidInputError, RejectedStartError
 from .inequalities import CENTERED_IDS, evaluate_ensemble, lookup, row_reports
-from .poly import _unit_frame, as_zeros, centroid_residual, recenter
+from .poly import _frame, as_zeros, centroid_residual, recenter
 from .rootfind import RootSolverSettings, _in_blocks, critical_points, critical_points_batch  # noqa: F401 (perfbench wraps search.critical_points)
 from .sendov import SendovInstance, distance_columns, special_case_reports
 
@@ -316,7 +316,7 @@ class _Objective:
         return z
 
     def values(self, zs) -> np.ndarray:
-        """Values of a zeros stack from one solve, each ratio in its zeros' ``_unit_frame``; -inf where unsolved, undefined or not finite."""
+        """Values of a zeros stack from one solve, each ratio in its zeros' ``_frame``; -inf where unsolved, undefined or not finite."""
         failed = None
         try:
             w = critical_points_batch(zs, self.solver)
@@ -334,7 +334,8 @@ class _Objective:
             f = distance_columns(zs, w).m_minus2
         else:
             with np.errstate(all="ignore"):
-                f = self._ratios(*_unit_frame(zs, w))
+                x, e = _frame(zs)
+                f = self._ratios(x, _frame(w, e)[0])
         if failed is not None:
             f[failed] = -np.inf
         return f

@@ -20,7 +20,7 @@ from schoenberg.config import DEFAULT_SEED
 from schoenberg.errors import ConvergenceError
 from schoenberg.cli import main
 from schoenberg.inequalities import CENTERED_IDS, full_report, make_report
-from schoenberg.poly import _unit_frame
+from schoenberg.poly import _frame
 from schoenberg.search import Ensemble, SearchRecord, SearchSettings, maximize, sample_one, sample_seed
 from schoenberg.sendov import SendovInstance, check_special_case
 
@@ -122,7 +122,7 @@ def test_verify_spectrum_mismatch_is_a_numeric_error(monkeypatch, capsys):
     assert main(["verify", "--zeros", "1,0 0,1 -1,0"]) == 2
     out, err = capsys.readouterr()
     assert "spectrum check: max pairing distance 1.000e+00" in out
-    assert err == "numeric-consistency failure: companion spectrum mismatch\n"
+    assert err == "numeric-consistency failure: D S spectrum mismatch\n"
 
 
 def test_verify_nan_spectrum_distance_is_a_numeric_error(monkeypatch, capsys):
@@ -131,7 +131,7 @@ def test_verify_nan_spectrum_distance_is_a_numeric_error(monkeypatch, capsys):
     assert main(["verify", "--zeros", "1,0 0,1 -1,0"]) == 2
     out, err = capsys.readouterr()
     assert "spectrum check: max pairing distance nan " in out
-    assert err == "numeric-consistency failure: companion spectrum mismatch\n"
+    assert err == "numeric-consistency failure: D S spectrum mismatch\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -428,7 +428,7 @@ def test_oracle_names_the_worst_row_over_all_chunks(bumps, worst_row, monkeypatc
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     code, captured = outputs[0]
     zs = search._samples(Ensemble(kind="uniform-disk", n=5, count=12, recenter=True), range(12))[1]
-    (row,) = _unit_frame(zs[worst_row])
+    row, _ = _frame(zs[worst_row])
     assert code == 1
     assert captured.err == f"worst trace config: {cli._pairs(row)}\n"
 

@@ -1,10 +1,14 @@
 """Two-sided inequality evaluators, trace oracles, and ordering claims."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from schoenberg import inequalities
 from schoenberg.errors import InvalidInputError
 from schoenberg.inequalities import (
     CENTERED_IDS,
@@ -254,6 +258,52 @@ def test_trace_oracles_reject_one_off_centre_row():
         star_trace_oracle(z)
     with pytest.raises(InvalidInputError):
         starstar_trace_oracle(z)
+
+
+# The trace word of each centered form in A = S D S and H = A*: S0 is tr(A*A), BS tr((A*A)^2),
+# KT tr(A*^2 A^2), STAR tr((A*A)^3) and STARSTAR tr(A*^3 A^3).
+TRACE_WORDS = {"S0": "HA", "BS": "HAHA", "KT": "HHAA", "STAR": "HAHAHA", "STARSTAR": "HHHAAA"}
+
+
+def _trace_word_polynomial(word, n):
+    """The exact trace word over z_1..z_{n-1}, zbar_1..zbar_{n-1}, centered by z_n = -sum z_j, as {monomial: rational}."""
+    ring, *g = sympy.ring([f"x{j}" for j in range(2 * n - 2)], sympy.QQ)
+    s = [[sympy.QQ(int(i == j)) - sympy.QQ(1, n) for j in range(n)] for i in range(n)]
+
+    def product(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), ring.zero) for j in range(n)] for i in range(n)]
+
+    def sds(d):
+        return product(s, [[s[i][j] * d[i] for j in range(n)] for i in range(n)])
+
+    z, zbar = g[: n - 1], g[n - 1 :]
+    a, h = sds(z + [-sum(z)]), sds(zbar + [-sum(zbar)])
+    m = a if word[0] == "A" else h
+    for letter in word[1:]:
+        m = product(m, a if letter == "A" else h)
+    return dict(sum((m[i][i] for i in range(n)), ring.zero))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", list(TRACE_WORDS))
+def test_centered_forms_equal_their_trace_words_exactly(family, n, monkeypatch):
+    # The table's own rhs lambdas run on one row of symbols: z_j and zbar_j are independent, |v|^2 is
+    # v times v with z and zbar swapped, np.conj is that swap, and the real part is (X + swap X) / 2.
+    # Each double the code forms becomes its exact rational, so the one rounding left is the code's.
+    z = sympy.symbols(f"x0:{2 * n - 2}")
+    swap = dict(zip(z, z[n - 1 :] + z[: n - 1]))
+    conj = np.frompyfunc(lambda v: sympy.sympify(v).xreplace(swap), 1, 1)
+    monkeypatch.setattr(inequalities, "_abs2", lambda v: v * conj(v))
+    monkeypatch.setattr(np, "conj", conj)
+    row = np.array([list(z[: n - 1]) + [-sum(z[: n - 1])]], dtype=object)
+    rhs = lookup(family, n).rhs(inequalities._Sums(row))[0]
+    rhs = (rhs + conj(rhs)) / 2
+    rhs = rhs.xreplace({f: sympy.Rational(Fraction(float(f))) for f in rhs.atoms(sympy.Float)})
+    got = sympy.Poly(rhs, *z, domain=sympy.QQ).as_dict(native=True)
+    want = _trace_word_polynomial(TRACE_WORDS[family], n)
+    tol = sympy.QQ(16, 2**52) * max(abs(c) for c in want.values())  # 16 ulps of the largest coefficient
+    for monomial in set(got) | set(want):
+        assert abs(got.get(monomial, 0) - want.get(monomial, 0)) <= tol, monomial
 
 
 # --- ordering and invariance claims -----------------------------------------

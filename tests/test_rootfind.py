@@ -101,11 +101,14 @@ def test_find_roots_residual_bound_random():
 
 
 def test_find_roots_non_convergence_carries_best_iterate():
-    # z^2 + 1e300: the Horner evaluation and the residual scale overflow.
+    # 1e-308 z^2 + 1e308 z + 1e308: one root is about -1e616, past the double range,
+    # so the Horner evaluation overflows and the backward error is unbounded.
     with pytest.raises(ConvergenceError) as err:
-        find_roots([1e300, 0.0, 1.0])
+        find_roots([1e308, 1e308, 1e-308])
     assert err.value.best.shape == (1, 2)
     assert err.value.residual == np.inf
+    # z^2 + 1e300 solves: its roots +-1e150i are in range.
+    np.testing.assert_array_equal(np.sort_complex(find_roots([1e300, 0.0, 1.0])), [-1e150j, 1e150j])
 
 
 def mp_critical_points(z, dps=60):
@@ -159,8 +162,8 @@ def test_large_scale_row_solves_and_matches_mpmath():
 
 
 def test_overflowing_coefficient_row_fails_alone_without_warnings():
-    # Row 1 is z^2 + 1e300: its Horner evaluation and residual scale overflow.
-    coeffs = np.array([from_roots(np.array([0.5, -1j])), [1e300, 0.0, 1.0], from_roots(np.array([2.0, 3.0]))])
+    # Row 1 has a root of about -1e616, past the double range: its Horner evaluation overflows.
+    coeffs = np.array([from_roots(np.array([0.5, -1j])), [1e308, 1e308, 1e-308], from_roots(np.array([2.0, 3.0]))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError) as err:
@@ -169,6 +172,16 @@ def test_overflowing_coefficient_row_fails_alone_without_warnings():
     assert err.value.residual > 0
     for i in (0, 2):
         np.testing.assert_array_equal(err.value.best[i], find_roots(coeffs[i]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [48, 64])
+def test_find_roots_solves_gaussian_zeros_of_high_degree(n):
+    # No row may fail, and none may pass the gate far from the zeros it was built from: at this
+    # degree Aberth can stop short of the roots, and only a gate that can fail catches that.
+    z = np.random.default_rng(n).standard_normal((8, 2 * n)).view(complex) / np.sqrt(2)
+    roots = find_roots_batch(from_roots(z))
+    assert match_multisets_batch(roots, z).max() <= 1e-5
 
 
 def test_find_roots_deterministic_and_batch_consistent():
@@ -607,6 +620,13 @@ def test_moduli_critical_points_examples():
     np.testing.assert_allclose(moduli_critical_points([1, -1]), [1.0], atol=1e-14)
     np.testing.assert_allclose(moduli_critical_points([1, 1j, -1, -1j]), [1, 1, 1], atol=1e-14)
     np.testing.assert_allclose(moduli_critical_points([0, 0, 3]), [2, 0], atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_moduli_point_past_the_double_range_is_inf_without_warnings():
+    # The moduli 1.5e308 * sqrt(2) overflow, though the components do not.
+    xi = moduli_critical_points([1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 0])
+    assert xi[0] == np.inf and 7.0e307 < xi[1] < 7.1e307
 
 
 def test_moduli_critical_points_sorted_real_nonnegative():

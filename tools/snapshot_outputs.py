@@ -34,6 +34,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# A regular 12-gon perturbed by 1e-10 g, g real and Gaussian: its critical points
+# are a near-multiple ring, ill-conditioned for both sides of the spectrum check.
+NEAR_12GON = np.exp(2j * np.pi * np.arange(12) / 12) + 1e-10 * np.random.default_rng(7).standard_normal(12)
+
 # A seed of 2**32 or more is two words of seed entropy.
 SEEDS = (1729, 4242, 2**32 + 1729)
 
@@ -134,6 +138,8 @@ COMMANDS = (
     ("verify_five_fold_zero", ("verify", "--zeros", "1,0 1,0 1,0 1,0 1,0 -1,0 0,1 0,-1"), False),
     ("verify_line_of_40", ("verify", "--zeros", " ".join(f"{k / 40!r},0" for k in range(40))), False),
     ("verify_coincident_35", ("verify", "--zeros", " ".join(["0.1,0"] * 35)), False),
+    ("verify_near_regular_12gon",
+     ("verify", "--zeros", " ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in NEAR_12GON)), False),
     # Far above unit scale the order-6 and LXZ(6) sums overflow (the ROADMAP's
     # North star, Open): a false violation with raw warnings.
     ("verify_huge_triangle", ("verify", "--zeros", "1e60,0 -1e60,0 0,1e60"), False),
