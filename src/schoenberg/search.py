@@ -316,7 +316,10 @@ class _Objective:
         return z
 
     def values(self, zs) -> np.ndarray:
-        """Values of a zeros stack from one solve, each ratio in its zeros' ``_frame``; -inf where unsolved, undefined or not finite."""
+        """Values of a zeros stack from one solve: a ratio solved and scored in its zeros'
+        ``_frame``, M_MINUS2 in caller units; -inf where unsolved, undefined or not finite.
+        """
+        zs = zs if self.sendov else _frame(zs)[0]
         failed = None
         try:
             w = critical_points_batch(zs, self.solver)
@@ -330,16 +333,12 @@ class _Objective:
             if finite.any():
                 f[finite] = self.values(zs[finite])
             return f
-        if self.sendov:
-            f = distance_columns(zs, w).m_minus2
-        else:
-            with np.errstate(all="ignore"):
-                x, e = _frame(zs)
-                f = self._ratios(x, _frame(w, e)[0])
+        f = distance_columns(zs, w).m_minus2 if self.sendov else self._ratios(zs, w)
         if failed is not None:
             f[failed] = -np.inf
         return f
 
+    @np.errstate(all="ignore")
     def _ratios(self, zs, w) -> np.ndarray:
         lhs, rhs = self.inequality.evaluate(zs, w)
         return np.where(np.isfinite(rhs) & (rhs > 1e-150) & np.isfinite(lhs), lhs / rhs, -np.inf)

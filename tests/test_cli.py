@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -799,6 +800,56 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     }
     assert flags["oracle"] == ["--n", "--samples", "--seed", "--tol-root"]
     assert flags["report"] == ["--format", "--input", "--out"]
+
+
+def test_one_parser_serves_every_call():
+    assert cli._build_parser() is cli._build_parser()
+
+
+_ZEROS = ["--zeros", "0.3,0.1 -0.5,0.2 0.7,-0.4"]
+
+
+@pytest.mark.parametrize("last", [
+    ["sweep", "--ensemble", "gaussian", "--n", "5", "--count", "40", "--out", "s"],
+    ["search", "--objective", "KT", "--n", "5", "--starts", "2", "--max-iterations", "5", "--out", "s"],
+    ["verify", *_ZEROS, "--out", "s.jsonl"],
+    ["report", "--input", "first.jsonl", "--format", "csv"],
+], ids=lambda last: last[0])
+def test_earlier_calls_leave_nothing_to_a_later_call(last, tmp_path, monkeypatch, capsys):
+    # Flags, a usage error and --help parsed by the one parser before it do
+    # not reach the last call, whose outputs are those of a fresh interpreter
+    # started on the files the earlier calls left.
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    sweep = ["sweep", "--ensemble", "gaussian", "--n", "5", "--count", "40"]
+    assert main([*sweep, "--tol-eq", "1e-3", "--recenter", "--out", "first"]) == 0
+    assert main(["verify", *_ZEROS, "--a", "0.6", "--format", "csv"]) == 0
+    search_argv = ["search", "--objective", "STAR", "--n", "5", "--starts", "2", "--ensemble", "gaussian"]
+    assert main([*search_argv, "--max-iterations", "3", "--out", "first-search"]) == 0
+    assert main(["oracle", "--n", "11"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    shutil.copytree(here, fresh)
+    capsys.readouterr()
+    code = main(last)
+    out = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "schoenberg.cli", *last], cwd=fresh,
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (code, out) == (done.returncode, done.stdout)
+    assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in here.iterdir():
+        assert path.read_bytes() == (fresh / path.name).read_bytes()
+
+
+def test_verify_without_a_after_one_with_a_prints_no_sendov_line(capsys):
+    zeros = ["verify", *_ZEROS]
+    main([*zeros, "--a", "0.6"])
+    assert "sendov:" in capsys.readouterr().out
+    main(zeros)
+    assert "sendov" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
