@@ -64,7 +64,7 @@ import numpy as np
 from .config import TOL_CENTER, TOL_EQ
 from .errors import InvalidInputError, NumericConsistencyError
 from .matrices import build_D, build_S, trace_word
-from .poly import as_zeros, centroid_residual, elementary_symmetric_all, recenter
+from .poly import _frame, as_zeros, centroid_residual, elementary_symmetric_all, recenter
 from .rootfind import (
     RootSolverSettings,
     critical_points_batch,
@@ -441,25 +441,29 @@ def eval_general(zeros, critical, r: float, *, tol_eq: float = TOL_EQ):
 # ---------------------------------------------------------------------------
 # brute-force trace oracles for the order-6 right-hand sides
 
-def _real_trace(t, z):
-    """Real part of the traces ``t`` of words of degree 6 in the zeros ``z``."""
+def _real_trace(t, x, e):
+    """Real part of the traces ``t`` of words of degree 6 in the framed zeros ``x = 2**e z``, in the units of z."""
     imag = np.abs(np.imag(t))
-    bad = imag > 1e-9 * np.maximum(1.0, np.max(np.abs(z), axis=-1)) ** 6
+    bad = imag > 1e-9 * np.max(np.abs(x), axis=-1) ** 6
     if np.any(bad):
         raise NumericConsistencyError(
             f"trace imaginary part {np.max(np.where(bad, imag, 0.0)):.3e} exceeds 1e-9 * scale^6"
         )
-    return t.real
+    with np.errstate(over="ignore"):  # a trace past the double range is inf, never a numpy warning
+        r = np.ldexp(np.real(t), -6 * e)
+    return float(r) if r.ndim == 0 else r
 
 
 def _word_factors(zeros):
+    """The zeros in their ``_frame``, its exponents, and S, D and D* of the framed zeros."""
     z = as_zeros(zeros)
     if z.ndim > 2:
         raise InvalidInputError("trace oracles take a configuration or a (b, n) stack")
     if np.any(centroid_residual(z) > TOL_CENTER):
         raise InvalidInputError("trace oracles require centered configurations")
-    d = build_D(z)
-    return z, build_S(z.shape[-1]), d, d.conj().swapaxes(-1, -2)
+    x, e = _frame(z)
+    d = build_D(x)
+    return x, e[..., 0], build_S(z.shape[-1]), d, d.conj().swapaxes(-1, -2)
 
 
 def star_trace_oracle(zeros):
@@ -467,8 +471,8 @@ def star_trace_oracle(zeros):
 
     A float for one configuration, a (b,) array for a (b, n) stack.
     """
-    z, s, d, dh = _word_factors(zeros)
-    return _real_trace(trace_word([s, dh, s, d] * 3), z)
+    x, e, s, d, dh = _word_factors(zeros)
+    return _real_trace(trace_word([s, dh, s, d] * 3), x, e)
 
 
 def starstar_trace_oracle(zeros):
@@ -476,8 +480,8 @@ def starstar_trace_oracle(zeros):
 
     A float for one configuration, a (b,) array for a (b, n) stack.
     """
-    z, s, d, dh = _word_factors(zeros)
-    return _real_trace(trace_word([s, dh, s, dh, s, dh, s, d, s, d, s, d]), z)
+    x, e, s, d, dh = _word_factors(zeros)
+    return _real_trace(trace_word([s, dh, s, dh, s, dh, s, d, s, d, s, d]), x, e)
 
 
 def order6_bounds(zs):

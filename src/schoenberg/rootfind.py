@@ -18,14 +18,15 @@ One pass over the w - u_j gives the error, the step and that denominator,
 from which the snap onto repeated zeros bounds each point's distance to them.
 
 :func:`find_roots_batch` solves general polynomials from their coefficients
-(``matrices.eigenvalues`` of characteristic polynomials) by Aberth-Ehrlich
-iteration on all roots at once, started on the circle of the roots' geometric
-mean modulus |c_0 / c_d|**(1/d) (Bini's Newton-polygon start radii, one segment)
-turned by the fixed angle ``_START_ANGLE`` (against symmetric configurations like
-roots of unity), then a short Newton polish.  Each root r passes the backward-error
-gate |p(r)| / e(r) <= ``tol_root``, e the Horner bound that the round-off test reads.
-A cluster of m roots gets the usual reduced accuracy tol**(1/m); an exactly
-zero low-order coefficient block is split off first (lossless).
+(``matrices.eigenvalues`` of characteristic polynomials) in each row's frame: with E_j the exponent
+of c_j and k = -floor((E_0 - E_d) / d), it solves c_j 2**(k (d - j)) for y = 2**k x, whose geometric
+mean modulus |c_0 / c_d|**(1/d) is within a factor 4 of 1.  So the iteration reads the row's own
+scale, and the roots of 2**k z are those of z times 2**k, bit for bit.  Aberth-Ehrlich iteration on
+all roots starts on that circle (Bini's Newton-polygon start radii, one segment) turned by the fixed
+angle ``_START_ANGLE`` (against symmetric configurations like roots of unity), then a short Newton
+polish.  Each root r passes the backward-error gate |p(r)| / e(r) <= ``tol_root``, e the Horner
+bound of the round-off test.  A cluster of m roots gets the usual reduced accuracy tol**(1/m); an
+exactly zero low-order coefficient block is split off first (lossless).
 
 Everything is deterministic, and a row solved inside a batch yields
 bit-identical results to the same row solved alone.  That lets both
@@ -206,23 +207,26 @@ def _newton_polish(coeffs, x, steps: int = 2):
 
 
 def _solve_uniform(coeffs):
-    """Roots of a batch of same-degree polynomials with c_0 != 0, not gated."""
-    if coeffs.shape[1] == 2:
-        return (-coeffs[:, :1] / coeffs[:, 1:]).astype(complex)
-    return _newton_polish(coeffs, _aberth_iterate(coeffs, _initial_estimates(coeffs)))
+    """Roots of a batch of same-degree polynomials with c_0 != 0, not gated, each row solved in its frame (see above)."""
+    d = coeffs.shape[1] - 1
+    e = _frame(coeffs[:, ::d, np.newaxis])[1]  # -E_0 and -E_d
+    k = -((e[:, 1] - e[:, 0]) // d)
+    c = _frame(coeffs[:, :, np.newaxis], (k * np.arange(d, -1, -1))[:, :, np.newaxis])[0][:, :, 0]
+    y = -c[:, :1] / c[:, 1:] if d == 1 else _newton_polish(c, _aberth_iterate(c, _initial_estimates(c)))
+    return _frame(y, -k)[0]
 
 
 def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
     """Roots (with multiplicity) of a batch of same-degree polynomials.
 
-    ``coeffs`` has shape (b, d+1), ascending order; returns shape (b, d).
-    Row blocks of the element budget bound the (rows, d, d) Aberth arrays.
-    Raises :class:`ConvergenceError` if any root r fails the backward-error
-    test ``|p(r)| / e(r) <= tol_root``, e the running bound of the Horner
-    sums (0 where p(r) = 0); the error carries the best iterates of every
-    row, the worst backward error and the indices of the failed rows.  A
-    row whose evaluation overflows fails that test with backward error inf,
-    and is reported only through the error, never by a numpy warning.
+    ``coeffs`` has shape (b, d+1), ascending order; returns shape (b, d).  Each row is solved in its
+    frame, so coefficients of 2**k-scaled roots give 2**k times the roots, bit for bit, wherever the
+    framed coefficients are normal.  Row blocks of the element budget bound the (rows, d, d) Aberth
+    arrays.  Raises :class:`ConvergenceError` if any root r fails the backward-error test
+    ``|p(r)| / e(r) <= tol_root``, e the running bound of the Horner sums (0 where p(r) = 0); the
+    error carries the best iterates of every row, the worst backward error and the indices of the
+    failed rows.  A row whose evaluation overflows fails that test with backward error inf, and is
+    reported only through the error, never by a numpy warning.
     """
     settings = settings or DEFAULT_SETTINGS
     c = _as_coeff_batch(coeffs)
@@ -331,14 +335,6 @@ def _complement_basis(n: int) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=64)
-def _complex_basis(n: int) -> np.ndarray:
-    """:func:`_complement_basis` as the complex matrix that products with complex zeros would cast it to."""
-    q = _complement_basis(n).astype(complex)
-    q.flags.writeable = False
-    return q
-
-
 def _normalize(z):
     """Centroid c, radius s = max |x - c|, u = (x - c) / s and e of each row x = 2**e z of a (b, n) stack's ``_frame``.
 
@@ -382,7 +378,7 @@ def _compression_eigenvalues(z, tol):
     n = z.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c, s, u, e = _normalize(z)
-        q = _complex_basis(n)
+        q = _complement_basis(n)
         w = _eigvals((q.T * u[:, np.newaxis, :]) @ q)
         error, step, weight = _backward_error(u, w)
         polished = w - step

@@ -16,7 +16,7 @@ CUBE = np.zeros((1, 1, 3), dtype=complex)
     (lambda: inequalities._Sums(TWO_ROWS).no_such_sum, AttributeError, "no_such_sum"),
     (lambda: inequalities.eval_order2(TWO_ROWS, TWO_ROWS[:, 1:]), InvalidInputError, "evaluators take one configuration"),
     (lambda: inequalities.eval_order2(TRIANGLE, [0.0]), InvalidInputError, "critical set must have length n-1 = 2, got 1"),
-    (lambda: inequalities._real_trace(np.array([1j]), TWO_ROWS[:1]), NumericConsistencyError, "trace imaginary part 1.000e+00"),
+    (lambda: inequalities._real_trace(np.array([1j]), TWO_ROWS[:1], np.zeros(1, int)), NumericConsistencyError, "trace imaginary part 1.000e+00"),
     (lambda: inequalities.star_trace_oracle(CUBE), InvalidInputError, "trace oracles take a configuration or a (b, n) stack"),
     (lambda: inequalities.full_report(TWO_ROWS), InvalidInputError, "full_report takes a single configuration"),
     (lambda: matrices.build_D(CUBE), InvalidInputError, "expected a configuration or a (b, n) stack, got shape (1, 1, 3)"),

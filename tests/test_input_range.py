@@ -9,13 +9,16 @@ work in the zeros' frame, so where 2**k z is exact their results are those of z 
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from schoenberg import search
+from schoenberg import inequalities, search
 from schoenberg.cli import main
-from schoenberg.poly import recenter
-from schoenberg.rootfind import critical_points_batch, moduli_critical_points_batch
+from schoenberg.config import TOL_CENTER
+from schoenberg.errors import NumericConsistencyError
+from schoenberg.matrices import char_poly, eigenvalues
+from schoenberg.poly import centroid_residual, from_roots, recenter
+from schoenberg.rootfind import critical_points_batch, find_roots_batch, moduli_critical_points_batch
 from schoenberg.search import ENSEMBLE_KINDS, Ensemble
 
 # The North star's Open note (ROADMAP): far above unit size the order-6 and
@@ -83,6 +86,81 @@ def test_solves_scale_exactly_by_every_power_of_two(z):
     got, want = recenter(scaled[fits]), centered[fits]
     normal = (np.abs(want.view(float)) >= np.finfo(float).tiny) | (want.view(float) == 0)
     assert np.isfinite(got).all() and (got.view(float)[normal] == want.view(float)[normal]).all()
+
+
+def _exactly_scaled(z):
+    """Every k with 2**k z exact and finite, and the (k, n) stack of those 2**k z."""
+    ks = np.arange(-1200, 1100)
+    with np.errstate(over="ignore"):
+        scaled = _times_power_of_two(np.tile(z, (ks.size, 1)), ks[:, np.newaxis])
+        keep = np.isfinite(scaled).all(axis=1) & (_times_power_of_two(scaled, -ks[:, np.newaxis]) == z).all(axis=1)
+    return ks[keep], scaled[keep]
+
+
+def _times_exactly(a, k):
+    """``a`` times 2**k, k broadcast against its real and imaginary parts, and the rows where every nonzero part stays normal."""
+    parts = np.ascontiguousarray(a).view(float)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(parts, k)
+    normal = (parts == 0) | ((np.abs(x) >= np.finfo(float).tiny) & (np.abs(x) < np.inf))
+    return x.view(complex), normal.all(axis=-1)
+
+
+def _coefficients_times(c, ks):
+    """c_j 2**(k (d - j)) for each k of ``ks``, the coefficients of the roots of c times 2**k, and where they stay normal."""
+    exponents = ks[:, np.newaxis] * np.arange(c.shape[-1] - 1, -1, -1)
+    return _times_exactly(np.tile(c, (ks.size, 1)), np.repeat(exponents, 2, axis=1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(z=shapes(max_n=16))
+def test_root_solve_scales_exactly_by_every_power_of_two(z):
+    # Every k where the coefficients of 2**k z are those of z scaled exactly and stay normal, as one stack.
+    ks, scaled = _exactly_scaled(z)
+    c = from_roots(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = from_roots(scaled)
+    want_c, normal_c = _coefficients_times(c, ks)
+    want, normal = _times_exactly(np.tile(find_roots_batch(c), (ks.size, 1)), ks[:, np.newaxis])
+    keep = (coeffs == want_c).all(axis=1) & normal_c & normal
+    assert keep.sum() >= 1000 // z.size
+    assert _bits(find_roots_batch(coeffs[keep])).tolist() == _bits(want[keep]).tolist()
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_eigenvalues_scale_exactly_by_every_power_of_two(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, 2 * n)).view(complex)
+    c, points = char_poly(m), eigenvalues(m)
+    for k in range(-1100 // n, 1100 // n):
+        mk = np.ldexp(m.view(float), k).view(complex)
+        with np.errstate(all="ignore"):
+            ck = char_poly(mk)
+        (want_c,), (normal_c,) = _coefficients_times(c, np.array([k]))
+        want, normal = _times_exactly(points, k)
+        if (ck == want_c).all() and normal_c and normal:
+            assert _bits(eigenvalues(mk)).tolist() == _bits(want).tolist()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(z=shapes(max_n=10))
+def test_trace_oracles_scale_exactly_by_every_power_of_two(z):
+    # Degree-6 words: the value at 2**k z is the value at z times 2**(6k), rounded once, inf past the range.
+    z = recenter(z)
+    # n equal zeros can recenter to n copies of one ulp, which the oracles' centering gate rejects.
+    assume(centroid_residual(z) <= TOL_CENTER)
+    ks, scaled = _exactly_scaled(z)
+    for oracle in (inequalities.star_trace_oracle, inequalities.starstar_trace_oracle):
+        with np.errstate(over="ignore"):
+            want = np.ldexp(oracle(z), 6 * ks)
+        assert _bits(oracle(scaled)).tolist() == _bits(want).tolist()
+
+
+def test_trace_check_is_relative_to_the_zeros():
+    # A trace of 1e-18 with an imaginary part of 1e-16 on 1e-3-scale zeros is not real.
+    x, e, *_ = inequalities._word_factors(1e-3 * recenter(np.array([1.0, 1j, -2.0, 0.5 - 1j])))
+    with pytest.raises(NumericConsistencyError, match="trace imaginary part"):
+        inequalities._real_trace((1e-18 + 1e-16j) * 2.0 ** (6 * e), x, e)
 
 
 def _zeros_text(z):

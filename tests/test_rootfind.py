@@ -96,7 +96,7 @@ def test_find_roots_residual_bound_random():
         coeffs = from_roots(z)
         roots = find_roots_batch(coeffs, settings)
         resid = np.abs(polyval(coeffs[:, None, :], roots))
-        # residual_scale >= max(1, max|root|)^n here since the polys are monic
+        # Absolute, not backward: on these monic rows of unit-scale zeros |p(r)| itself stays below tol_root.
         assert resid.max() <= settings.tol_root
 
 
