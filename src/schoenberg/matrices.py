@@ -130,7 +130,12 @@ def char_poly(matrix) -> np.ndarray:
 
 
 def eigenvalues(matrix, settings: RootSolverSettings | None = None) -> np.ndarray:
-    """Eigenvalues as roots of the characteristic polynomial."""
+    """Eigenvalues as the roots of the characteristic polynomial, by ``find_roots``.
+
+    That is LAPACK's eigenvalues of the polynomial's framed companion matrix, polished and gated on
+    their backward error as roots of ``char_poly(matrix)``, so ``eigenvalues(2**k M)`` is
+    ``2**k eigenvalues(M)`` bit for bit wherever the coefficients scale exactly.
+    """
     return find_roots(char_poly(matrix), settings)
 
 

@@ -119,10 +119,12 @@ def recenter(zeros) -> np.ndarray:
     """Translate a configuration so its centroid sits at the origin.
 
     Idempotent up to round-off, with ``sum(z) == 0`` to machine precision.
-    The centroid is formed in the zeros' ``_frame``: finite for finite zeros.
+    The centroid is formed in the zeros' ``_frame``: finite for finite zeros.  Equal zeros recenter
+    to exact zeros, where their rounded mean can miss them by an ulp.
     """
     x, e = _frame(as_zeros(zeros))
-    return _frame(x - np.mean(x, axis=-1, keepdims=True), -e)[0]
+    equal = (x == x[..., :1]).all(axis=-1, keepdims=True)
+    return _frame(np.where(equal, 0.0, x - np.mean(x, axis=-1, keepdims=True)), -e)[0]
 
 
 def centroid_residual(zeros):

@@ -1,4 +1,4 @@
-"""Critical points as eigenvalues, and a simultaneous polynomial root solver.
+"""Critical points and polynomial roots, both as LAPACK eigenvalues.
 
 The critical points of p(z) = prod (z - z_j) are the spectrum of the
 compression Q^T diag(z) Q, Q an orthonormal basis of the complement of
@@ -20,13 +20,13 @@ from which the snap onto repeated zeros bounds each point's distance to them.
 :func:`find_roots_batch` solves general polynomials from their coefficients
 (``matrices.eigenvalues`` of characteristic polynomials) in each row's frame: with E_j the exponent
 of c_j and k = -floor((E_0 - E_d) / d), it solves c_j 2**(k (d - j)) for y = 2**k x, whose geometric
-mean modulus |c_0 / c_d|**(1/d) is within a factor 4 of 1.  So the iteration reads the row's own
-scale, and the roots of 2**k z are those of z times 2**k, bit for bit.  Aberth-Ehrlich iteration on
-all roots starts on that circle (Bini's Newton-polygon start radii, one segment) turned by the fixed
-angle ``_START_ANGLE`` (against symmetric configurations like roots of unity), then a short Newton
-polish.  Each root r passes the backward-error gate |p(r)| / e(r) <= ``tol_root``, e the Horner
-bound of the round-off test.  A cluster of m roots gets the usual reduced accuracy tol**(1/m); an
-exactly zero low-order coefficient block is split off first (lossless).
+mean modulus |c_0 / c_d|**(1/d) is within a factor 4 of 1, so the roots of 2**k z are those of z
+times 2**k, bit for bit.  The roots are :func:`_eigvals` of the framed row's companion matrix (ones
+on the subdiagonal, -c_j / c_d in the last column), which LAPACK balances, so they are exact roots of
+nearby coefficients (Edelman & Murakami 1995); four Newton steps polish each.  Each root r passes the
+backward-error gate |p(r)| / e(r) <= ``tol_root``, e the running bound of the Horner sums.  A cluster
+of m roots gets the usual reduced accuracy tol**(1/m); an exactly zero low-order coefficient block is
+split off first (lossless).
 
 Everything is deterministic, and a row solved inside a batch yields
 bit-identical results to the same row solved alone.  That lets both
@@ -64,10 +64,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-# Aberth iteration budget.
-_MAX_ITERATIONS = 250
-# The Aberth start angle of every batch (batch == single), once drawn as Generator(PCG64(DEFAULT_SEED)).uniform(0, 2 pi).
-_START_ANGLE = 0.19315786872807164
 # Elements of each (rows, k, k) work array of one kernel call: 2**14
 # complex values are 256 KiB, whatever the degree k.
 _BUDGET = 1 << 14
@@ -145,58 +141,11 @@ def _eval_with_bound(coeffs, x):
     return p, dp, e
 
 
-def _initial_estimates(coeffs):
-    """d points on the circle of radius |c_0 / c_d|**(1/d), the geometric mean of the roots' moduli (c_0 != 0)."""
-    d = coeffs.shape[1] - 1
-    radius = np.exp((np.log(np.abs(coeffs[:, 0])) - np.log(np.abs(coeffs[:, -1]))) / d)
-    angles = 2.0 * np.pi * np.arange(d) / d + _START_ANGLE
-    return radius[:, np.newaxis] * np.exp(1j * angles)[np.newaxis, :]
-
-
-def _aberth_iterate(coeffs, x):
-    """Run the simultaneous iteration; returns the final estimates.
-
-    A polynomial leaves the iteration once all its estimates are at the
-    round-off floor or stalled twice running, exactly where it would stop if
-    solved alone, so its roots never depend on the rest of the batch.
-    """
-    d = x.shape[-1]
-    out = np.empty_like(x)
-    active = np.arange(x.shape[0])
-    stalled_prev = np.zeros(x.shape, dtype=bool)
-    for _ in range(_MAX_ITERATIONS):
-        p, dp, e = _eval_with_bound(coeffs, x)
-        at_floor = np.abs(p) <= 4.0 * _EPS * e
-        newton = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
-        pair = x[:, :, np.newaxis] - x[:, np.newaxis, :]
-        coincide = pair == 0
-        repulse = np.divide(1.0, pair, out=np.zeros_like(pair), where=~coincide).sum(axis=2)
-        denom = 1.0 - newton * repulse
-        corr = np.divide(newton, denom, out=newton, where=denom != 0)
-        # Coincident estimates exert no repulsion; spread them slightly.
-        collided = coincide.sum(axis=2) > 1
-        if np.any(collided):
-            nudge = (1.0 + np.abs(x)) * 1e-12 * np.exp(2j * np.pi * np.arange(d) / d)
-            x = np.where(collided, x + nudge, x)
-        corr = np.where(at_floor, 0.0, corr)
-        x = x - corr
-        stalled = np.abs(corr) <= 1e-16 * (1.0 + np.abs(x))
-        done = (at_floor | (stalled & stalled_prev)).all(axis=1)
-        if done.any():
-            out[active[done]] = x[done]
-            if done.all():
-                return out
-            moving = ~done
-            active, coeffs, x, stalled = (v[moving] for v in (active, coeffs, x, stalled))
-        stalled_prev = stalled
-    out[active] = x
-    return out
-
-
-def _newton_polish(coeffs, x, steps: int = 2):
+def _newton_polish(coeffs, x):
+    """Four Newton steps from x, keeping each root's iterate of least |p|."""
     p, dp, _ = _eval_with_bound(coeffs, x)
     best_x, best_p = x, np.abs(p)
-    for _ in range(steps):
+    for _ in range(4):
         step = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
         x = best_x - step
         p, dp, _ = _eval_with_bound(coeffs, x)
@@ -212,8 +161,10 @@ def _solve_uniform(coeffs):
     e = _frame(coeffs[:, ::d, np.newaxis])[1]  # -E_0 and -E_d
     k = -((e[:, 1] - e[:, 0]) // d)
     c = _frame(coeffs[:, :, np.newaxis], (k * np.arange(d, -1, -1))[:, :, np.newaxis])[0][:, :, 0]
-    y = -c[:, :1] / c[:, 1:] if d == 1 else _newton_polish(c, _aberth_iterate(c, _initial_estimates(c)))
-    return _frame(y, -k)[0]
+    companion = np.zeros((c.shape[0], d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    return _frame(_newton_polish(c, _eigvals(companion)), -k)[0]
 
 
 def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
@@ -221,12 +172,12 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
 
     ``coeffs`` has shape (b, d+1), ascending order; returns shape (b, d).  Each row is solved in its
     frame, so coefficients of 2**k-scaled roots give 2**k times the roots, bit for bit, wherever the
-    framed coefficients are normal.  Row blocks of the element budget bound the (rows, d, d) Aberth
-    arrays.  Raises :class:`ConvergenceError` if any root r fails the backward-error test
+    framed coefficients are normal.  Row blocks of the element budget bound the (rows, d, d) companion
+    matrices.  Raises :class:`ConvergenceError` if any root r fails the backward-error test
     ``|p(r)| / e(r) <= tol_root``, e the running bound of the Horner sums (0 where p(r) = 0); the
-    error carries the best iterates of every row, the worst backward error and the indices of the
-    failed rows.  A row whose evaluation overflows fails that test with backward error inf, and is
-    reported only through the error, never by a numpy warning.
+    error carries the polished roots of every row, the worst backward error and the indices of the
+    failed rows.  A row whose evaluation overflows, or whose matrix LAPACK cannot converge, fails that
+    test with backward error inf, and is reported only through the error, never by a numpy warning.
     """
     settings = settings or DEFAULT_SETTINGS
     c = _as_coeff_batch(coeffs)
@@ -251,8 +202,7 @@ def find_roots_batch(coeffs, settings: RootSolverSettings | None = None):
     if failed.size:
         worst = float(np.max(error))
         raise ConvergenceError(
-            f"root iteration backward error {worst:.3e} above tol_root {settings.tol_root:.1e} "
-            f"after {_MAX_ITERATIONS} iterations in {failed.size} of {b} rows",
+            f"root backward error {worst:.3e} above tol_root {settings.tol_root:.1e} in {failed.size} of {b} rows",
             best=roots,
             residual=worst,
             rows=failed,

@@ -8,9 +8,11 @@ from schoenberg import rootfind
 
 @pytest.fixture
 def nan_eigvals(monkeypatch):
-    """Make the kernel's LAPACK call ``rootfind._eigvals`` return NaN for row ``row`` of every stack that has one.
+    """Make ``rootfind._eigvals`` return NaN for row ``row`` of every stack that has one.
 
-    NaN eigenvalues are what LAPACK leaves in a matrix it cannot converge.
+    It is the one LAPACK call of both solvers: the critical-point kernel's compressions and
+    ``find_roots_batch``'s companion matrices.  NaN eigenvalues are what LAPACK leaves in a matrix it
+    cannot converge.
     """
 
     def poison(row):

@@ -229,6 +229,13 @@ def test_verify_judges_centered_forms_on_the_recentered_zeros(capsys):
     assert tables[0] == tables[1]
 
 
+def test_verify_judges_coincident_zeros_on_exact_zeros(capsys):
+    # 35 copies of 0.1 recenter to 35 exact zeros, not to a residue of an ulp.
+    assert main(["verify", "--zeros", " ".join(["0.1,0"] * 35)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.split()[0] in CENTERED_IDS]
+    assert rows and all(float(row[1]) == float(row[2]) == 0.0 for row in rows)
+
+
 @pytest.mark.parametrize("zeros, extra", [
     ("0.3,0.2 -0.7,0.1 0.4,-0.5 0.2,0.9", []),
     ("0.3,0.2 0.7,0.1 0.4,-0.5 0.2,0.9", ["--a", "0.5"]),
@@ -948,7 +955,7 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 
 
 def test_verify_leaves_numpy_random_unloaded():
-    # The solvers draw nothing: the Aberth start angle is a constant.
+    # The solvers draw nothing: every solve is LAPACK's eigenvalues, which need no start.
     code = ("import sys; import schoenberg.cli as cli; "
             "assert cli.main(['verify', '--zeros', '1,0 -1,0 0,1']) == 0; print('numpy.random' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -147,7 +147,7 @@ def test_eigenvalues_scale_exactly_by_every_power_of_two(n, seed):
 def test_trace_oracles_scale_exactly_by_every_power_of_two(z):
     # Degree-6 words: the value at 2**k z is the value at z times 2**(6k), rounded once, inf past the range.
     z = recenter(z)
-    # n equal zeros can recenter to n copies of one ulp, which the oracles' centering gate rejects.
+    # Zeros an ulp apart can recenter to a residue of an ulp, which the oracles' centering gate rejects.
     assume(centroid_residual(z) <= TOL_CENTER)
     ks, scaled = _exactly_scaled(z)
     for oracle in (inequalities.star_trace_oracle, inequalities.starstar_trace_oracle):

@@ -135,6 +135,16 @@ def test_recenter_examples():
     np.testing.assert_allclose(recenter(z), z, atol=1e-16)
 
 
+def test_recenter_of_equal_zeros_is_exact_zeros():
+    # The rounded mean of n copies of x can miss x by an ulp; equal zeros still recenter to 0.
+    rng = np.random.default_rng(29)
+    for n in rng.integers(2, 10, size=2000):
+        zc = recenter(np.full(n, complex(*rng.standard_normal(2))))
+        assert (zc == 0).all() and centroid_residual(zc) == 0.0
+    rows = np.repeat(rng.standard_normal((5, 2)).view(complex), 6, axis=1)
+    assert (recenter(rows) == 0).all()
+
+
 def test_recenter_idempotent_and_centered():
     rng = np.random.default_rng(23)
     z = 5 * (rng.standard_normal(9) + 1j * rng.standard_normal(9)) + 3.0

@@ -2,20 +2,24 @@
 
     python3 tools/root_accuracy.py
 
-Solves 8 rows per cell, five classes at n in {6, 16, 32, 48, 63}, with the
-package of this checkout (``src``), and prints one table row per cell:
+Solves 8 rows per cell, five classes at n in {6, 16, 32, 48, 63} and Wilkinson's
+polynomial, with the package of this checkout (``src``), and prints one table
+row per cell:
 
 * ``gaussian``: zeros z ~ CN(0, 1);
 * ``unit-modulus``: zeros exp(2 pi i U), U uniform on [0, 1);
 * ``derivative``: p' of ``from_roots`` of n + 1 Gaussian zeros;
 * ``half-clustered``: Gaussian zeros whose first n/2 are z_0 + 1e-3 z_j;
 * ``char-poly``: ``matrices.char_poly`` of D S for Gaussian zeros, its
-  order-32 guard lifted.
+  order-32 guard lifted;
+* ``wilkinson``: ``from_roots`` of 1, 2, ..., 20 (n = 20 only), the
+  classic ill-conditioned row, 8 times.
 
 The error of a row is the greedy pairing distance between its roots and
-the 60-digit roots over max(1, max |root|); a cell shows the worst row, the
-Horner passes of its 8-row solve (``_eval_with_bound`` calls) and the rows
-that failed the gate, whose errors are left out.  Each cell draws from
+the 60-digit roots over max(1, max |root|).  A cell shows the worst row, the
+worst backward error |p(r)| / e(r) of the rows that passed the gate (e the
+Horner bound that ``find_roots_batch`` gates on) and the rows that failed
+it, whose errors are left out.  Each cell draws from
 ``default_rng`` seeded by the class and n, so two checkouts solve the
 same rows.  It takes a few minutes, most of it in mpmath, so it is not
 part of the test suite.
@@ -36,8 +40,9 @@ from schoenberg import matrices, rootfind  # noqa: E402
 from schoenberg.errors import ConvergenceError  # noqa: E402
 from schoenberg.poly import derivative, from_roots  # noqa: E402
 
-CLASSES = ("gaussian", "unit-modulus", "derivative", "half-clustered", "char-poly")
+CLASSES = ("gaussian", "unit-modulus", "derivative", "half-clustered", "char-poly", "wilkinson")
 DEGREES = (6, 16, 32, 48, 63)
+CELLS = [(kind, n) for kind in CLASSES[:-1] for n in DEGREES] + [("wilkinson", 20)]
 ROWS = 8
 
 
@@ -53,6 +58,8 @@ def coefficients(kind, n, rng):
         return from_roots(np.exp(2j * np.pi * rng.uniform(size=n)))
     if kind == "derivative":
         return derivative(from_roots(gaussian(rng, n + 1)))
+    if kind == "wilkinson":
+        return from_roots(np.arange(1.0, n + 1))
     z = gaussian(rng, n)
     if kind == "half-clustered":
         z[: n // 2] = z[0] + 1e-3 * z[: n // 2]
@@ -69,36 +76,29 @@ def reference_roots(c):
 
 
 def cell(kind, n):
-    """Worst row error, Horner passes and failed rows of one 8-row cell."""
+    """Worst row error, worst gated backward error and failed rows of one 8-row cell."""
     rng = np.random.default_rng([CLASSES.index(kind), n])
     c = np.array([coefficients(kind, n, rng) for _ in range(ROWS)])
-    calls = [0]
-    evaluate = rootfind._eval_with_bound
-
-    def counted(*args):
-        calls[0] += 1
-        return evaluate(*args)
-
     failed = np.zeros(ROWS, dtype=bool)
-    with mock.patch.object(rootfind, "_eval_with_bound", counted):
-        try:
-            roots = rootfind.find_roots_batch(c)
-        except ConvergenceError as err:
-            roots, failed[err.rows] = err.best, True
+    try:
+        roots = rootfind.find_roots_batch(c)
+    except ConvergenceError as err:
+        roots, failed[err.rows] = err.best, True
+    p, _, e = rootfind._eval_with_bound(c[~failed], roots[~failed])
+    backward = np.divide(np.abs(p), e, out=np.zeros(p.shape), where=p != 0)
     errors = [
         rootfind.match_multisets(r, ref) / max(1.0, np.abs(ref).max())
         for r, ref in zip(roots[~failed], (reference_roots(row) for row in c[~failed]))
     ]
-    return max(errors, default=np.nan), calls[0], int(failed.sum())
+    return max(errors, default=np.nan), np.max(backward, initial=0.0), int(failed.sum())
 
 
 def main():
-    print("| class | n | worst error | Horner passes | failed rows |")
+    print("| class | n | worst error | worst backward error | failed rows |")
     print("|---|---|---|---|---|")
-    for kind in CLASSES:
-        for n in DEGREES:
-            error, passes, failed = cell(kind, n)
-            print(f"| {kind} | {n} | {error:.1e} | {passes} | {failed} |", flush=True)
+    for kind, n in CELLS:
+        error, backward, failed = cell(kind, n)
+        print(f"| {kind} | {n} | {error:.1e} | {backward:.1e} | {failed} |", flush=True)
     return 0
 
 
